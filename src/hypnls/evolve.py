@@ -32,20 +32,8 @@ import numpy as np
 from scipy.fft import dst, idst
 from scipy.linalg import solve_banded
 
-from .hypgeom import laplacian_bands
+from .hypgeom import apply_laplacian, dirichlet_energy, shifted_bands
 from . import functionals as fn
-
-
-def _dst2(x):
-    if np.iscomplexobj(x):
-        return dst(x.real, type=2) + 1j * dst(x.imag, type=2)
-    return dst(x, type=2)
-
-
-def _idst2(x):
-    if np.iscomplexobj(x):
-        return idst(x.real, type=2) + 1j * idst(x.imag, type=2)
-    return idst(x, type=2)
 
 SCHEMES = ("crank_nicolson_relaxation", "strang_splitting")
 STRAIN_ITERS = 12  # inner iterations counted as "straining" -> halve dt
@@ -110,24 +98,13 @@ class _CNStepper:
         self.p = p
         self.tol = tol
         self.maxiter = maxiter
-        self.lower, self.diag, self.upper = laplacian_bands(grid)
         # gauge shift: integrate i v_t = -(L + shift) v - |v|^{p-1} v
-        self.diag = self.diag + shift
+        self.shift = shift
         self.vol = grid.vol_weights
-        self.ab = np.zeros((3, grid.num_points), dtype=complex)
-
-    def _apply_l(self, v):
-        out = self.diag * v
-        out[:-1] += self.upper[:-1] * v[1:]
-        out[1:] += self.lower[1:] * v[:-1]
-        return out
 
     def _cayley(self, rhs, phi, dt):
-        z = 0.5j * dt
-        self.ab[0, 1:] = -z * self.upper[:-1]
-        self.ab[1, :] = 1.0 - z * (self.diag + phi)
-        self.ab[2, :-1] = -z * self.lower[1:]
-        return solve_banded((1, 1), self.ab, rhs)
+        ab = shifted_bands(self.grid, 1.0, -0.5j * dt, phi, shift=self.shift)
+        return solve_banded((1, 1), ab, rhs)
 
     def _l2(self, v):
         return math.sqrt(float(np.dot(np.abs(v) ** 2, self.vol)))
@@ -137,7 +114,7 @@ class _CNStepper:
         pm1 = self.p - 1.0
         mod = np.abs(u) ** pm1
         phi = 2.0 * mod - phi_half_prev if phi_half_prev is not None else mod
-        lin = u + 0.5j * dt * self._apply_l(u)
+        lin = u + 0.5j * dt * apply_laplacian(u, self.grid, shift=self.shift)
         scale = self._l2(u)
         if scale == 0.0:
             return u.copy(), mod, 0
@@ -172,11 +149,11 @@ class _StrangStepper:
 
     def step(self, u, dt, phi_half_prev=None):
         g = u * self.sinh_r
-        g = _idst2(_dst2(g) * np.exp(0.5j * dt * self.symbol))
+        g = idst(dst(g, type=2) * np.exp(0.5j * dt * self.symbol), type=2)
         u = g / self.sinh_r
         u = u * np.exp(1j * dt * np.abs(u) ** (self.p - 1.0))
         g = u * self.sinh_r
-        g = _idst2(_dst2(g) * np.exp(0.5j * dt * self.symbol))
+        g = idst(dst(g, type=2) * np.exp(0.5j * dt * self.symbol), type=2)
         return g / self.sinh_r, None, 0
 
 
@@ -198,14 +175,8 @@ def step(u: fn.RadialField, cfg: IntegratorConfig, p: float) -> fn.RadialField:
 # ---------------------------------------------------------------------------
 
 def _h1_sq_arrays(values, grid):
-    h = grid.dr
-    diffs = np.abs(np.diff(values)) ** 2
-    grad = (
-        np.dot(grid.edge_density[1:-1], diffs) / h
-        + 2.0 * grid.edge_density[-1] * abs(values[-1]) ** 2 / h
-    ) * grid.sphere_area
     m = float(np.dot(np.abs(values) ** 2, grid.vol_weights))
-    return grad + m
+    return dirichlet_energy(values, grid) + m
 
 
 def evolve_run(

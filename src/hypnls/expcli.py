@@ -5,8 +5,8 @@ spectral-check, plotdata. Parameters resolve in order: explicit flag >
 config file (flat key=value lines) > resolution tier > built-in default.
 Every output embeds a sha256 digest of the resolved configuration; report
 assembly refuses rows whose digest differs. Outputs are deterministic for a
-fixed config and seed: floats are serialized with repr (shortest round
-trip), JSON keys sorted, line endings LF, files written via temp + rename.
+fixed config: floats are serialized with repr (shortest round trip), JSON
+keys sorted, line endings LF, files written via temp + rename.
 
 Exit codes: 0 all gates passed, 1 a scientific check failed, 2 usage or
 configuration error, 3 solver failure.
@@ -70,7 +70,6 @@ class ExperimentConfig:
     tier: str = "quick"
     out_dir: str = "."
     fmt: str = "json"
-    seed: int = 0
     inject_sign_flip: bool = False
     explicit: set = field(default_factory=set)  # which fields the user set
 
@@ -87,7 +86,6 @@ class ExperimentConfig:
             "horizon": repr(float(self.horizon)),
             "tier": self.tier,
             "format": self.fmt,
-            "seed": str(self.seed),
         }
         if self.inject_sign_flip:
             items["inject_sign_flip"] = "1"
@@ -105,14 +103,13 @@ class ExperimentConfig:
             "dt": self.dt,
             "horizon": self.horizon,
             "tier": self.tier,
-            "seed": self.seed,
         }
 
 
 def parse_config_file(path: str) -> Dict[str, str]:
     known = {
         "n", "p", "lambda", "alpha", "rmax", "points", "dt", "horizon",
-        "tier", "out", "format", "seed",
+        "tier", "out", "format",
     }
     vals: Dict[str, str] = {}
     try:
@@ -162,7 +159,6 @@ def resolve_config(args) -> ExperimentConfig:
         ("dt", args.dt, "dt", float, td["dt"]),
         ("horizon", args.horizon, "horizon", float, td["horizon"]),
         ("fmt", args.format, "format", str, "json"),
-        ("seed", args.seed, "seed", int, 0),
     ):
         value, was_set = pick(flag, key, cast, fallback)
         setattr(cfg, name, value)
@@ -451,7 +447,7 @@ def cmd_virial_check(cfg: ExperimentConfig) -> int:
         gaps[sweep_radii[i]] >= gaps[sweep_radii[i + 1]] - 1e-12
         for i in range(len(sweep_radii) - 1)
     )
-    passed = mismatch < 0.02 and monotone
+    passed = bool(mismatch < 0.02 and monotone)
 
     if cfg.fmt == "csv":
         write_csv(
@@ -757,7 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tier", choices=sorted(TIERS), help="resolution tier")
     common.add_argument("--out", help="output directory (HYPNLS_OUT overrides)")
     common.add_argument("--format", choices=("csv", "json"), help="report format")
-    common.add_argument("--seed", type=int, help="rng seed, recorded in outputs")
     common.add_argument("--config", help="flat key=value config file")
 
     parser = argparse.ArgumentParser(

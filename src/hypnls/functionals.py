@@ -30,13 +30,11 @@ import numpy as np
 
 from .hypgeom import (
     RadialGrid,
-    build_weights,
     cached_weights,
     coth,
     dirichlet_energy,
     quadrature,
     spectrum_bottom,
-    w1_weight,
 )
 
 
@@ -140,19 +138,21 @@ def delta_lambda(u: RadialField, gs) -> float:
 # virial functionals
 # ---------------------------------------------------------------------------
 
-def G_functional(u: RadialField, p: float, lam_ignored: float = None) -> float:
-    """Virial functional; the shift inside is always the spectral bottom.
-
-    lam_ignored is accepted for call-site symmetry with the other
-    functionals and has no effect (the sign analysis is anchored at the
-    spectral-bottom norm regardless of the equation's lambda).
-    """
-    grid = u.grid
-    n = grid.n
+def G_functional(u: RadialField, p: float) -> float:
+    """Virial functional; the shift inside is always the spectral bottom
+    (the sign analysis is anchored at the spectral-bottom norm regardless
+    of the equation's lambda)."""
     usq = np.abs(u.values) ** 2
+    m = float(quadrature(usq, u.grid))
     up1 = np.abs(u.values) ** (p + 1.0)
+    return _G_from(u.grid, p, usq, up1, gradient_sq(u), m)
+
+
+def _G_from(grid: RadialGrid, p: float, usq, up1, grad: float, m: float) -> float:
+    # G from the per-field intermediates |u|^2, |u|^{p+1}, |grad u|^2, M(u)
+    n = grid.n
     w = cached_weights(grid)
-    out = 8.0 * h_norm_sq(u)
+    out = 8.0 * (grad - spectrum_bottom(n) * m)
     if n != 3:
         out += 2.0 * (n - 1) * (n - 3) * float(quadrature(usq * w.w1, grid))
     out -= (4.0 * (p - 1.0) / (p + 1.0)) * float(quadrature(up1 * w.w2, grid))
@@ -302,6 +302,13 @@ def localized_virial_rhs(
     chain-rule expressions in phi derivatives and coth are evaluated
     directly (safe: r >= R >= 1 there); beyond 2R every term vanishes.
     """
+    usq = np.abs(u.values) ** 2
+    up1 = np.abs(u.values) ** (p + 1.0)
+    return _localized_virial_from(u, R, phi, p, usq, up1)
+
+
+def _localized_virial_from(u: RadialField, R: float, phi, p: float, usq, up1) -> float:
+    # localized virial from the per-field intermediates |u|^2 and |u|^{p+1}
     if R < 1.0:
         raise ValueError("cutoff radius R must be >= 1")
     if phi is None:
@@ -339,24 +346,10 @@ def localized_virial_rhs(
         lap_h = np.where(bridge, lap_b, lap_h)
         bilap_h = np.where(bridge, bilap_b, bilap_h)
 
-    usq = np.abs(u.values) ** 2
-    up1 = np.abs(u.values) ** (p + 1.0)
     zero_term = float(quadrature(usq * bilap_h, grid))
     nl_term = float(quadrature(up1 * lap_h, grid))
-
     # gradient term on cell edges, matched to the discrete Dirichlet energy
-    h = grid.dr
-    edges_r = grid.edges[1:-1]
-    d2_edges = phi.d2(edges_r / R)
-    diffs = np.abs(np.diff(u.values)) ** 2
-    grad_term = grid.sphere_area * (
-        np.dot(grid.edge_density[1:-1] * d2_edges, diffs) / h
-        + float(phi.d2(grid.r_max / R))
-        * 2.0
-        * grid.edge_density[-1]
-        * abs(u.values[-1]) ** 2
-        / h
-    )
+    grad_term = dirichlet_energy(u.values, grid, edge_weight=phi.d2(grid.edges / R))
 
     return 4.0 * grad_term - zero_term - 2.0 * ((p - 1.0) / (p + 1.0)) * nl_term
 
@@ -409,11 +402,18 @@ def compute_diagnostics(
     r_loc: float = 8.0,
     phi: CutoffProfile = None,
 ) -> DiagnosticsRecord:
-    """Assemble the full per-time diagnostics row for a run."""
-    m = mass(u)
+    """Assemble the full per-time diagnostics row for a run.
+
+    |u|^2, |u|^{p+1} and the Dirichlet form are computed once and shared by
+    every column.
+    """
+    grid = u.grid
+    usq = np.abs(u.values) ** 2
+    up1 = np.abs(u.values) ** (p + 1.0)
+    m = float(quadrature(usq, grid))
     grad = gradient_sq(u)
-    lp1 = lp1_functional(u, p)
-    rho2 = spectrum_bottom(u.grid.n)
+    lp1 = float(quadrature(up1, grid))
+    rho2 = spectrum_bottom(grid.n)
     hl = grad - lam * m
     e = 0.5 * grad - lp1 / (p + 1.0)
     dl = hl - gs.hlam_sq if gs is not None else float("nan")
@@ -426,9 +426,9 @@ def compute_diagnostics(
         h_sq=grad - rho2 * m,
         lp1=lp1,
         delta_lambda=dl,
-        G_value=G_functional(u, p),
-        second_moment=second_moment(u),
-        loc_virial=localized_virial_rhs(u, r_loc, phi, p=p),
+        G_value=_G_from(grid, p, usq, up1, grad, m),
+        second_moment=float(quadrature(usq * grid.nodes**2, grid)),
+        loc_virial=_localized_virial_from(u, r_loc, phi, p, usq, up1),
         h1_sq=grad + m,
     )
 
@@ -539,15 +539,13 @@ def quartic_inequality_scan(n: int, r_grid) -> tuple:
     return float(values[k]), float(np.asarray(r_grid, dtype=float)[k])
 
 
-def pm_coefficient_positivity(n: int, p: float, mu: float = -1.0, r_grid=None) -> float:
+def pm_coefficient_positivity(n: int, p: float, r_grid=None) -> float:
     """Minimum of the nonlinear-term coefficient of the weighted virial bound.
 
     coefficient(r) = (n-1) (r/sinh r)^2 ((p-1)(n-1) cosh^2 r + 2)
                      + 2 (n-1)(p-4) r coth r + p - 5
 
-    Nonnegative exactly when p >= 1 + 4/n. The multiplier sign case mu is
-    accepted for interface symmetry; the radial coefficient above does not
-    depend on it.
+    Nonnegative exactly when p >= 1 + 4/n.
     """
     if r_grid is None:
         r_grid = np.linspace(1e-4, 20.0, 100001)

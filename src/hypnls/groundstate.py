@@ -24,9 +24,9 @@ from scipy.linalg import solve_banded
 
 from .hypgeom import (
     RadialGrid,
+    apply_laplacian,
     coth,
-    laplacian_bands,
-    quadrature,
+    shifted_bands,
     spectrum_bottom,
 )
 from . import functionals as fn
@@ -150,27 +150,16 @@ def _odd_pow(values: np.ndarray, p: float) -> np.ndarray:
     return np.sign(values) * np.abs(values) ** p
 
 
-def _apply_bands(lower, diag, upper, v):
-    out = diag * v
-    out[:-1] += upper[:-1] * v[1:]
-    out[1:] += lower[1:] * v[:-1]
-    return out
-
-
 def _newton_polish(profile, n, p, lam, grid, tol=1e-12, max_iter=40):
     """Newton iteration on L q + lambda q + q^p = 0 with Dirichlet far end."""
-    lower, diag, upper = laplacian_bands(grid)
     q = profile.copy()
     qmax = float(np.max(q))
     scale = abs(lam) * qmax + qmax**p + qmax
-    ab = np.zeros((3, grid.num_points))
     for _ in range(max_iter):
-        res = _apply_bands(lower, diag, upper, q) + lam * q + _odd_pow(q, p)
+        res = apply_laplacian(q, grid) + lam * q + _odd_pow(q, p)
         if float(np.max(np.abs(res))) < tol * scale:
             break
-        ab[0, 1:] = upper[:-1]
-        ab[1, :] = diag + lam + p * np.abs(q) ** (p - 1.0)
-        ab[2, :-1] = lower[1:]
+        ab = shifted_bands(grid, 0.0, 1.0, p * np.abs(q) ** (p - 1.0), shift=lam)
         q = q + solve_banded((1, 1), ab, -res)
     return q
 
@@ -274,16 +263,7 @@ def solve_ground_state(
         profile = _far_field_extension(profile, int(deep[0]), n, lam, grid)
 
     u = fn.RadialField(grid=grid, values=profile)
-    hlam_sq = fn.hlam_norm_sq(u, lam)
-    lp1 = fn.lp1_functional(u, p)
-    elam = fn.energy_lambda(u, lam, p)
-    gval = fn.G_functional(u, p)
-    ratio = (p - 1.0) / (2.0 * (p + 1.0))
-    residuals = {
-        "pohozaev": abs(hlam_sq - lp1) / hlam_sq,
-        "energy_ratio": abs(elam - ratio * hlam_sq) / abs(elam),
-        "g_value": abs(gval) / hlam_sq,
-    }
+    hlam_sq, lp1, elam, residuals = _certificates(u, p, lam)
     return GroundState(
         n=n,
         p=p,
@@ -299,30 +279,37 @@ def solve_ground_state(
     )
 
 
+def _certificates(u: fn.RadialField, p: float, lam: float):
+    """(hlam_sq, lp1, elam, residuals) with the Pohozaev gap, the
+    energy-ratio gap, and the virial value, each relative."""
+    hlam_sq = fn.hlam_norm_sq(u, lam)
+    lp1 = fn.lp1_functional(u, p)
+    elam = fn.energy_lambda(u, lam, p)
+    gval = fn.G_functional(u, p)
+    ratio = (p - 1.0) / (2.0 * (p + 1.0))
+    residuals = {
+        "pohozaev": abs(hlam_sq - lp1) / hlam_sq,
+        "energy_ratio": abs(elam - ratio * hlam_sq) / abs(elam),
+        "g_value": abs(gval) / hlam_sq,
+    }
+    return hlam_sq, lp1, elam, residuals
+
+
 def verify_identities(gs: GroundState) -> dict:
     """Recompute the certificates through the functionals layer.
 
     Reports the Pohozaev gap, the energy-ratio gap, the virial value, and
     the far-field log-slope deviation from rho + sqrt(rho^2 - lambda).
     """
-    u = gs.field_on_grid()
-    hlam_sq = fn.hlam_norm_sq(u, gs.lam)
-    lp1 = fn.lp1_functional(u, gs.p)
-    elam = fn.energy_lambda(u, gs.lam, gs.p)
-    gval = fn.G_functional(u, gs.p)
-    ratio = (gs.p - 1.0) / (2.0 * (gs.p + 1.0))
+    residuals = _certificates(gs.field_on_grid(), gs.p, gs.lam)[3]
     r = gs.grid.nodes
     lo = int(np.searchsorted(r, gs.grid.r_max / 2.0))
     hi = int(np.searchsorted(r, 0.75 * gs.grid.r_max))
     logq = np.log(gs.profile[lo:hi])
     slope = np.polyfit(r[lo:hi], logq, 1)[0]
     kappa = far_field_rate(gs.n, gs.lam)
-    return {
-        "pohozaev": abs(hlam_sq - lp1) / hlam_sq,
-        "energy_ratio": abs(elam - ratio * hlam_sq) / abs(elam),
-        "g_value": abs(gval) / hlam_sq,
-        "logslope_dev": abs(slope + kappa) / kappa,
-    }
+    residuals["logslope_dev"] = abs(slope + kappa) / kappa
+    return residuals
 
 
 # ---------------------------------------------------------------------------
@@ -350,28 +337,24 @@ class MassCurvePoint:
     iterations: int = 0
 
 
-def _flow_energy(q, grid, p, lower, diag, upper, rho2):
-    grad = -np.dot(_apply_bands(lower, diag, upper, q) * grid.vol_weights, q)
+def _flow_energy(q, grid, p, rho2):
+    grad = -np.dot(apply_laplacian(q, grid) * grid.vol_weights, q)
     m = np.dot(q * q, grid.vol_weights)
     nl = np.dot(np.abs(q) ** (p + 1.0), grid.vol_weights)
     return 0.5 * (grad - rho2 * m) - nl / (p + 1.0)
 
 
-def _newton_polish_constrained(q, lam, alpha, grid, p, lower, diag, upper):
+def _newton_polish_constrained(q, lam, alpha, grid, p):
     """Newton on (-L q - lam q - |q|^{p-1}q, mass - alpha^2) via a bordered
     tridiagonal solve. Returns (q, lam) or None when the step is rejected."""
     w = grid.vol_weights
-    nq = len(q)
-    ab = np.zeros((3, nq))
     for it in range(30):
-        f1 = -_apply_bands(lower, diag, upper, q) - lam * q - _odd_pow(q, p)
+        f1 = -apply_laplacian(q, grid) - lam * q - _odd_pow(q, p)
         f2 = 0.5 * (float(np.dot(q * q, w)) - alpha**2)
         scale = np.max(np.abs(q)) ** p + abs(lam) * np.max(np.abs(q)) + 1e-300
         if np.max(np.abs(f1)) < 1e-13 * scale and abs(f2) < 1e-13 * alpha**2:
             return q, lam
-        ab[0, 1:] = -upper[:-1]
-        ab[1, :] = -diag - lam - p * np.abs(q) ** (p - 1.0)
-        ab[2, :-1] = -lower[1:]
+        ab = shifted_bands(grid, 0.0, -1.0, p * np.abs(q) ** (p - 1.0), shift=lam)
         try:
             a = solve_banded((1, 1), ab, -f1)
             b = solve_banded((1, 1), ab, q)
@@ -420,7 +403,6 @@ def mass_constrained_minimize(
         raise fn.ParameterMismatch("grid dimension differs from requested n")
     fp = flow_params or FlowParams()
     rho2 = spectrum_bottom(n)
-    lower, diag, upper = laplacian_bands(grid)
 
     if start is not None:
         q = np.asarray(start, dtype=float).copy()
@@ -430,18 +412,15 @@ def mass_constrained_minimize(
         q = np.exp(-grid.nodes**2)
     q *= alpha / math.sqrt(np.dot(q * q, grid.vol_weights))
     tau = fp.tau
-    energy_now = _flow_energy(q, grid, p, lower, diag, upper, rho2)
+    energy_now = _flow_energy(q, grid, p, rho2)
     steps = 0
-    ab = np.zeros((3, grid.num_points))
     while steps < fp.max_steps:
         steps += 1
         # (1 + tau A) trial = q + tau q^p with A = -(L + rho^2)
-        ab[0, 1:] = -tau * upper[:-1]
-        ab[1, :] = 1.0 - tau * (diag + rho2)
-        ab[2, :-1] = -tau * lower[1:]
+        ab = shifted_bands(grid, 1.0, -tau, shift=rho2)
         trial = solve_banded((1, 1), ab, q + tau * _odd_pow(q, p))
         trial *= alpha / math.sqrt(np.dot(trial * trial, grid.vol_weights))
-        energy_trial = _flow_energy(trial, grid, p, lower, diag, upper, rho2)
+        energy_trial = _flow_energy(trial, grid, p, rho2)
         if energy_trial > energy_now:
             tau *= fp.backtrack
             if tau < 1e-12:
@@ -460,26 +439,20 @@ def mass_constrained_minimize(
             iterations=steps,
         )
     q = np.abs(q)
-    lap_q = _apply_bands(lower, diag, upper, q)
+    lap_q = apply_laplacian(q, grid)
     m = float(np.dot(q * q, grid.vol_weights))
     lam_fit = float(np.dot((-lap_q - q**p) * grid.vol_weights, q)) / m
-    polished = _newton_polish_constrained(
-        q, lam_fit, alpha, grid, p, lower, diag, upper
-    )
+    polished = _newton_polish_constrained(q, lam_fit, alpha, grid, p)
     if polished is not None:
         q, lam_fit = polished
         q = np.abs(q)
-        energy_now = _flow_energy(q, grid, p, lower, diag, upper, rho2)
-        lap_q = _apply_bands(lower, diag, upper, q)
+        energy_now = _flow_energy(q, grid, p, rho2)
+        lap_q = apply_laplacian(q, grid)
         m = float(np.dot(q * q, grid.vol_weights))
         lam_fit = float(np.dot((-lap_q - q**p) * grid.vol_weights, q)) / m
     el = -lap_q - lam_fit * q - q**p
     # discrete H^{-1}-type norm: <el, (1 - L)^{-1} el> against the H^1 scale
-    ab = np.zeros((3, grid.num_points))
-    ab[0, 1:] = -upper[:-1]
-    ab[1, :] = 1.0 - diag
-    ab[2, :-1] = -lower[1:]
-    w = solve_banded((1, 1), ab, el)
+    w = solve_banded((1, 1), shifted_bands(grid, 1.0, -1.0), el)
     h1 = float(np.dot(q * q, grid.vol_weights) - np.dot(lap_q * grid.vol_weights, q))
     residual = math.sqrt(abs(float(np.dot(el * grid.vol_weights, w)))) / math.sqrt(h1)
     return MassCurvePoint(

@@ -146,8 +146,6 @@ class WeightTable:
     bilap_r2 = bi-Laplacian of r^2 = 2(n-1)^2 - 2(n-1)(n-3) W1.
     """
 
-    sinh_pow: np.ndarray
-    coth: np.ndarray
     w1: np.ndarray
     w2: np.ndarray
     lap_r2: np.ndarray
@@ -170,8 +168,6 @@ def build_weights(grid: RadialGrid) -> WeightTable:
     rc = r_coth_r(r)
     w2 = 1.0 + (n - 1) * rc
     return WeightTable(
-        sinh_pow=grid.node_density.copy(),
-        coth=coth(r),
         w1=w1,
         w2=w2,
         lap_r2=2.0 + 2.0 * (n - 1) * rc,
@@ -199,7 +195,11 @@ def laplacian_bands(grid: RadialGrid):
     A_0 = 0 encodes the zero-flux symmetry at the origin, and the Dirichlet
     condition at r_max enters through the half-cell flux -2 u_{N-1} / dr.
     L is self-adjoint with respect to the vol_weights inner product.
+    Memoized on the grid object; the returned arrays are read-only.
     """
+    bands = getattr(grid, "_laplacian_bands", None)
+    if bands is not None:
+        return bands
     h = grid.dr
     w = grid.node_density
     a = grid.edge_density
@@ -212,48 +212,58 @@ def laplacian_bands(grid: RadialGrid):
     upper[:-1] = a[1:n_pts] * inv[:-1]
     diag[:-1] = -(a[:n_pts - 1] + a[1:n_pts]) * inv[:-1]
     diag[-1] = -(a[n_pts - 1] + 2.0 * a[n_pts]) * inv[-1]
-    return lower, diag, upper
+    for band in (lower, diag, upper):
+        band.flags.writeable = False
+    grid._laplacian_bands = (lower, diag, upper)
+    return grid._laplacian_bands
 
 
-def apply_laplacian(f, grid: RadialGrid = None):
-    """Apply the radial Laplace-Beltrami operator d_r^2 + (n-1) coth(r) d_r.
-
-    Accepts either a bare per-node array (with grid passed explicitly) or a
-    field object carrying .grid and .values; returns the same kind.
-    """
-    wrapped = hasattr(f, "values") and hasattr(f, "grid")
-    if wrapped:
-        if grid is not None and not f.grid.same_as(grid):
-            raise ValueError("field grid does not match the supplied grid")
-        grid = f.grid
-        values = f.values
-    else:
-        if grid is None:
-            raise ValueError("grid required when passing a bare array")
-        values = np.asarray(f)
-        if values.shape != grid.nodes.shape:
-            raise ValueError("field length does not match grid")
+def apply_laplacian(values, grid: RadialGrid, shift: float = 0.0):
+    """Apply L + shift, L the radial Laplace-Beltrami operator
+    d_r^2 + (n-1) coth(r) d_r."""
+    values = np.asarray(values)
+    if values.shape != grid.nodes.shape:
+        raise ValueError("field length does not match grid")
     lower, diag, upper = laplacian_bands(grid)
-    out = diag * values
+    out = (diag + shift) * values
     out[:-1] += upper[:-1] * values[1:]
     out[1:] += lower[1:] * values[:-1]
-    if wrapped:
-        return type(f)(grid=grid, values=out)
     return out
 
 
-def dirichlet_energy(values, grid: RadialGrid):
-    """Discrete integral of |grad u|^2 over H^n.
+def shifted_bands(grid: RadialGrid, a, b, extra_diag=0.0, shift: float = 0.0):
+    """(1, 1) banded storage of a + b (L + shift + diag(extra_diag)), for
+    solve_banded.
+
+    a, b and shift are scalars (a and b may be complex); extra_diag is a
+    scalar or a per-node array. The diagonal is rounded as
+    (diag(L) + shift) + extra_diag, so a solve with L + shift uses the same
+    floating-point operator as apply_laplacian(values, grid, shift).
+    """
+    lower, diag, upper = laplacian_bands(grid)
+    ab = np.zeros((3, grid.num_points), dtype=np.result_type(a, b, extra_diag, diag))
+    ab[0, 1:] = b * upper[:-1]
+    ab[1, :] = a + b * (diag + shift + extra_diag)
+    ab[2, :-1] = b * lower[1:]
+    return ab
+
+
+def dirichlet_energy(values, grid: RadialGrid, edge_weight=None):
+    """Discrete integral of |grad u|^2 over H^n, optionally weighted.
 
     Edge-based differences matched to the divergence-form Laplacian, so that
     <-L u, u>_mu reproduces this value exactly; the last term is the
-    half-cell Dirichlet flux at r_max.
+    half-cell Dirichlet flux at r_max. edge_weight, when given, is sampled
+    on grid.edges and multiplies the integrand at each edge.
     """
     values = np.asarray(values)
     if values.shape != grid.nodes.shape:
         raise ValueError("field length does not match grid")
     h = grid.dr
+    area = grid.edge_density
+    if edge_weight is not None:
+        area = area * edge_weight
     diffs = np.abs(np.diff(values)) ** 2
-    interior = np.dot(grid.edge_density[1:-1], diffs) / h
-    boundary = 2.0 * grid.edge_density[-1] * abs(values[-1]) ** 2 / h
+    interior = np.dot(area[1:-1], diffs) / h
+    boundary = 2.0 * area[-1] * abs(values[-1]) ** 2 / h
     return grid.sphere_area * (interior + boundary)

@@ -74,12 +74,11 @@ def test_groundstate_above_bottom_is_usage_error(tmp_path, capsys):
 
 def test_config_file_and_flag_precedence(tmp_path):
     conf = tmp_path / "run.conf"
-    conf.write_text("# comment line\n\nlambda=0.25\nseed=7\n")
+    conf.write_text("# comment line\n\nlambda=0.25\n")
     out = str(tmp_path / "o1")
     assert cli.main(["inequalities", "--config", str(conf), "--out", out]) == 0
     payload = read_json(os.path.join(out, "inequalities_report.json"))
     assert payload["params"]["lambda"] == 0.25
-    assert payload["params"]["seed"] == 7
     # explicit flag beats the file
     out2 = str(tmp_path / "o2")
     assert cli.main(
@@ -87,7 +86,6 @@ def test_config_file_and_flag_precedence(tmp_path):
     ) == 0
     payload2 = read_json(os.path.join(out2, "inequalities_report.json"))
     assert payload2["params"]["lambda"] == 0.0
-    assert payload2["params"]["seed"] == 7
     # the digest tracks the resolved config
     assert payload2["config_digest"] != payload["config_digest"]
 
@@ -236,6 +234,14 @@ def test_virial_check_needs_completed_run(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "evolve_run", stub)
     assert cli.main(["virial-check", "--out", str(tmp_path)]) == 1
     assert "completed run" in stderr_payload(capsys)["error"]
+
+
+def test_virial_check_failure_writes_report(tmp_path, monkeypatch):
+    # a failing comparison is a numpy bool; the report must still serialize
+    monkeypatch.setattr(cli, "virial_consistency", lambda out: np.float64(0.5))
+    assert cli.main(["virial-check", "--out", str(tmp_path)]) == 1
+    payload = read_json(tmp_path / "virial_report.json")
+    assert payload["passed"] is False
 
 
 def test_plotdata_kinds_and_errors(tmp_path, capsys):

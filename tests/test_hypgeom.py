@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import hypnls.hypgeom as hg
 
@@ -127,6 +128,8 @@ def test_apply_laplacian_matches_bands(grid3):
     out[:-1] += upper[:-1] * u[1:]
     out[1:] += lower[1:] * u[:-1]
     assert np.allclose(hg.apply_laplacian(u, grid3), out, rtol=0, atol=0)
+    shifted = hg.apply_laplacian(u, grid3, shift=0.5)
+    assert np.allclose(shifted, out + 0.5 * u, rtol=0, atol=1e-13 * np.max(np.abs(out)))
 
 
 def test_laplacian_point_oracle():
@@ -151,6 +154,26 @@ def test_laplacian_eigenfunction_refinement():
         resids.append(np.max(np.abs(res[window])))
     assert resids[0] < 2.0
     assert 3.5 < resids[0] / resids[1] < 4.5
+
+
+def test_dirichlet_energy_unit_edge_weight(grid3):
+    u = _noise_field(grid3, 14)
+    weighted = hg.dirichlet_energy(u, grid3, edge_weight=np.ones(grid3.num_points + 1))
+    assert weighted == hg.dirichlet_energy(u, grid3)
+
+
+@pytest.mark.parametrize("a, b, shift", [(1.0, -0.3, 0.0), (1.0, -0.5j * 2e-3, 0.5)])
+def test_shifted_bands_matches_dense_solve(a, b, shift):
+    grid = hg.build_grid(3, 20.0, 64)
+    extra = np.exp(-grid.nodes)
+    lower, diag, upper = hg.laplacian_bands(grid)
+    dense = np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1)
+    eye = np.eye(grid.num_points)
+    matrix = a * eye + b * (dense + shift * eye + np.diag(extra))
+    rhs = _noise_field(grid, 15)
+    ab = hg.shifted_bands(grid, a, b, extra, shift=shift)
+    got = scipy.linalg.solve_banded((1, 1), ab, rhs)
+    assert np.allclose(got, np.linalg.solve(matrix, rhs), rtol=1e-12, atol=0)
 
 
 def test_dirichlet_energy_gaussian_refinement():
@@ -211,3 +234,8 @@ def test_cached_weights_memoized(grid3):
     assert np.allclose(t1.lap_r2, 2.0 + 4.0 * hg.r_coth_r(r), rtol=1e-14)
     # n = 3 kills the W1 term in the bi-Laplacian weight
     assert np.allclose(t1.bilap_r2, 8.0, rtol=0, atol=1e-12)
+    bands = hg.laplacian_bands(grid3)
+    assert bands is hg.laplacian_bands(grid3)
+    for band in bands:
+        with pytest.raises(ValueError):
+            band[0] = 1.0
