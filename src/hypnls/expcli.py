@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -195,10 +196,26 @@ def _fmt_cell(x) -> str:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="\n") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    """Write text to path through a uniquely named temporary file in the
+    same directory, so concurrent writers never share a temporary file and
+    readers see either the old or the new content."""
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(os.path.abspath(path)),
+        prefix=os.path.basename(path) + ".",
+        suffix=".tmp",
+    )
+    try:
+        with os.fdopen(fd, "w", newline="\n") as handle:
+            handle.write(text)
+        # mkstemp creates 0600; give the file the mode open() would
+        # (os.umask reads the mask only by setting it)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_csv(path: str, digest: str, header: Sequence[str], rows) -> None:
@@ -594,9 +611,9 @@ def cmd_spectral_check(cfg: ExperimentConfig) -> int:
             "spectral analysis is implemented for n = 3 only; the H^2 "
             "kernel is a documented gap",
         )
-    # the reference family is grid-converged well below production size;
-    # the dense sine kernel is the memory cost, so stay at 2000 points
-    # unless the user explicitly asks otherwise
+    # the bump family's spectral quantities are grid-converged at 2000
+    # points, well below production size, so both tiers use 2000 unless
+    # the user explicitly asks otherwise
     if "points" not in cfg.explicit:
         cfg.points = 2000
     grid = build_grid(3, cfg.rmax, cfg.points)

@@ -9,6 +9,13 @@ so that Parseval holds with the Plancherel density lambda^2 / (2 pi^2):
 
     int |u|^2 dmu = int_0^inf |uhat(lambda)|^2 lambda^2/(2 pi^2) dlambda.
 
+Both integrals are discretized by the midpoint rule: in r on the
+cell-centered grid, in lambda on the N = num_points nodes
+lambda_k = (k + 1/2) pi / r_max up to lambda_max = pi / dr. On these nodes
+the sine kernel is exactly the DST-IV matrix (scipy.fft.dst, type 4), so
+the discrete pair is an exact inverse pair and discrete Parseval holds to
+roundoff.
+
 The density constant is analytic; calibrate_density_constant recovers it
 numerically from a reference Gaussian as an independent check. Spectral
 multipliers implemented on top: the heat semigroup e^{-t(lambda^2 + rho^2)},
@@ -26,14 +33,13 @@ from dataclasses import dataclass
 
 import math
 import numpy as np
+from scipy.fft import dst
 
 from .hypgeom import RadialGrid, quadrature
 from .functionals import RadialField
 
 RHO = 1.0                       # (n-1)/2 at n = 3
 DENSITY_CONSTANT = 1.0 / (2.0 * math.pi**2)
-DEFAULT_LAMBDA_MAX = 64.0
-DEFAULT_NUM_LAMBDA = 4096
 
 
 class UnsupportedDimension(ValueError):
@@ -49,65 +55,51 @@ class SpectralProfile:
 
 
 class SpectralTransform:
-    """Dense sine-kernel quadrature transform bound to one radial grid.
+    """Exact DST-IV transform pair bound to one radial grid.
 
-    Stores a single (num_lambda x num_points) sine matrix; both transform
-    directions are matrix products against it. Frequency nodes are
-    cell-centered on [0, lambda_max].
+    The N = grid.num_points frequency nodes lambda_k = (k + 1/2) dlam, with
+    dlam = pi / r_max, are cell-centered on [0, lambda_max], lambda_max =
+    pi / dr. On the cell-centered radial nodes r_j = (j + 1/2) dr the sine
+    kernel sin(lambda_k r_j) = sin(pi (2k+1)(2j+1) / (4N)) is exactly the
+    DST-IV matrix, so both directions are O(N log N) fast transforms. DST-IV
+    is its own inverse up to the factor 2N and dlam * dr * N = pi, so the
+    discrete round trip and discrete Parseval hold to roundoff.
     """
 
-    def __init__(
-        self,
-        grid: RadialGrid,
-        lambda_max: float = DEFAULT_LAMBDA_MAX,
-        num_lambda: int = DEFAULT_NUM_LAMBDA,
-    ):
+    def __init__(self, grid: RadialGrid):
         if grid.n != 3:
             raise UnsupportedDimension(
                 "radial Fourier analysis is implemented for n = 3 only "
                 "(the H^2 kernel is non-elementary; documented gap)"
             )
         self.grid = grid
-        self.lambda_max = float(lambda_max)
-        self.num_lambda = int(num_lambda)
-        self.dlam = self.lambda_max / self.num_lambda
-        self.lambda_nodes = (np.arange(self.num_lambda) + 0.5) * self.dlam
+        self.dlam = math.pi / grid.r_max
+        self.lambda_nodes = (np.arange(grid.num_points) + 0.5) * self.dlam
         self.density = DENSITY_CONSTANT * self.lambda_nodes**2
         self.sinh_r = np.sinh(grid.nodes)
-        self._sine = np.sin(np.outer(self.lambda_nodes, grid.nodes))
-        self._fwd_scale = 4.0 * np.pi * grid.dr / self.lambda_nodes
-        self._inv_scale = DENSITY_CONSTANT * self.dlam
+        self._fwd_scale = 2.0 * math.pi * grid.dr / self.lambda_nodes
+        self._inv_scale = 0.5 * DENSITY_CONSTANT * self.dlam
 
     def forward(self, values: np.ndarray) -> np.ndarray:
-        return self._fwd_scale * (self._sine @ (self.sinh_r * values))
+        return self._fwd_scale * dst(self.sinh_r * values, type=4)
 
     def inverse(self, vhat: np.ndarray) -> np.ndarray:
-        return self._inv_scale * ((self.lambda_nodes * vhat) @ self._sine) / self.sinh_r
-
-    def inverse_many(self, vhats: np.ndarray) -> np.ndarray:
-        """Row-wise inverse of a (k, num_lambda) stack in one matrix product
-        (one pass over the sine kernel instead of k)."""
-        return self._inv_scale * ((self.lambda_nodes * vhats) @ self._sine) / self.sinh_r
+        """Inverse transform of one spectrum, or row-wise of a (k, N) stack."""
+        out = dst(self.lambda_nodes * vhat, type=4, axis=-1)
+        return self._inv_scale * out / self.sinh_r
 
     def x_symbol(self) -> np.ndarray:
         """lambda^2 + rho^2 on the frequency nodes."""
         return self.lambda_nodes**2 + RHO**2
 
 
-def get_transform(
-    grid: RadialGrid,
-    lambda_max: float = DEFAULT_LAMBDA_MAX,
-    num_lambda: int = DEFAULT_NUM_LAMBDA,
-) -> SpectralTransform:
-    """Transform memoized on the grid object (the sine matrix is heavy)."""
-    key = (lambda_max, num_lambda)
-    cache = getattr(grid, "_spectral_cache", None)
-    if cache is None:
-        cache = {}
-        grid._spectral_cache = cache
-    if key not in cache:
-        cache[key] = SpectralTransform(grid, lambda_max, num_lambda)
-    return cache[key]
+def get_transform(grid: RadialGrid) -> SpectralTransform:
+    """The grid's transform, memoized on the grid object."""
+    tr = getattr(grid, "_spectral_transform", None)
+    if tr is None:
+        tr = SpectralTransform(grid)
+        grid._spectral_transform = tr
+    return tr
 
 
 def radial_fourier(u: RadialField) -> SpectralProfile:
@@ -120,8 +112,9 @@ def radial_fourier(u: RadialField) -> SpectralProfile:
 
 
 def inverse_fourier(profile: SpectralProfile, grid: RadialGrid) -> RadialField:
-    tr = get_transform(grid, profile.lambda_nodes[-1] + profile.lambda_nodes[0],
-                       len(profile.lambda_nodes))
+    tr = get_transform(grid)
+    if not np.array_equal(profile.lambda_nodes, tr.lambda_nodes):
+        raise ValueError("profile frequency nodes do not match the target grid's")
     return RadialField(grid=grid, values=tr.inverse(profile.values))
 
 
@@ -197,7 +190,7 @@ def pm_sup_profile(u: RadialField, m_samples=None) -> np.ndarray:
     vhat = tr.forward(np.asarray(u.values, dtype=complex))
     x = tr.x_symbol()
     symbols = np.stack([pm_symbol(x, m) for m in m_arr])
-    pm_u = tr.inverse_many(symbols * vhat)
+    pm_u = tr.inverse(symbols * vhat)
     return np.max(np.abs(pm_u), axis=1)
 
 

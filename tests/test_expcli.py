@@ -7,6 +7,7 @@ tests so the suite stays fast.
 
 import json
 import os
+import stat
 from types import SimpleNamespace
 
 import numpy as np
@@ -62,6 +63,25 @@ def test_groundstate_reruns_byte_identical(tmp_path):
         assert cli.main(["groundstate", "--out", str(out)]) == 0
     for name in ("groundstate_n3_p3_lam0.json", "groundstate_n3_p3_lam0.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_write_text_atomic_private_temp_file(tmp_path):
+    # a directory squatting on the old fixed temporary name must not matter
+    (tmp_path / "report.json.tmp").mkdir()
+    path = tmp_path / "report.json"
+    old_mask = os.umask(0o027)
+    try:
+        cli.write_text_atomic(str(path), "new\n")
+    finally:
+        os.umask(old_mask)
+    assert path.read_text() == "new\n"
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    # a failed replace removes its temporary file
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    with pytest.raises(IsADirectoryError):
+        cli.write_text_atomic(str(taken), "x")
+    assert [p.name for p in tmp_path.glob("*.tmp") if not p.is_dir()] == []
 
 
 def test_groundstate_above_bottom_is_usage_error(tmp_path, capsys):
@@ -195,7 +215,7 @@ def test_spectral_check_passes(tmp_path):
     assert payload["params"]["points"] == 2000
     digest, header, rows = cli.read_csv(str(tmp_path / "spectral_reference.csv"))
     assert header == ["lambda", "re", "im", "density"]
-    assert len(rows) == 4096
+    assert len(rows) == payload["params"]["points"]
 
 
 def test_dichotomy_single_alpha(tmp_path):

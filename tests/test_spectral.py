@@ -20,12 +20,6 @@ import hypnls.functionals as fn
 import hypnls.hypgeom as hg
 import hypnls.spectral as sp
 
-# transform of p_{1/4} at lambda = 0.5, 2, 7: e^{-(lambda^2+1)/4}
-HAT_TABLE = {
-    0.5: 0.73161562894664179116,
-    2.0: 0.28650479686019010032,
-    7.0: 3.7266531720786709929e-6,
-}
 # int |p_{1/4}|^2 dmu, high-precision quadrature of the closed form
 KERNEL_MASS = 0.0385108368907489432218294792173
 
@@ -47,30 +41,26 @@ def test_dimension_guard(grid2):
 
 def test_transform_is_memoized_per_grid(grid3):
     assert sp.get_transform(grid3) is sp.get_transform(grid3)
-    assert sp.get_transform(grid3, 14.0, 14) is not sp.get_transform(grid3)
+    other = hg.build_grid(3, grid3.r_max, grid3.num_points)
+    assert sp.get_transform(other) is not sp.get_transform(grid3)
+    assert sp.get_transform(other) is sp.get_transform(other)
 
 
 def test_frequency_nodes_and_symbols(grid3):
     tr = sp.get_transform(grid3)
-    assert tr.lambda_nodes[0] == tr.dlam / 2
-    assert np.allclose(np.diff(tr.lambda_nodes), tr.dlam, rtol=0, atol=1e-15)
+    n_pts = grid3.num_points
+    assert tr.dlam == math.pi / grid3.r_max
+    assert np.array_equal(tr.lambda_nodes, (np.arange(n_pts) + 0.5) * tr.dlam)
     assert np.array_equal(tr.x_symbol(), tr.lambda_nodes**2 + 1.0)
     assert np.allclose(tr.density, tr.lambda_nodes**2 / (2 * math.pi**2), rtol=1e-15)
 
 
 def test_heat_kernel_forward_oracle(grid3):
     p = heat_kernel(grid3, 0.25).astype(complex)
-    # small auxiliary transforms whose frequency nodes land on the
-    # tabulated lambdas exactly
-    probes = [
-        (sp.get_transform(grid3, 14.0, 14), 0, 0.5),
-        (sp.get_transform(grid3, 28.0, 7), 0, 2.0),
-        (sp.get_transform(grid3, 14.0, 7), 3, 7.0),
-    ]
-    for tr, idx, lam in probes:
-        assert tr.lambda_nodes[idx] == lam
-        got = tr.forward(p)[idx].real
-        assert abs(got - HAT_TABLE[lam]) / HAT_TABLE[lam] < 1e-10
+    tr = sp.get_transform(grid3)
+    exact = np.exp(-(tr.lambda_nodes**2 + 1.0) / 4.0)
+    got = tr.forward(p)
+    assert np.max(np.abs(got - exact)) < 1e-10 * np.max(exact)
 
 
 def test_heat_kernel_mass_three_ways(grid3):
@@ -179,10 +169,33 @@ def test_bump_family(grid3):
     assert max(np.max(np.abs(f.values)) for f in fam) <= 10.0
 
 
-def test_inverse_many_matches_single(grid3):
+def test_inverse_of_stack_matches_single(grid3):
     tr = sp.get_transform(grid3)
     vhat = tr.forward(offcenter_bump(grid3).values)
     stack = np.stack([vhat, 2.0 * vhat, tr.lambda_nodes * vhat])
-    many = tr.inverse_many(stack)
+    many = tr.inverse(stack)
     one = np.stack([tr.inverse(row) for row in stack])
     assert np.max(np.abs(many - one)) / np.max(np.abs(one)) < 1e-12
+
+
+def test_parseval_and_round_trip_to_roundoff_on_bump_family(grid3):
+    tr = sp.get_transform(grid3)
+    for u in sp.bump_family(grid3):
+        assert sp.parseval_residual(u) < 1e-12
+        back = tr.inverse(tr.forward(u.values))
+        gap = hg.quadrature(np.abs(back - u.values) ** 2, grid3)
+        ref = hg.quadrature(np.abs(u.values) ** 2, grid3)
+        assert math.sqrt(gap / ref) < 1e-12
+
+
+def test_transform_holds_no_dense_kernel(grid3):
+    tr = sp.get_transform(grid3)
+    held = sum(v.nbytes for v in vars(tr).values() if isinstance(v, np.ndarray))
+    assert held < 8 * 8 * grid3.num_points
+
+
+def test_inverse_fourier_rejects_foreign_nodes(grid3):
+    prof = sp.radial_fourier(offcenter_bump(grid3))
+    coarse = hg.build_grid(3, grid3.r_max, 1000)
+    with pytest.raises(ValueError):
+        sp.inverse_fourier(prof, coarse)
