@@ -1,15 +1,28 @@
 """Time integration of i u_t + (Laplacian) u + |u|^{p-1} u = 0 on H^n.
 
 Default scheme: Crank-Nicolson with a relaxation-style treatment of the
-nonlinearity. Each accepted step solves the Cayley system
+nonlinearity. Each step solves the Cayley system
 
-    (1 - i dt/2 (L + phi)) u_new = (1 + i dt/2 (L + phi)) u
+    A(phi) u_new = (1 + i dt/2 (L + phi)) u,   A(phi) = 1 - i dt/2 (L + phi)
 
 for a real auxiliary field phi representing |u|^{p-1} at the half step,
-refined by fixed-point iteration (phi from the midpoint modulus) and seeded
-by the relaxation predictor 2|u^n|^{p-1} - phi_prev. Because L + phi is
+seeded by the relaxation predictor 2|u^n|^{p-1} - phi_prev and refined by
+fixed-point iteration phi' = |(u + u_new)/2|^{p-1}. Because L + phi is
 self-adjoint in the volume-weighted inner product, every solve is unitary
 there and the discrete mass is conserved to solver roundoff.
+
+Each solve is accepted as soon as a certified bound says the next iterate
+would move it by less than fixedpoint_tol relative to |u|. Subtracting the
+Cayley systems for phi and phi' gives
+
+    A(phi') (u' - u_new) = (i dt/2) (phi' - phi) (u + u_new),
+
+and A(phi') = 1 - i H with H self-adjoint has |A(phi')^{-1}| <= 1, so
+
+    |u' - u_new| <= (dt/2) |(phi' - phi) (u + u_new)|
+
+in the volume-weighted L^2 norm. The bound costs one pointwise product, so
+the solve with phi' is made only when the bound fails.
 
 A Strang splitting path (n = 3 only) cross-validates the default: the
 substitution g = u sinh r turns the radial H^3 Laplacian into (g'' - g)/
@@ -36,7 +49,7 @@ from .hypgeom import apply_laplacian, dirichlet_energy, shifted_bands
 from . import functionals as fn
 
 SCHEMES = ("crank_nicolson_relaxation", "strang_splitting")
-STRAIN_ITERS = 12  # inner iterations counted as "straining" -> halve dt
+STRAIN_ITERS = 12  # Cayley solves in one step counted as "straining" -> halve dt
 
 
 class InnerSolveFailure(RuntimeError):
@@ -51,7 +64,7 @@ class IntegratorConfig:
     dt: float = 5e-4
     scheme: str = "crank_nicolson_relaxation"
     fixedpoint_tol: float = 1e-10
-    fixedpoint_maxiter: int = 50
+    fixedpoint_maxiter: int = 50           # Cayley solves per step at most
     blowup_h1_factor: float = 50.0
     blowup_dt_min: Optional[float] = None  # default dt / 512
     diag_stride: float = 10.0              # records per unit time
@@ -110,7 +123,12 @@ class _CNStepper:
         return math.sqrt(float(np.dot(np.abs(v) ** 2, self.vol)))
 
     def step(self, u, dt, phi_half_prev=None):
-        """One CN step; returns (u_new, phi_half, inner_iterations)."""
+        """One CN step; returns (u_new, phi_half, cayley_solves).
+
+        phi_half is the field u_new was solved with. A solve is accepted
+        when (dt/2) |(phi' - phi)(u + u_new)| < fixedpoint_tol |u|, the
+        certified bound on the move the solve with phi' would make.
+        """
         pm1 = self.p - 1.0
         mod = np.abs(u) ** pm1
         phi = 2.0 * mod - phi_half_prev if phi_half_prev is not None else mod
@@ -118,18 +136,17 @@ class _CNStepper:
         scale = self._l2(u)
         if scale == 0.0:
             return u.copy(), mod, 0
-        u_new = self._cayley(lin + 0.5j * dt * phi * u, phi, dt)
-        for it in range(1, self.maxiter + 1):
-            phi = np.abs(0.5 * (u + u_new)) ** pm1
-            u_next = self._cayley(lin + 0.5j * dt * phi * u, phi, dt)
-            if not np.all(np.isfinite(u_next.view(float))):
+        for solves in range(1, self.maxiter + 1):
+            u_new = self._cayley(lin + 0.5j * dt * phi * u, phi, dt)
+            if not np.all(np.isfinite(u_new.view(float))):
                 raise InnerSolveFailure("non-finite state in inner solve", fatal=True)
-            delta = self._l2(u_next - u_new) / scale
-            u_new = u_next
-            if delta < self.tol:
-                return u_new, phi, it
+            u_sum = u + u_new
+            phi_next = np.abs(0.5 * u_sum) ** pm1
+            if 0.5 * dt * self._l2((phi_next - phi) * u_sum) < self.tol * scale:
+                return u_new, phi, solves
+            phi = phi_next
         raise InnerSolveFailure(
-            f"fixed point not converged after {self.maxiter} iterations"
+            f"fixed point not certified after {self.maxiter} solves"
         )
 
 
@@ -260,7 +277,7 @@ def evolve_run(
         if next_rec - t > 1e-9 * interval:
             step_dt = min(step_dt, next_rec - t)
         try:
-            u_new, phi_half, iters = stepper.step(u, step_dt, phi_half)
+            u_new, phi_half, solves = stepper.step(u, step_dt, phi_half)
         except InnerSolveFailure as exc:
             if exc.fatal:
                 status, t_stop, h1_stop = "inner_solve_failure", t, h1_prev
@@ -287,7 +304,7 @@ def evolve_run(
             emit(t, u)
             while next_rec <= t + 1e-9 * interval:
                 next_rec += interval
-        if iters > STRAIN_ITERS or h1_new > 1.21 * h1_prev:
+        if solves > STRAIN_ITERS or h1_new > 1.21 * h1_prev:
             dt *= 0.5
             if dt < cfg.blowup_dt_min:
                 status, t_stop, h1_stop = "blowup", t, h1_new

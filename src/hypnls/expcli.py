@@ -352,6 +352,7 @@ def cmd_dichotomy(cfg: ExperimentConfig) -> int:
             "trapped": bool(elam_ratio <= 1.0 + 1e-12),
             "status": "",
             "t_star": None,
+            "blowup_reason": None,
             "proxy": "",
         }
         try:
@@ -368,6 +369,7 @@ def cmd_dichotomy(cfg: ExperimentConfig) -> int:
             row["status"] = primary.status
             if primary.status == "blowup":
                 row["t_star"] = primary.t_star
+                row["blowup_reason"] = primary.blowup_reason
             elif primary.status == "completed":
                 row["proxy"] = scattering_proxy(out_fwd)
             fname = f"dichotomy_alpha{_numtag(alpha)}_fwd.csv"
@@ -401,7 +403,10 @@ def cmd_dichotomy(cfg: ExperimentConfig) -> int:
                 f"{fname}: config digest mismatch; refusing to aggregate",
             )
 
-    header = ("alpha", "delta_sign", "elam_ratio", "status", "t_star", "proxy")
+    header = (
+        "alpha", "delta_sign", "elam_ratio", "status", "t_star",
+        "blowup_reason", "proxy",
+    )
     if cfg.fmt == "csv":
         write_csv(
             _outpath(cfg, "dichotomy_report.csv"),

@@ -102,6 +102,58 @@ def test_step_holds_ground_state(gs3_zero):
 
 
 # ---------------------------------------------------------------------------
+# certified acceptance of a Cayley solve
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, lam, amp", [(3, 0.0, 0.5), (3, 0.5, 1.0), (2, 0.0, 1.0)])
+def test_acceptance_bound_holds(grid3, grid2, n, lam, amp):
+    # |u' - u_new| <= (dt/2) |(phi' - phi)(u + u_new)|, u' the next iterate
+    grid = grid3 if n == 3 else grid2
+    dt = 2e-3
+    st = ev._CNStepper(grid, 3.0, 1e-10, 50, shift=lam)
+    u = small_gaussian(grid, amp=amp).values
+    lin = u + 0.5j * dt * hg.apply_laplacian(u, grid, shift=lam)
+    phi = np.abs(u) ** 2
+    u_new = st._cayley(lin + 0.5j * dt * phi * u, phi, dt)
+    phi_next = np.abs(0.5 * (u + u_new)) ** 2
+    u_next = st._cayley(lin + 0.5j * dt * phi_next * u, phi_next, dt)
+    moved = st._l2(u_next - u_new)
+    bound = 0.5 * dt * st._l2((phi_next - phi) * (u + u_new))
+    assert moved > 0.0
+    assert moved <= bound * (1.0 + 1e-9) + 1e-14 * st._l2(u)
+
+
+def count_solves(monkeypatch):
+    calls = []
+    solve = ev.solve_banded
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ev, "solve_banded", counted)
+    return calls
+
+
+def test_stationary_orbit_one_solve_per_step(gs3_half, monkeypatch):
+    calls = count_solves(monkeypatch)
+    q = gs3_half.field_on_grid()
+    out = ev.evolve_run(q, 0.5, ev.IntegratorConfig(dt=2e-3), 3.0, 0.5, gs3_half)
+    assert out.status == "completed"
+    assert len(calls) == 250
+
+
+def test_gaussian_two_solves_per_step(grid3, monkeypatch):
+    calls = count_solves(monkeypatch)
+    out = ev.evolve_run(
+        small_gaussian(grid3, amp=0.5), 0.5, ev.IntegratorConfig(dt=2e-3),
+        3.0, 0.0, None,
+    )
+    assert out.status == "completed"
+    assert len(calls) == 500
+
+
+# ---------------------------------------------------------------------------
 # scheme cross-validation and convergence
 # ---------------------------------------------------------------------------
 
@@ -158,6 +210,16 @@ def test_supercritical_amplitude_blows_up(gs3_zero):
     # focusing along the unstable direction keeps delta_lambda positive
     verdict = fn.trapping_sign_check(out.series)
     assert verdict.kind == "constant_positive"
+
+
+def test_uncertified_steps_halve_dt_to_the_floor(grid3):
+    # one solve that never certifies: every step fails and dt halves away
+    cfg = ev.IntegratorConfig(dt=2e-3, fixedpoint_maxiter=1, fixedpoint_tol=1e-30)
+    out = ev.evolve_run(small_gaussian(grid3, amp=0.5), 1.0, cfg, 3.0, 0.0, None)
+    assert out.status == "blowup"
+    assert out.blowup_reason == "dt_floor"
+    assert out.t_stop == 0.0
+    assert len(out.series) == 1
 
 
 def test_conjugate_datum(grid3):

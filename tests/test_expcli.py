@@ -229,11 +229,18 @@ def test_dichotomy_single_alpha(tmp_path):
     assert row["delta_sign"] == "+"
     assert row["status"] == "blowup"
     assert row["t_star"] is not None and 0.0 < row["t_star"] < 0.1
+    assert row["blowup_reason"] == "h1_threshold"
     assert payload["row_files"] == ["dichotomy_alpha1.5_fwd.csv"]
     digest, header, rows = cli.read_csv(str(tmp_path / "dichotomy_alpha1.5_fwd.csv"))
     assert digest == payload["config_digest"]
     assert header == list(fn.DIAGNOSTICS_COLUMNS)
     assert len(rows) >= 2
+    csv_dir = tmp_path / "csv"
+    argv = ["dichotomy", "--alpha", "1.5", "--format", "csv", "--out", str(csv_dir)]
+    assert cli.main(argv) == 0
+    _, header, (csv_row,) = cli.read_csv(str(csv_dir / "dichotomy_report.csv"))
+    assert header[header.index("t_star") + 1] == "blowup_reason"
+    assert csv_row[header.index("blowup_reason")] == "h1_threshold"
 
 
 def test_virial_check_quick(tmp_path):
