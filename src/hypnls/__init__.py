@@ -27,7 +27,6 @@ from .functionals import (
     G_functional,
     H_aux,
     localized_virial_rhs,
-    default_cutoff,
     compute_diagnostics,
     trapping_sign_check,
     variational_bound_check,
@@ -49,7 +48,6 @@ from .evolve import (
     RunOutcome,
     step,
     evolve_run,
-    conjugate_datum,
     virial_consistency,
     scattering_proxy,
 )
@@ -88,7 +86,6 @@ __all__ = [
     "G_functional",
     "H_aux",
     "localized_virial_rhs",
-    "default_cutoff",
     "compute_diagnostics",
     "trapping_sign_check",
     "variational_bound_check",
@@ -106,7 +103,6 @@ __all__ = [
     "RunOutcome",
     "step",
     "evolve_run",
-    "conjugate_datum",
     "virial_consistency",
     "scattering_proxy",
     "UnsupportedDimension",

@@ -332,11 +332,6 @@ def evolve_run(
     )
 
 
-def conjugate_datum(u: fn.RadialField) -> fn.RadialField:
-    """Datum for the backward-time leg: evolve conj(u0) forward instead."""
-    return fn.RadialField(grid=u.grid, values=np.conj(u.values))
-
-
 # ---------------------------------------------------------------------------
 # run analysis
 # ---------------------------------------------------------------------------

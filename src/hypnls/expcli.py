@@ -31,7 +31,6 @@ from . import spectral as sp
 from .evolve import (
     InnerSolveFailure,
     IntegratorConfig,
-    conjugate_datum,
     evolve_run,
     scattering_proxy,
     virial_consistency,
@@ -356,39 +355,23 @@ def cmd_dichotomy(cfg: ExperimentConfig) -> int:
             "proxy": "",
         }
         try:
-            out_fwd = evolve_run(u0, cfg.horizon, icfg, cfg.p, cfg.lam, gs)
-            time_symmetric = bool(np.all(u0.values.imag == 0.0))
-            if time_symmetric:
-                out_bwd = out_fwd  # conjugation fixes real data
-            else:
-                out_bwd = evolve_run(
-                    conjugate_datum(u0), cfg.horizon, icfg, cfg.p, cfg.lam, gs
-                )
-            # a blow-up in either time direction classifies the datum
-            primary = out_fwd if out_fwd.status != "completed" else out_bwd
-            row["status"] = primary.status
-            if primary.status == "blowup":
-                row["t_star"] = primary.t_star
-                row["blowup_reason"] = primary.blowup_reason
-            elif primary.status == "completed":
-                row["proxy"] = scattering_proxy(out_fwd)
+            # alpha * Q is real, so the backward-time run is the conjugate
+            # of this one and classifies the datum the same way
+            out = evolve_run(u0, cfg.horizon, icfg, cfg.p, cfg.lam, gs)
+            row["status"] = out.status
+            if out.status == "blowup":
+                row["t_star"] = out.t_star
+                row["blowup_reason"] = out.blowup_reason
+            elif out.status == "completed":
+                row["proxy"] = scattering_proxy(out)
             fname = f"dichotomy_alpha{_numtag(alpha)}_fwd.csv"
             write_csv(
                 _outpath(cfg, fname),
                 digest,
                 fn.DIAGNOSTICS_COLUMNS,
-                (rec.row() for rec in out_fwd.series),
+                (rec.row() for rec in out.series),
             )
             row_files.append(fname)
-            if not time_symmetric:
-                bname = f"dichotomy_alpha{_numtag(alpha)}_bwd.csv"
-                write_csv(
-                    _outpath(cfg, bname),
-                    digest,
-                    fn.DIAGNOSTICS_COLUMNS,
-                    (rec.row() for rec in out_bwd.series),
-                )
-                row_files.append(bname)
         except (InnerSolveFailure, fn.ParameterMismatch, ValueError) as exc:
             row["status"] = f"error: {exc}"
             failed = True
@@ -425,6 +408,8 @@ def cmd_dichotomy(cfg: ExperimentConfig) -> int:
                 "row_files": row_files,
             },
         )
+    if any(r["status"] == "inner_solve_failure" for r in rows):
+        return _err(EXIT_SOLVER, "inner solve failure in the dichotomy sweep")
     return EXIT_SCIENCE if failed else EXIT_PASS
 
 
@@ -444,14 +429,13 @@ def cmd_virial_check(cfg: ExperimentConfig) -> int:
     digest = cfg.digest()
 
     sweep_radii = (4.0, 8.0, 16.0)
-    gaps = {radius: 0.0 for radius in sweep_radii}
+    localized = []  # the sweep radii's localized virials, one list per record
 
     def monitor(t, field):
-        g_here = fn.G_functional(field, cfg.p)
-        scale = max(abs(g_here), 1e-12)
-        for radius in sweep_radii:
-            lv = fn.localized_virial_rhs(field, radius, p=cfg.p)
-            gaps[radius] = max(gaps[radius], abs(lv - g_here) / scale)
+        localized.append(
+            [fn.localized_virial_rhs(field, radius, p=cfg.p)
+             for radius in sweep_radii]
+        )
 
     out = evolve_run(u0, horizon, icfg, cfg.p, cfg.lam, None, monitor=monitor)
     write_csv(
@@ -460,8 +444,16 @@ def cmd_virial_check(cfg: ExperimentConfig) -> int:
         fn.DIAGNOSTICS_COLUMNS,
         (rec.row() for rec in out.series),
     )
+    if out.status == "inner_solve_failure":
+        return _err(EXIT_SOLVER, "inner solve failure in the virial run")
     if out.status != "completed":
         return _err(EXIT_SCIENCE, "virial check requires completed run")
+
+    gaps = {radius: 0.0 for radius in sweep_radii}
+    for rec, values in zip(out.series, localized):
+        scale = max(abs(rec.G_value), 1e-12)
+        for radius, lv in zip(sweep_radii, values):
+            gaps[radius] = max(gaps[radius], abs(lv - rec.G_value) / scale)
 
     mismatch = virial_consistency(out)
     sweep_rows = [(radius, gaps[radius]) for radius in sweep_radii]
@@ -650,9 +642,7 @@ def cmd_spectral_check(cfg: ExperimentConfig) -> int:
             "spread": max(vals) / min(vals),
         }
 
-    reference = fn.RadialField(
-        grid=grid, values=np.exp(-grid.nodes**2).astype(complex)
-    )
+    reference = fn.RadialField(grid=grid, values=np.exp(-grid.nodes**2))
     prof = sp.radial_fourier(reference)
     write_csv(
         _outpath(cfg, "spectral_reference.csv"),

@@ -23,6 +23,7 @@ the right-hand side of d^2/dt^2 int |u|^2 r^2 dmu along the flow.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -196,126 +197,51 @@ _BRIDGE_COEFFS = (
 _PLATEAU = 41.0 / 18.0
 
 
-class CutoffProfile:
-    """Radial virial cutoff phi: s^2 below 1, constant above 2, C^4 bridge.
+def cutoff_derivative(s, order: int):
+    """order-th derivative (0 to 4) of the fixed virial cutoff phi at s >= 0.
 
-    The localized weight is h_R(r) = R^2 phi(r/R). Required shape: phi = s^2
-    for s <= 1, phi constant for s >= 2, phi'' <= 2 everywhere. Violations
-    are rejected at validation time.
+    phi = s^2 below 1, the bridge polynomial _BRIDGE_COEFFS on [1, 2] and
+    the plateau 41/18 above 2: C^4 at both seams, phi'' <= 2 everywhere.
     """
-
-    def __init__(self, derivs=None):
-        if derivs is None:
-            base = np.polynomial.Polynomial(_BRIDGE_COEFFS)
-            self._bridge = [base.deriv(k) if k else base for k in range(5)]
-        self._custom = derivs
-        self.validate()
-
-    def _eval(self, s, order: int):
-        s = np.asarray(s, dtype=float)
-        if self._custom is not None:
-            return np.asarray(self._custom[order](s), dtype=float)
-        inner = np.where(s < 1.0, s, 0.0)
-        if order == 0:
-            vals_in = inner * inner
-            vals_out = np.full_like(s, _PLATEAU)
-        elif order == 1:
-            vals_in = 2.0 * inner
-            vals_out = np.zeros_like(s)
-        elif order == 2:
-            vals_in = np.where(s < 1.0, 2.0, 0.0)
-            vals_out = np.zeros_like(s)
-        else:
-            vals_in = np.zeros_like(s)
-            vals_out = np.zeros_like(s)
-        mid = (s >= 1.0) & (s < 2.0)
-        out = np.where(s < 1.0, vals_in, vals_out)
-        if np.any(mid):
-            out = np.where(mid, self._bridge[order](np.where(mid, s, 1.5)), out)
-        return out
-
-    def phi(self, s):
-        return self._eval(s, 0)
-
-    def d1(self, s):
-        return self._eval(s, 1)
-
-    def d2(self, s):
-        return self._eval(s, 2)
-
-    def d3(self, s):
-        return self._eval(s, 3)
-
-    def d4(self, s):
-        return self._eval(s, 4)
-
-    def validate(self):
-        s_lo = np.linspace(0.0, 1.0, 401)
-        if np.max(np.abs(self.phi(s_lo) - s_lo**2)) > 1e-9:
-            raise ValueError("cutoff must equal s^2 on [0, 1]")
-        s_hi = np.linspace(2.0, 3.0, 101)
-        if np.max(np.abs(self.d1(s_hi))) > 1e-9:
-            raise ValueError("cutoff must be constant beyond s = 2")
-        s_all = np.linspace(0.0, 2.5, 2001)
-        if np.max(self.d2(s_all)) > 2.0 + 1e-9:
-            raise ValueError("cutoff second derivative exceeds 2")
-        # seam continuity through fourth derivative: exact one-sided values
-        inner_at_1 = (1.0, 2.0, 2.0, 0.0, 0.0)
-        outer_at_2 = (_PLATEAU, 0.0, 0.0, 0.0, 0.0)
-        for order in range(5):
-            if self._custom is not None:
-                left_1 = float(self._eval(1.0 - 1e-9, order))
-                mid_1 = float(self._eval(1.0 + 1e-9, order))
-                mid_2 = float(self._eval(2.0 - 1e-9, order))
-                right_2 = float(self._eval(2.0 + 1e-9, order))
-            else:
-                left_1, right_2 = inner_at_1[order], outer_at_2[order]
-                mid_1 = float(self._bridge[order](1.0))
-                mid_2 = float(self._bridge[order](2.0))
-            for seam, a, b in ((1.0, left_1, mid_1), (2.0, mid_2, right_2)):
-                if abs(a - b) > 1e-4:
-                    raise ValueError(
-                        f"cutoff derivative {order} jumps at s = {seam}"
-                    )
+    s = np.asarray(s, dtype=float)
+    below = s < 1.0
+    if order == 0:
+        out = np.where(below, s * s, _PLATEAU)
+    elif order == 1:
+        out = np.where(below, 2.0 * s, 0.0)
+    elif order == 2:
+        out = np.where(below, 2.0, 0.0)
+    else:
+        out = np.zeros_like(s)
+    mid = (s >= 1.0) & (s < 2.0)
+    if np.any(mid):
+        out = np.where(mid, _bridge(order)(np.where(mid, s, 1.5)), out)
+    return out
 
 
-_DEFAULT_CUTOFF: Optional[CutoffProfile] = None
+@functools.cache
+def _bridge(order: int):
+    # built on first use, not at import
+    return np.polynomial.Polynomial(_BRIDGE_COEFFS).deriv(order)
 
 
-def default_cutoff() -> CutoffProfile:
-    global _DEFAULT_CUTOFF
-    if _DEFAULT_CUTOFF is None:
-        _DEFAULT_CUTOFF = CutoffProfile()
-    return _DEFAULT_CUTOFF
-
-
-def localized_virial_rhs(
-    u: RadialField, R: float, phi: CutoffProfile = None, *, p: float
-) -> float:
-    """Right-hand side of the virial identity with weight h_R = R^2 phi(r/R).
-
-    Evaluates int [ 4 |d_r u|^2 h_R'' - |u|^2 Lap^2 h_R
-                    - 2 (p-1)/(p+1) |u|^{p+1} Lap h_R ] dmu.
+def localized_weights(grid: RadialGrid, R: float):
+    """(Lap h_R, Lap^2 h_R) at the nodes and phi''(edges / R), h_R = R^2 phi(r/R).
 
     Inside r <= R the weight is exactly r^2 and the closed-form Laplacian
     weights are used (series-protected near 0); on the bridge R < r < 2R the
     chain-rule expressions in phi derivatives and coth are evaluated
-    directly (safe: r >= R >= 1 there); beyond 2R every term vanishes.
+    directly (safe: r >= R >= 1 there); beyond 2R every weight vanishes.
+    Memoized on the grid object per R; the returned arrays are read-only.
     """
-    usq = np.abs(u.values) ** 2
-    up1 = np.abs(u.values) ** (p + 1.0)
-    return _localized_virial_from(u, R, phi, p, usq, up1)
-
-
-def _localized_virial_from(u: RadialField, R: float, phi, p: float, usq, up1) -> float:
-    # localized virial from the per-field intermediates |u|^2 and |u|^{p+1}
     if R < 1.0:
         raise ValueError("cutoff radius R must be >= 1")
-    if phi is None:
-        phi = default_cutoff()
-    else:
-        phi.validate()
-    grid = u.grid
+    tables = getattr(grid, "_localized_weights", None)
+    if tables is None:
+        tables = grid._localized_weights = {}
+    table = tables.get(float(R))
+    if table is not None:
+        return table
     n = grid.n
     r = grid.nodes
     s = r / R
@@ -324,7 +250,6 @@ def _localized_virial_from(u: RadialField, R: float, phi, p: float, usq, up1) ->
     inside = s <= 1.0
     bridge = (s > 1.0) & (s < 2.0)
 
-    # node-based weights for the zeroth-order terms
     lap_h = np.where(inside, w.lap_r2, 0.0)
     bilap_h = np.where(inside, w.bilap_r2, 0.0)
     if np.any(bridge):
@@ -332,10 +257,7 @@ def _localized_virial_from(u: RadialField, R: float, phi, p: float, usq, up1) ->
         sb = rb / R
         cth = coth(rb)
         csch2 = cth * cth - 1.0
-        p1 = phi.d1(sb)
-        p2 = phi.d2(sb)
-        p3 = phi.d3(sb)
-        p4 = phi.d4(sb)
+        p1, p2, p3, p4 = (cutoff_derivative(sb, k) for k in (1, 2, 3, 4))
         lap_b = p2 + (n - 1) * cth * R * p1
         bilap_b = (
             p4 / R**2
@@ -345,12 +267,34 @@ def _localized_virial_from(u: RadialField, R: float, phi, p: float, usq, up1) ->
         )
         lap_h = np.where(bridge, lap_b, lap_h)
         bilap_h = np.where(bridge, bilap_b, bilap_h)
+    table = (lap_h, bilap_h, cutoff_derivative(grid.edges / R, 2))
+    for arr in table:
+        arr.flags.writeable = False
+    tables[float(R)] = table
+    return table
 
+
+def localized_virial_rhs(u: RadialField, R: float, *, p: float) -> float:
+    """Right-hand side of the virial identity with weight h_R = R^2 phi(r/R).
+
+    Evaluates int [ 4 |d_r u|^2 h_R'' - |u|^2 Lap^2 h_R
+                    - 2 (p-1)/(p+1) |u|^{p+1} Lap h_R ] dmu
+    with the fixed cutoff phi of cutoff_derivative and the weights of
+    localized_weights(u.grid, R); R must be at least 1.
+    """
+    usq = np.abs(u.values) ** 2
+    up1 = np.abs(u.values) ** (p + 1.0)
+    return _localized_virial_from(u, R, p, usq, up1)
+
+
+def _localized_virial_from(u: RadialField, R: float, p: float, usq, up1) -> float:
+    # localized virial from the per-field intermediates |u|^2 and |u|^{p+1}
+    grid = u.grid
+    lap_h, bilap_h, edge_d2 = localized_weights(grid, R)
     zero_term = float(quadrature(usq * bilap_h, grid))
     nl_term = float(quadrature(up1 * lap_h, grid))
     # gradient term on cell edges, matched to the discrete Dirichlet energy
-    grad_term = dirichlet_energy(u.values, grid, edge_weight=phi.d2(grid.edges / R))
-
+    grad_term = dirichlet_energy(u.values, grid, edge_weight=edge_d2)
     return 4.0 * grad_term - zero_term - 2.0 * ((p - 1.0) / (p + 1.0)) * nl_term
 
 
@@ -400,12 +344,12 @@ def compute_diagnostics(
     lam: float,
     gs=None,
     r_loc: float = 8.0,
-    phi: CutoffProfile = None,
 ) -> DiagnosticsRecord:
     """Assemble the full per-time diagnostics row for a run.
 
     |u|^2, |u|^{p+1} and the Dirichlet form are computed once and shared by
-    every column.
+    every column; loc_virial is localized_virial_rhs at R = r_loc, with the
+    weights of localized_weights built once per grid and radius.
     """
     grid = u.grid
     usq = np.abs(u.values) ** 2
@@ -428,7 +372,7 @@ def compute_diagnostics(
         delta_lambda=dl,
         G_value=_G_from(grid, p, usq, up1, grad, m),
         second_moment=float(quadrature(usq * grid.nodes**2, grid)),
-        loc_virial=_localized_virial_from(u, r_loc, phi, p, usq, up1),
+        loc_virial=_localized_virial_from(u, r_loc, p, usq, up1),
         h1_sq=grad + m,
     )
 

@@ -16,10 +16,9 @@ the sine kernel is exactly the DST-IV matrix (scipy.fft.dst, type 4), so
 the discrete pair is an exact inverse pair and discrete Parseval holds to
 roundoff.
 
-The density constant is analytic; calibrate_density_constant recovers it
-numerically from a reference Gaussian as an independent check. Spectral
-multipliers implemented on top: the heat semigroup e^{-t(lambda^2 + rho^2)},
-the frequency projectors P_m with symbol ((lambda^2+rho^2)/m^2)
+Real fields are transformed as real arrays. Spectral multipliers
+implemented on top: the heat semigroup e^{-t(lambda^2 + rho^2)}, the
+frequency projectors P_m with symbol ((lambda^2+rho^2)/m^2)
 e^{-(lambda^2+rho^2)/m^2}, the Besov-type norm sup_m m^{s-3/2} |P_m u|_inf,
 and the refined Sobolev ratio built from all three.
 
@@ -79,6 +78,9 @@ class SpectralTransform:
         self.sinh_r = np.sinh(grid.nodes)
         self._fwd_scale = 2.0 * math.pi * grid.dr / self.lambda_nodes
         self._inv_scale = 0.5 * DENSITY_CONSTANT * self.dlam
+        # numpy divides a complex array by a real one as a product with the
+        # reciprocal; multiplying by it here rounds real spectra the same way
+        self._inv_sinh = 1.0 / self.sinh_r
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         return self._fwd_scale * dst(self.sinh_r * values, type=4)
@@ -86,7 +88,7 @@ class SpectralTransform:
     def inverse(self, vhat: np.ndarray) -> np.ndarray:
         """Inverse transform of one spectrum, or row-wise of a (k, N) stack."""
         out = dst(self.lambda_nodes * vhat, type=4, axis=-1)
-        return self._inv_scale * out / self.sinh_r
+        return self._inv_scale * out * self._inv_sinh
 
     def x_symbol(self) -> np.ndarray:
         """lambda^2 + rho^2 on the frequency nodes."""
@@ -106,7 +108,7 @@ def radial_fourier(u: RadialField) -> SpectralProfile:
     tr = get_transform(u.grid)
     return SpectralProfile(
         lambda_nodes=tr.lambda_nodes,
-        values=tr.forward(np.asarray(u.values, dtype=complex)),
+        values=tr.forward(u.values),
         plancherel_density=tr.density.copy(),
     )
 
@@ -120,33 +122,15 @@ def inverse_fourier(profile: SpectralProfile, grid: RadialGrid) -> RadialField:
 
 def parseval_residual(u: RadialField) -> float:
     tr = get_transform(u.grid)
-    vhat = tr.forward(np.asarray(u.values, dtype=complex))
+    vhat = tr.forward(u.values)
     spec_mass = float(np.sum(np.abs(vhat) ** 2 * tr.density) * tr.dlam)
     m = float(quadrature(np.abs(u.values) ** 2, u.grid))
     return abs(m - spec_mass) / m
 
 
-def calibrate_density_constant(grid: RadialGrid) -> float:
-    """Recover the Plancherel constant from Parseval on a reference Gaussian.
-
-    Returns c such that density = c * lambda^2 makes Parseval exact for
-    u = e^{-r^2}; agrees with the analytic 1/(2 pi^2) to quadrature error.
-    """
-    tr = get_transform(grid)
-    values = np.exp(-grid.nodes**2)
-    vhat = tr.forward(values.astype(complex))
-    m = float(quadrature(values**2, grid))
-    raw = float(np.sum(np.abs(vhat) ** 2 * tr.lambda_nodes**2) * tr.dlam)
-    return m / raw
-
-
 def _apply_multiplier(u: RadialField, mult: np.ndarray) -> RadialField:
     tr = get_transform(u.grid)
-    vhat = tr.forward(np.asarray(u.values, dtype=complex))
-    out = tr.inverse(mult * vhat)
-    if np.all(np.isreal(u.values)):
-        out = out.real.astype(complex)
-    return RadialField(grid=u.grid, values=out)
+    return RadialField(grid=u.grid, values=tr.inverse(mult * tr.forward(u.values)))
 
 
 def pm_symbol(x: np.ndarray, m: float) -> np.ndarray:
@@ -171,7 +155,7 @@ def heat_semigroup(u: RadialField, t: float) -> RadialField:
 def hs_norm(u: RadialField, s: float) -> float:
     """Spectral Sobolev norm: (int (lambda^2+rho^2)^s |uhat|^2 density)^(1/2)."""
     tr = get_transform(u.grid)
-    vhat = tr.forward(np.asarray(u.values, dtype=complex))
+    vhat = tr.forward(u.values)
     val = np.sum(tr.x_symbol() ** s * np.abs(vhat) ** 2 * tr.density) * tr.dlam
     return math.sqrt(float(val))
 
@@ -187,7 +171,7 @@ def pm_sup_profile(u: RadialField, m_samples=None) -> np.ndarray:
         m_samples = default_m_samples()
     m_arr = np.asarray(m_samples, dtype=float)
     tr = get_transform(u.grid)
-    vhat = tr.forward(np.asarray(u.values, dtype=complex))
+    vhat = tr.forward(u.values)
     x = tr.x_symbol()
     symbols = np.stack([pm_symbol(x, m) for m in m_arr])
     pm_u = tr.inverse(symbols * vhat)
@@ -216,6 +200,22 @@ def reconstruction_residual(u: RadialField, m_max: float = None) -> float:
     """
     tr = get_transform(u.grid)
     x = tr.x_symbol()
+    vhat = tr.forward(u.values)
+    recon = tr.inverse(_reconstruction_multiplier(tr, m_max) * vhat)
+    target = u.values - tr.inverse(np.exp(-x) * vhat)
+    num = float(quadrature(np.abs(recon - target) ** 2, u.grid))
+    den = float(quadrature(np.abs(u.values) ** 2, u.grid))
+    return math.sqrt(num / den)
+
+
+def _reconstruction_multiplier(tr: SpectralTransform, m_max) -> np.ndarray:
+    # the m-integral's symbol, memoized on the transform per m_max (read-only)
+    cache = getattr(tr, "_reconstruction_multipliers", None)
+    if cache is None:
+        cache = tr._reconstruction_multipliers = {}
+    if m_max in cache:
+        return cache[m_max]
+    x = tr.x_symbol()
     sigma_hi = 1.0
     sigma_lo = 0.0 if m_max is None else 1.0 / m_max**2
     nodes, weights = np.polynomial.legendre.leggauss(8)
@@ -235,13 +235,9 @@ def reconstruction_residual(u: RadialField, m_max: float = None) -> float:
         for z, w in zip(nodes, weights):
             sig = mid + half * z
             mult += (w * half) * x * np.exp(-x * sig)
-
-    vhat = tr.forward(np.asarray(u.values, dtype=complex))
-    recon = tr.inverse(mult * vhat)
-    target = np.asarray(u.values, dtype=complex) - tr.inverse(np.exp(-x) * vhat)
-    num = float(quadrature(np.abs(recon - target) ** 2, u.grid))
-    den = float(quadrature(np.abs(u.values) ** 2, u.grid))
-    return math.sqrt(num / den)
+    mult.flags.writeable = False
+    cache[m_max] = mult
+    return mult
 
 
 def refined_sobolev_ratio(u: RadialField, s: float) -> float:
@@ -277,11 +273,11 @@ def bump_family(grid: RadialGrid):
                 fields.append(
                     RadialField(
                         grid=grid,
-                        values=amp * np.exp(-((grid.nodes - r0) / w) ** 2) + 0j,
+                        values=amp * np.exp(-((grid.nodes - r0) / w) ** 2),
                     )
                 )
     for w in (0.5, 1.0, 2.0):
         fields.append(
-            RadialField(grid=grid, values=np.exp(-((grid.nodes / w) ** 2)) + 0j)
+            RadialField(grid=grid, values=np.exp(-((grid.nodes / w) ** 2)))
         )
     return fields

@@ -222,13 +222,16 @@ def test_uncertified_steps_halve_dt_to_the_floor(grid3):
     assert len(out.series) == 1
 
 
-def test_conjugate_datum(grid3):
-    u = fn.RadialField(
-        grid=grid3, values=np.exp(-grid3.nodes**2) * (1.0 + 0.5j)
-    )
-    v = ev.conjugate_datum(u)
-    assert v.grid is u.grid
-    assert np.array_equal(v.values, np.conj(u.values))
+def test_non_finite_solve_stops_the_run(grid3, monkeypatch):
+    # a non-finite Cayley solve is fatal: dt does not halve, no blow-up verdict
+    nan_solve = lambda l_and_u, ab, b: np.full_like(b, np.nan)
+    monkeypatch.setattr(ev, "solve_banded", nan_solve)
+    cfg = ev.IntegratorConfig(dt=2e-3)
+    out = ev.evolve_run(small_gaussian(grid3, amp=0.5), 1.0, cfg, 3.0, 0.0, None)
+    assert out.status == "inner_solve_failure"
+    assert out.t_stop == 0.0
+    assert out.t_star is None
+    assert len(out.series) == 1
 
 
 # ---------------------------------------------------------------------------

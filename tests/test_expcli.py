@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import hypnls.evolve as ev
 import hypnls.expcli as cli
 import hypnls.functionals as fn
 
@@ -269,6 +270,23 @@ def test_virial_check_failure_writes_report(tmp_path, monkeypatch):
     assert cli.main(["virial-check", "--out", str(tmp_path)]) == 1
     payload = read_json(tmp_path / "virial_report.json")
     assert payload["passed"] is False
+
+
+def test_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # every Cayley solve returns NaN, so every run ends in inner_solve_failure
+    nan_solve = lambda l_and_u, ab, b: np.full_like(b, np.nan)
+    monkeypatch.setattr(ev, "solve_banded", nan_solve)
+    dich = tmp_path / "dich"
+    assert cli.main(["dichotomy", "--alpha", "0.5", "--out", str(dich)]) == 3
+    assert stderr_payload(capsys)["code"] == 3
+    (row,) = read_json(dich / "dichotomy_report.json")["rows"]
+    assert row["status"] == "inner_solve_failure"
+    assert row["t_star"] is None
+    vir = tmp_path / "vir"
+    assert cli.main(["virial-check", "--out", str(vir)]) == 3
+    assert stderr_payload(capsys)["code"] == 3
+    _, _, rows = cli.read_csv(str(vir / "virial_diag.csv"))
+    assert float(rows[-1][0]) == 0.0
 
 
 def test_plotdata_kinds_and_errors(tmp_path, capsys):

@@ -158,35 +158,24 @@ def test_h_aux_identity(gs3_half):
 # ---------------------------------------------------------------------------
 
 def test_default_cutoff_shape():
-    phi = fn.default_cutoff()
-    assert phi is fn.default_cutoff()  # memoized
-    assert phi.phi(np.array([0.5]))[0] == 0.25
-    assert abs(phi.phi(np.array([3.0]))[0] - 41.0 / 18.0) < 1e-14
-    assert phi.d1(np.array([2.5]))[0] == 0.0
+    d = fn.cutoff_derivative
+    assert d(np.array([0.5]), 0)[0] == 0.25
+    assert abs(d(np.array([3.0]), 0)[0] - 41.0 / 18.0) < 1e-14
+    assert d(np.array([2.5]), 1)[0] == 0.0
+    s_lo = np.linspace(0.0, 1.0, 401)
+    assert np.max(np.abs(d(s_lo, 0) - s_lo**2)) <= 1e-9
     s = np.linspace(0.0, 2.5, 5001)
-    assert np.max(phi.d2(s)) <= 2.0 + 1e-9
-    # bridge meets s^2 at s = 1 through the fourth derivative
-    for order, val in enumerate((1.0, 2.0, 2.0, 0.0, 0.0)):
-        got = getattr(phi, f"d{order}" if order else "phi")(np.array([1.0]))[0]
-        assert abs(got - val) < 1e-9
-
-
-def test_cutoff_rejects_bad_profiles():
-    z = lambda s: np.zeros_like(np.asarray(s, dtype=float))
-    # pure parabola: never flattens
-    parabola = [lambda s: np.asarray(s) ** 2, lambda s: 2.0 * np.asarray(s),
-                lambda s: np.full_like(np.asarray(s, dtype=float), 2.0), z, z]
-    with pytest.raises(ValueError):
-        fn.CutoffProfile(derivs=parabola)
-    # constant profile: wrong on [0, 1]
-    flat = [lambda s: np.full_like(np.asarray(s, dtype=float), 2.0), z, z, z, z]
-    with pytest.raises(ValueError):
-        fn.CutoffProfile(derivs=flat)
-    # steeper-than-allowed curvature
-    steep = [lambda s: 1.25 * np.asarray(s) ** 2, lambda s: 2.5 * np.asarray(s),
-             lambda s: np.full_like(np.asarray(s, dtype=float), 2.5), z, z]
-    with pytest.raises(ValueError):
-        fn.CutoffProfile(derivs=steep)
+    assert np.max(d(s, 2)) <= 2.0 + 1e-9
+    # the bridge (from s = 1 up to, not including, s = 2) meets s^2 at s = 1
+    # and the plateau at s = 2 through the fourth derivative; 1e-12 from the
+    # seam the fourth derivative moves by about 3.4e-9
+    for order, at_1, at_2 in zip(
+        range(5), (1.0, 2.0, 2.0, 0.0, 0.0), (41.0 / 18.0, 0.0, 0.0, 0.0, 0.0)
+    ):
+        assert abs(d(np.array([1.0 - 1e-12]), order)[0] - at_1) < 1e-9
+        assert abs(d(np.array([1.0]), order)[0] - at_1) < 1e-9
+        assert abs(d(np.array([2.0 - 1e-12]), order)[0] - at_2) < 1e-7
+        assert d(np.array([2.0]), order)[0] == at_2
 
 
 def test_localized_virial_matches_global(grid3):
@@ -196,6 +185,8 @@ def test_localized_virial_matches_global(grid3):
     # for data this concentrated the R = 8 window already sees everything
     assert gaps[0] > gaps[1] >= gaps[2]
     assert gaps[2] < 1e-10
+    with pytest.raises(ValueError):
+        fn.localized_virial_rhs(u, 0.5, p=3.0)
 
 
 # ---------------------------------------------------------------------------

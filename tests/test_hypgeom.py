@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import hypnls.functionals as fn
 import hypnls.hypgeom as hg
 
 # mpmath, 40 digits: mass of e^{-2r^2} on H^3 (u = e^{-r^2})
@@ -236,6 +237,8 @@ def test_cached_weights_memoized(grid3):
     assert np.allclose(t1.bilap_r2, 8.0, rtol=0, atol=1e-12)
     bands = hg.laplacian_bands(grid3)
     assert bands is hg.laplacian_bands(grid3)
-    for band in bands:
+    loc = fn.localized_weights(grid3, 8.0)
+    assert loc is fn.localized_weights(grid3, 8.0)
+    for arr in bands + loc:
         with pytest.raises(ValueError):
-            band[0] = 1.0
+            arr[0] = 1.0
