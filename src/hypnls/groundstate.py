@@ -26,6 +26,7 @@ from .hypgeom import (
     RadialGrid,
     apply_laplacian,
     coth,
+    laplacian_bands,
     shifted_bands,
     spectrum_bottom,
 )
@@ -43,6 +44,7 @@ class ShootingFailure(RuntimeError):
 AMPLITUDE_RANGE = (1e-6, 1e6)
 MATCH_LEVEL = 1e-9       # extend by the linear far field below this fraction of q0
 TAIL_SPLICE_LEVEL = 1e-13  # below this fraction of q0 keep the analytic tail
+POSITIVITY_ROUNDOFF = 1e-12  # dip below 0 allowed, as a fraction of the max
 
 
 def _admissible(n: int, p: float):
@@ -91,23 +93,35 @@ def _integrate(n, p, lam, a, grid: RadialGrid, coth_half, record=False):
         prof[0] = q
         slope[0] = dq
 
-    def rhs(qv, pv, cidx):
-        if qv >= 0.0:
-            nl = qv**p
-        else:
-            nl = -((-qv) ** p)
-        return pv, -(cm1 * coth_half[cidx] * pv + lam * qv + nl)
-
+    # the right-hand side (Q', -((n-1) coth(r) Q' + lambda Q + |Q|^{p-1} Q))
+    # is written out per stage, each coefficient (n-1) coth(r) formed once
+    # per half-cell node; the expressions keep the operand order of the
+    # plain four-call form, so the trajectory is the same to the last bit
     half = 0.5 * h
     sixth = h / 6.0
+    cap = 2.0 * max(a, 1.0)
+    c_end = cm1 * coth_half[1]
     for j in range(n_pts - 1):
         base = 2 * j + 1
+        c_start = c_end
+        c_mid = cm1 * coth_half[base + 1]
+        c_end = cm1 * coth_half[base + 2]
         try:
-            k1q, k1p = rhs(q, dq, base)
-            k2q, k2p = rhs(q + half * k1q, dq + half * k1p, base + 1)
-            k3q, k3p = rhs(q + half * k2q, dq + half * k2p, base + 1)
-            k4q, k4p = rhs(q + h * k3q, dq + h * k3p, base + 2)
-            q = q + sixth * (k1q + 2.0 * (k2q + k3q) + k4q)
+            nl = q**p if q >= 0.0 else -((-q) ** p)
+            k1p = -(c_start * dq + lam * q + nl)
+            q2 = q + half * dq
+            p2 = dq + half * k1p
+            nl = q2**p if q2 >= 0.0 else -((-q2) ** p)
+            k2p = -(c_mid * p2 + lam * q2 + nl)
+            q3 = q + half * p2
+            p3 = dq + half * k2p
+            nl = q3**p if q3 >= 0.0 else -((-q3) ** p)
+            k3p = -(c_mid * p3 + lam * q3 + nl)
+            q4 = q + h * p3
+            p4 = dq + h * k3p
+            nl = q4**p if q4 >= 0.0 else -((-q4) ** p)
+            k4p = -(c_end * p4 + lam * q4 + nl)
+            q = q + sixth * (dq + 2.0 * (p2 + p3) + p4)
             dq = dq + sixth * (k1p + 2.0 * (k2p + k3p) + k4p)
         except OverflowError:
             return ("turned" if q > 0 else "crossed"), j, prof, slope
@@ -116,7 +130,7 @@ def _integrate(n, p, lam, a, grid: RadialGrid, coth_half, record=False):
             slope[j + 1] = dq
         if q <= 0.0:
             return "crossed", j + 1, prof, slope
-        if dq > 0.0 or q > 2.0 * max(a, 1.0):
+        if dq > 0.0 or q > cap:
             return "turned", j + 1, prof, slope
     return "none", n_pts - 1, prof, slope
 
@@ -321,7 +335,8 @@ class FlowParams:
     tau: float = 0.25                # initial flow step
     tau_max: float = 2.0
     tol: float = 1e-8                # energy decrease per unit flow time,
-    max_steps: int = 50000           # relative to 1 + |e|; Newton finishes
+    max_steps: int = 50000           # relative to 1 + |e|; ends a flow that
+                                     # no Newton try has stopped
     backtrack: float = 0.5
     grow: float = 1.2
     zero_level: float = -1e-8        # limits above this report e(alpha) = 0
@@ -344,16 +359,38 @@ def _flow_energy(q, grid, p, rho2):
     return 0.5 * (grad - rho2 * m) - nl / (p + 1.0)
 
 
+def _flow_trial(q, tau, alpha, grid, p, rho2):
+    """One semi-implicit flow trial at step tau, renormalized to mass
+    alpha^2: (1 + tau A) trial = q + tau q^p with A = -(L + rho^2).
+    Returns (trial, its flow energy)."""
+    ab = shifted_bands(grid, 1.0, -tau, shift=rho2)
+    trial = solve_banded((1, 1), ab, q + tau * _odd_pow(q, p))
+    trial *= alpha / math.sqrt(np.dot(trial * trial, grid.vol_weights))
+    return trial, _flow_energy(trial, grid, p, rho2)
+
+
 def _newton_polish_constrained(q, lam, alpha, grid, p):
     """Newton on (-L q - lam q - |q|^{p-1}q, mass - alpha^2) via a bordered
-    tridiagonal solve. Returns (q, lam) or None when the step is rejected."""
+    tridiagonal solve.
+
+    Returns (q, lam) once the mass meets 1e-13 of alpha^2 and the residual
+    1e-13 of its scale plus the rounding error of L q, eps |L|_inf |q|_inf
+    (1/dr^2 makes that the larger term on moderate profiles: 6e-13 of the
+    scale at alpha = 12.86 on the 2000-point n = 3 grid). Returns None when
+    a step is rejected or 30 steps do not get there.
+    """
     w = grid.vol_weights
-    for it in range(30):
+    lap_norm = float(np.max(sum(np.abs(band) for band in laplacian_bands(grid))))
+    for it in range(31):
         f1 = -apply_laplacian(q, grid) - lam * q - _odd_pow(q, p)
         f2 = 0.5 * (float(np.dot(q * q, w)) - alpha**2)
-        scale = np.max(np.abs(q)) ** p + abs(lam) * np.max(np.abs(q)) + 1e-300
-        if np.max(np.abs(f1)) < 1e-13 * scale and abs(f2) < 1e-13 * alpha**2:
+        qmax = np.max(np.abs(q))
+        scale = qmax**p + abs(lam) * qmax + 1e-300
+        floor = 1e-13 * scale + np.finfo(float).eps * lap_norm * qmax
+        if np.max(np.abs(f1)) < floor and abs(f2) < 1e-13 * alpha**2:
             return q, lam
+        if it == 30:
+            return None
         ab = shifted_bands(grid, 0.0, -1.0, p * np.abs(q) ** (p - 1.0), shift=lam)
         try:
             a = solve_banded((1, 1), ab, -f1)
@@ -372,7 +409,30 @@ def _newton_polish_constrained(q, lam, alpha, grid, p):
         lam = lam + dlam
         if not np.all(np.isfinite(q)):
             return None
-    return q, lam
+
+
+def _lagrange_fit(q, grid, p):
+    """(L q, lambda) with lambda the Rayleigh quotient of the EL equation."""
+    lap_q = apply_laplacian(q, grid)
+    m = float(np.dot(q * q, grid.vol_weights))
+    return lap_q, float(np.dot((-lap_q - q**p) * grid.vol_weights, q)) / m
+
+
+def _polish_minimizer(q, alpha, grid, p, rho2):
+    """Bordered Newton from |q| and its fitted lambda.
+
+    Returns (|q*|, its flow energy, whether q* >= 0 up to roundoff) for the
+    converged state q*, or None when Newton does not converge.
+    """
+    q = np.abs(q)
+    lam = _lagrange_fit(q, grid, p)[1]
+    polished = _newton_polish_constrained(q, lam, alpha, grid, p)
+    if polished is None:
+        return None
+    q = polished[0]
+    positive = float(np.min(q)) >= -POSITIVITY_ROUNDOFF * float(np.max(q))
+    q = np.abs(q)
+    return q, _flow_energy(q, grid, p, rho2), positive
 
 
 def mass_constrained_minimize(
@@ -383,7 +443,8 @@ def mass_constrained_minimize(
     flow_params: FlowParams = None,
     start: Optional[np.ndarray] = None,
 ) -> MassCurvePoint:
-    """Projected gradient flow for inf{ J(u) : |u|_{L^2} = alpha }.
+    """Projected gradient flow for inf{ J(u) : |u|_{L^2} = alpha }, handed
+    off to a bordered Newton solve.
 
     J(u) = 1/2 |u|_H^2 - 1/(p+1) |u|_{p+1}^{p+1}. The linear part of the
     flow is treated implicitly (a tridiagonal solve per step) so the step
@@ -391,8 +452,17 @@ def mass_constrained_minimize(
     backtracking on energy increase and mass renormalization after every
     step. Deterministic Gaussian start unless a warm start is given (for
     continuation sweeps in alpha); fixed points are the Euler-Lagrange
-    states of the constrained problem, sharpened by a bordered Newton
-    solve when the flow lands in the negative-energy branch.
+    states of the constrained problem.
+
+    Once the flow energy is below `zero_level`, the Newton solve of the EL
+    system is tried from the current iterate on a doubling schedule (at
+    the first such step, then once the step count has doubled, and so on),
+    so a flow makes at most about log2(steps) attempts. The flow stops at
+    the first attempt that converges to a state that is positive up to
+    roundoff and whose flow energy is not above the flow's; that state is
+    the minimizer. A flow that instead ends by `tol` or by backtracking is
+    polished once after the loop and keeps its own iterate if that fails.
+    `iterations` counts flow trials, backtracks included, up to the stop.
     """
     _admissible(n, p)
     if p >= 1.0 + 4.0 / n:
@@ -414,13 +484,11 @@ def mass_constrained_minimize(
     tau = fp.tau
     energy_now = _flow_energy(q, grid, p, rho2)
     steps = 0
+    next_try = 1
+    polished = None
     while steps < fp.max_steps:
         steps += 1
-        # (1 + tau A) trial = q + tau q^p with A = -(L + rho^2)
-        ab = shifted_bands(grid, 1.0, -tau, shift=rho2)
-        trial = solve_banded((1, 1), ab, q + tau * _odd_pow(q, p))
-        trial *= alpha / math.sqrt(np.dot(trial * trial, grid.vol_weights))
-        energy_trial = _flow_energy(trial, grid, p, rho2)
+        trial, energy_trial = _flow_trial(q, tau, alpha, grid, p, rho2)
         if energy_trial > energy_now:
             tau *= fp.backtrack
             if tau < 1e-12:
@@ -429,27 +497,28 @@ def mass_constrained_minimize(
         drop_rate = (energy_now - energy_trial) / tau
         q, energy_now = trial, energy_trial
         tau = min(tau * fp.grow, fp.tau_max)
+        if energy_now < fp.zero_level and steps >= next_try:
+            next_try = 2 * steps
+            polished = _polish_minimizer(q, alpha, grid, p, rho2)
+            if polished is not None and polished[2] and polished[1] <= energy_now:
+                break
+            polished = None
         # the float noise floor of the energy difference scales with |e|
         if drop_rate < fp.tol * (1.0 + abs(energy_now)):
             break
 
-    if energy_now >= fp.zero_level:
-        return MassCurvePoint(
-            alpha=alpha, e_alpha=0.0, minimizer=None, lagrange_lambda=None,
-            iterations=steps,
-        )
-    q = np.abs(q)
-    lap_q = apply_laplacian(q, grid)
-    m = float(np.dot(q * q, grid.vol_weights))
-    lam_fit = float(np.dot((-lap_q - q**p) * grid.vol_weights, q)) / m
-    polished = _newton_polish_constrained(q, lam_fit, alpha, grid, p)
+    if polished is None:
+        if energy_now >= fp.zero_level:
+            return MassCurvePoint(
+                alpha=alpha, e_alpha=0.0, minimizer=None, lagrange_lambda=None,
+                iterations=steps,
+            )
+        polished = _polish_minimizer(q, alpha, grid, p, rho2)
     if polished is not None:
-        q, lam_fit = polished
+        q, energy_now = polished[:2]
+    else:
         q = np.abs(q)
-        energy_now = _flow_energy(q, grid, p, rho2)
-        lap_q = apply_laplacian(q, grid)
-        m = float(np.dot(q * q, grid.vol_weights))
-        lam_fit = float(np.dot((-lap_q - q**p) * grid.vol_weights, q)) / m
+    lap_q, lam_fit = _lagrange_fit(q, grid, p)
     el = -lap_q - lam_fit * q - q**p
     # discrete H^{-1}-type norm: <el, (1 - L)^{-1} el> against the H^1 scale
     w = solve_banded((1, 1), shifted_bands(grid, 1.0, -1.0), el)

@@ -137,3 +137,166 @@ def test_mass_curve_negative_branch_and_warm_start(grid3):
     assert warm.e_alpha < cold.e_alpha
     assert warm.el_residual < 1e-4
     assert warm.lagrange_lambda < 1.0
+
+
+# ---------------------------------------------------------------------------
+# shooting integrator against the four-call RK4 it replaces
+# ---------------------------------------------------------------------------
+
+def _reference_integrate(n, p, lam, a, grid, coth_half):
+    """RK4 through a right-hand-side function, one call per stage.
+
+    Returns (event, stop, profile, slope, overflowed)."""
+    h = grid.dr
+    n_pts = grid.num_points
+    cm1 = n - 1
+    q, dq = gsm._series_start(n, p, lam, a, 0.5 * h)
+    prof = np.empty(n_pts)
+    slope = np.empty(n_pts)
+    prof[0] = q
+    slope[0] = dq
+
+    def rhs(qv, pv, cidx):
+        if qv >= 0.0:
+            nl = qv**p
+        else:
+            nl = -((-qv) ** p)
+        return pv, -(cm1 * coth_half[cidx] * pv + lam * qv + nl)
+
+    half = 0.5 * h
+    sixth = h / 6.0
+    for j in range(n_pts - 1):
+        base = 2 * j + 1
+        try:
+            k1q, k1p = rhs(q, dq, base)
+            k2q, k2p = rhs(q + half * k1q, dq + half * k1p, base + 1)
+            k3q, k3p = rhs(q + half * k2q, dq + half * k2p, base + 1)
+            k4q, k4p = rhs(q + h * k3q, dq + h * k3p, base + 2)
+            q = q + sixth * (k1q + 2.0 * (k2q + k3q) + k4q)
+            dq = dq + sixth * (k1p + 2.0 * (k2p + k3p) + k4p)
+        except OverflowError:
+            return ("turned" if q > 0 else "crossed"), j, prof, slope, True
+        prof[j + 1] = q
+        slope[j + 1] = dq
+        if q <= 0.0:
+            return "crossed", j + 1, prof, slope, False
+        if dq > 0.0 or q > 2.0 * max(a, 1.0):
+            return "turned", j + 1, prof, slope, False
+    return "none", n_pts - 1, prof, slope, False
+
+
+# (n, lambda, amplitude, expected event, overflow in the first step)
+SHOOTING_CASES = (
+    (3, 0.5, 5.0, "crossed", False),
+    (3, 0.5, 1000.0, "turned", False),
+    (3, 0.5, 1e10, "turned", True),
+    (3, 0.5, 2.0, "none", False),
+    (2, 0.2, 2.0, "crossed", False),
+    (2, 0.2, 1000.0, "turned", False),
+    (2, 0.2, 1e10, "turned", True),
+    (2, 0.2, 0.5, "none", False),
+)
+
+
+@pytest.mark.parametrize("n, lam, amp, event, overflow", SHOOTING_CASES)
+def test_integrate_bit_identical_to_reference_rk4(
+    n, lam, amp, event, overflow, grid3, grid2
+):
+    grid = grid3 if n == 3 else grid2
+    coth_half = gsm._coth_half_lattice(grid)
+    ref = _reference_integrate(n, 3.0, lam, amp, grid, coth_half)
+    assert ref[0] == event and ref[4] == overflow
+    got = gsm._integrate(n, 3.0, lam, amp, grid, coth_half, record=True)
+    assert got[:2] == ref[:2]
+    stop = ref[1]
+    assert got[2][: stop + 1].tobytes() == ref[2][: stop + 1].tobytes()
+    assert got[3][: stop + 1].tobytes() == ref[3][: stop + 1].tobytes()
+    assert gsm._integrate(n, 3.0, lam, amp, grid, coth_half)[:2] == ref[:2]
+
+
+# ---------------------------------------------------------------------------
+# bordered Newton polish and the flow handoff
+# ---------------------------------------------------------------------------
+
+ALPHA_12 = float(np.geomspace(0.1, 20.0, 13)[11])  # criterion 7's alpha = 12.86
+E_ALPHA_12 = -23.358326087417367                   # flow run to tol = 1e-8, polished
+E_ALPHA_20 = -564.348026871694
+
+
+def _cold_flow_iterates(alpha, n, p, grid, count):
+    """The first `count` accepted iterates of the flow from the Gaussian."""
+    fp = gsm.FlowParams()
+    rho2 = hg.spectrum_bottom(n)
+    q = np.exp(-grid.nodes**2)
+    q *= alpha / math.sqrt(np.dot(q * q, grid.vol_weights))
+    energy = gsm._flow_energy(q, grid, p, rho2)
+    tau = fp.tau
+    iterates = []
+    while len(iterates) < count:
+        trial, energy_trial = gsm._flow_trial(q, tau, alpha, grid, p, rho2)
+        if energy_trial > energy:
+            tau *= fp.backtrack
+            continue
+        q, energy = trial, energy_trial
+        tau = min(tau * fp.grow, fp.tau_max)
+        iterates.append(q)
+    return iterates
+
+
+def _polish_converged(q, lam, alpha, grid, p):
+    """The convergence test the polish promises for what it returns."""
+    f1 = -hg.apply_laplacian(q, grid) - lam * q - gsm._odd_pow(q, p)
+    f2 = 0.5 * (float(np.dot(q * q, grid.vol_weights)) - alpha**2)
+    qmax = np.max(np.abs(q))
+    lap_norm = np.max(sum(np.abs(band) for band in hg.laplacian_bands(grid)))
+    floor = 1e-13 * (qmax**p + abs(lam) * qmax) + np.finfo(float).eps * lap_norm * qmax
+    return np.max(np.abs(f1)) < floor and abs(f2) < 1e-13 * alpha**2
+
+
+@pytest.mark.parametrize("alpha", [20.0, ALPHA_12])
+def test_constrained_polish_returns_only_converged_states(alpha, grid3):
+    for q in _cold_flow_iterates(alpha, 3, 2.0, grid3, 8):
+        q = np.abs(q)
+        lam = gsm._lagrange_fit(q, grid3, 2.0)[1]
+        out = gsm._newton_polish_constrained(q, lam, alpha, grid3, 2.0)
+        if out is not None:
+            assert _polish_converged(*out, alpha, grid3, 2.0)
+
+
+@pytest.fixture(scope="module")
+def cold_point_12(grid3):
+    return gsm.mass_constrained_minimize(ALPHA_12, 3, 2.0, grid3)
+
+
+def test_constrained_polish_gives_up_without_convergence(
+    cold_point_12, grid3, monkeypatch
+):
+    # an operator that flips between L + c and L - c from one evaluation to
+    # the next moves the fitted lambda by 2c each step, so the residual
+    # never meets the test while every step stays small: the 30th iterate
+    # must not be returned as a solution
+    q = cold_point_12.minimizer.values.real
+    lam = cold_point_12.lagrange_lambda
+    assert gsm._newton_polish_constrained(q, lam, ALPHA_12, grid3, 2.0) is not None
+    sign = [1.0]
+
+    def noisy_laplacian(values, grid):
+        sign[0] = -sign[0]
+        return hg.apply_laplacian(values, grid) + sign[0] * 1e-9 * values
+
+    monkeypatch.setattr(gsm, "apply_laplacian", noisy_laplacian)
+    assert gsm._newton_polish_constrained(q, lam, ALPHA_12, grid3, 2.0) is None
+
+
+def test_mass_curve_hands_off_to_newton(cold_point_12, grid2, grid3):
+    # criterion 7's cold start at alpha = 12.86 (7274 flow steps to tol)
+    assert cold_point_12.iterations < 100
+    assert abs(cold_point_12.e_alpha - E_ALPHA_12) < 1e-10 * abs(E_ALPHA_12)
+    warm = gsm.mass_constrained_minimize(
+        20.0, 3, 2.0, grid3, start=cold_point_12.minimizer.values.real
+    )
+    assert abs(warm.e_alpha - E_ALPHA_20) < 1e-10 * abs(E_ALPHA_20)
+    # without the handoff this flow runs into its step cap
+    pt = gsm.mass_constrained_minimize(ALPHA_12, 2, 2.5, grid2)
+    assert pt.iterations < gsm.FlowParams().max_steps
+    assert pt.el_residual < 1e-4
