@@ -25,7 +25,6 @@ from .functionals import (
     h_norm_sq,
     h1_norm_sq,
     G_functional,
-    H_aux,
     localized_virial_rhs,
     compute_diagnostics,
     trapping_sign_check,
@@ -84,7 +83,6 @@ __all__ = [
     "h_norm_sq",
     "h1_norm_sq",
     "G_functional",
-    "H_aux",
     "localized_virial_rhs",
     "compute_diagnostics",
     "trapping_sign_check",

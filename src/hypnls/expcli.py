@@ -1,8 +1,9 @@
 """Experiment command line: recipes, persistence, plot-data emission.
 
 Subcommands: groundstate, dichotomy, virial-check, inequalities, mass-curve,
-spectral-check, plotdata. Parameters resolve in order: explicit flag >
-config file (flat key=value lines) > resolution tier > built-in default.
+spectral-check, plotdata. The parameters are the rows of PARAMS; each
+resolves in order: flag > config file (flat key=value lines) > subcommand
+default (COMMAND_DEFAULTS) > resolution tier (TIERS) > built-in default.
 Every output embeds a sha256 digest of the resolved configuration; report
 assembly refuses rows whose digest differs. Outputs are deterministic for a
 fixed config: floats are serialized with repr (shortest round trip), JSON
@@ -20,8 +21,8 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +42,13 @@ TIERS = {
     "quick": {"rmax": 20.0, "points": 2000, "dt": 2e-3, "horizon": 3.0},
     "production": {"rmax": 20.0, "points": 8000, "dt": 5e-4, "horizon": 10.0},
 }
+COMMAND_DEFAULTS = {
+    # a unit of time resolves the comparison already
+    "virial-check": {"horizon": 1.0},
+    # the bump family's spectral quantities are grid-converged at 2000
+    # points, well below production size, so both tiers use 2000
+    "spectral-check": {"points": 2000},
+}
 DEFAULT_ALPHAS = (0.5, 0.9, 1.1, 1.5)
 # threshold used by the dichotomy recipe: low enough that the crossing
 # happens while the collapse profile is still resolved on every tier
@@ -56,61 +64,68 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class ExperimentConfig:
-    command: str
-    n: int = 3
-    p: float = 3.0
-    lam: float = 0.0
-    alphas: Optional[List[float]] = None
-    rmax: float = 20.0
-    points: int = 2000
-    dt: float = 2e-3
-    horizon: float = 3.0
-    tier: str = "quick"
-    out_dir: str = "."
-    fmt: str = "json"
-    inject_sign_flip: bool = False
-    explicit: set = field(default_factory=set)  # which fields the user set
+class Param(NamedTuple):
+    """One parameter: the flag --key and the config-file key `key` set the
+    ExperimentConfig field `attr`, both through `cast`."""
+
+    attr: str
+    key: str
+    cast: Callable[[str], Any]
+    default: Any  # built-in default, below the tier's and the subcommand's
+    help: str
+    digest: Optional[str]  # digest key; None leaves it out of the digest
+    params: bool = True  # listed under "params" in the JSON reports
+    choices: Optional[Tuple[str, ...]] = None
+    many: bool = False  # repeatable flag; comma-separated in a config file
+
+
+PARAMS = (
+    # tier is the first row: the defaults of the rows below depend on it
+    Param("tier", "tier", str, "quick", "resolution tier", "tier",
+          choices=tuple(TIERS)),
+    Param("n", "n", int, 3, "dimension of H^n (2 or 3)", "n"),
+    Param("p", "p", float, 3.0, "nonlinearity power", "p"),
+    Param("lam", "lambda", float, 0.0, "frequency shift", "lambda"),
+    Param("alphas", "alpha", float, None,
+          "datum amplitude or mass (repeatable; comma-separated in a config file)",
+          "alphas", params=False, many=True),
+    Param("rmax", "rmax", float, None, "domain radius", "rmax"),
+    Param("points", "points", int, None, "grid points", "points"),
+    Param("dt", "dt", float, None, "base time step", "dt"),
+    Param("horizon", "horizon", float, None, "integration horizon", "horizon"),
+    Param("out_dir", "out", str, None, "output directory (HYPNLS_OUT overrides)",
+          None, params=False),
+    Param("fmt", "format", str.lower, "json", "report format", "format",
+          params=False, choices=("csv", "json")),
+)
+
+
+class ExperimentConfig(SimpleNamespace):
+    """A resolved configuration: `command`, `inject_sign_flip` and one
+    attribute per row of PARAMS."""
 
     def digest(self) -> str:
-        items = {
-            "command": self.command,
-            "n": str(self.n),
-            "p": repr(float(self.p)),
-            "lambda": repr(float(self.lam)),
-            "alphas": ",".join(repr(float(a)) for a in (self.alphas or [])),
-            "rmax": repr(float(self.rmax)),
-            "points": str(self.points),
-            "dt": repr(float(self.dt)),
-            "horizon": repr(float(self.horizon)),
-            "tier": self.tier,
-            "format": self.fmt,
-        }
+        # str of a float is its repr, the shortest round trip
+        items = {"command": self.command}
+        for param in PARAMS:
+            if param.digest:
+                value = getattr(self, param.attr)
+                items[param.digest] = (
+                    ",".join(map(str, value or [])) if param.many else str(value)
+                )
         if self.inject_sign_flip:
             items["inject_sign_flip"] = "1"
         text = "\n".join(f"{k}={items[k]}" for k in sorted(items))
         return hashlib.sha256(text.encode()).hexdigest()
 
     def params_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "n": self.n,
-            "p": self.p,
-            "lambda": self.lam,
-            "rmax": self.rmax,
-            "points": self.points,
-            "dt": self.dt,
-            "horizon": self.horizon,
-            "tier": self.tier,
-        }
+        out = {"command": self.command}
+        out.update((p.key, getattr(self, p.attr)) for p in PARAMS if p.params)
+        return out
 
 
 def parse_config_file(path: str) -> Dict[str, str]:
-    known = {
-        "n", "p", "lambda", "alpha", "rmax", "points", "dt", "horizon",
-        "tier", "out", "format",
-    }
+    known = {param.key for param in PARAMS}
     vals: Dict[str, str] = {}
     try:
         with open(path) as handle:
@@ -132,54 +147,33 @@ def parse_config_file(path: str) -> Dict[str, str]:
 
 def resolve_config(args) -> ExperimentConfig:
     file_vals = parse_config_file(args.config) if args.config else {}
-
-    def pick(flag_val, file_key, cast, fallback):
-        if flag_val is not None:
-            return cast(flag_val), True
-        if file_key in file_vals:
+    defaults = COMMAND_DEFAULTS.get(args.command, {})
+    values: Dict[str, Any] = {}
+    for param in PARAMS:
+        value = getattr(args, param.attr)
+        if value is None and param.key in file_vals:
+            text = file_vals[param.key]
             try:
-                return cast(file_vals[file_key]), True
+                if param.many:
+                    value = [param.cast(a) for a in text.split(",") if a.strip()]
+                else:
+                    value = param.cast(text)
             except ValueError as exc:
-                raise UsageError(f"config key {file_key!r}: {exc}") from exc
-        return fallback, False
-
-    tier, _ = pick(args.tier, "tier", str, "quick")
-    if tier not in TIERS:
-        raise UsageError(f"unknown tier {tier!r}; options: quick, production")
-    td = TIERS[tier]
-
-    cfg = ExperimentConfig(command=args.command, tier=tier)
-    explicit = set()
-    for name, flag, key, cast, fallback in (
-        ("n", args.n, "n", int, 3),
-        ("p", args.p, "p", float, 3.0),
-        ("lam", args.lam, "lambda", float, 0.0),
-        ("rmax", args.rmax, "rmax", float, td["rmax"]),
-        ("points", args.points, "points", int, td["points"]),
-        ("dt", args.dt, "dt", float, td["dt"]),
-        ("horizon", args.horizon, "horizon", float, td["horizon"]),
-        ("fmt", args.format, "format", str, "json"),
-    ):
-        value, was_set = pick(flag, key, cast, fallback)
-        setattr(cfg, name, value)
-        if was_set:
-            explicit.add(name)
-
-    if args.alpha:
-        cfg.alphas = [float(a) for a in args.alpha]
-        explicit.add("alphas")
-    elif "alpha" in file_vals:
-        cfg.alphas = [float(a) for a in file_vals["alpha"].split(",") if a.strip()]
-        explicit.add("alphas")
-
-    out_flag = args.out if args.out is not None else file_vals.get("out")
-    cfg.out_dir = os.environ.get("HYPNLS_OUT") or out_flag or "."
-    cfg.fmt = cfg.fmt.lower()
-    if cfg.fmt not in ("csv", "json"):
-        raise UsageError(f"unknown format {cfg.fmt!r}; options: csv, json")
-    cfg.inject_sign_flip = bool(getattr(args, "inject_sign_flip", False))
-    cfg.explicit = explicit
-    return cfg
+                raise UsageError(f"config key {param.key!r}: {exc}") from exc
+        if value is None:
+            value = defaults.get(param.key, param.default)
+        if param.choices and value not in param.choices:
+            raise UsageError(
+                f"unknown {param.key} {value!r}; options: {', '.join(param.choices)}"
+            )
+        values[param.attr] = value
+        if param.attr == "tier":
+            defaults = {**TIERS[value], **defaults}
+    return ExperimentConfig(
+        command=args.command,
+        inject_sign_flip=bool(getattr(args, "inject_sign_flip", False)),
+        **values,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +244,25 @@ def _err(code: int, reason: str) -> int:
     return code
 
 
-def _outpath(cfg: ExperimentConfig, name: str) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return os.path.join(cfg.out_dir, name)
+def _outpath(out: Optional[str], name: str) -> str:
+    """Path of an output file in HYPNLS_OUT, else in `out` (the --out flag or
+    config key), else in the working directory; the directory is created."""
+    out_dir = os.environ.get("HYPNLS_OUT") or out or "."
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
+
+
+def _write_report(cfg: ExperimentConfig, stem: str, payload: dict, rows,
+                  header: Sequence[str] = ("quantity", "value")) -> None:
+    """The report `stem`: in csv format the rows under header, in json the
+    digest, the params and the payload."""
+    if cfg.fmt == "csv":
+        write_csv(_outpath(cfg.out_dir, stem + ".csv"), cfg.digest(), header, rows)
+    else:
+        write_json(
+            _outpath(cfg.out_dir, stem + ".json"),
+            {"config_digest": cfg.digest(), "params": cfg.params_dict(), **payload},
+        )
 
 
 def _numtag(x: float) -> str:
@@ -294,9 +304,9 @@ def cmd_groundstate(cfg: ExperimentConfig) -> int:
         "logslope_dev": float(ids["logslope_dev"]),
         "uniqueness_regime": bool(uniqueness),
     }
-    write_json(_outpath(cfg, f"groundstate_{tag}.json"), payload)
+    write_json(_outpath(cfg.out_dir, f"groundstate_{tag}.json"), payload)
     write_csv(
-        _outpath(cfg, f"groundstate_{tag}.csv"),
+        _outpath(cfg.out_dir, f"groundstate_{tag}.csv"),
         digest,
         ("r", "Q"),
         zip(grid.nodes, gs.profile),
@@ -366,7 +376,7 @@ def cmd_dichotomy(cfg: ExperimentConfig) -> int:
                 row["proxy"] = scattering_proxy(out)
             fname = f"dichotomy_alpha{_numtag(alpha)}_fwd.csv"
             write_csv(
-                _outpath(cfg, fname),
+                _outpath(cfg.out_dir, fname),
                 digest,
                 fn.DIAGNOSTICS_COLUMNS,
                 (rec.row() for rec in out.series),
@@ -379,7 +389,7 @@ def cmd_dichotomy(cfg: ExperimentConfig) -> int:
 
     # assemble the report from the row files; mismatched digests are refused
     for fname in row_files:
-        file_digest, _, _ = read_csv(_outpath(cfg, fname))
+        file_digest, _, _ = read_csv(_outpath(cfg.out_dir, fname))
         if file_digest != digest:
             return _err(
                 EXIT_USAGE,
@@ -390,24 +400,17 @@ def cmd_dichotomy(cfg: ExperimentConfig) -> int:
         "alpha", "delta_sign", "elam_ratio", "status", "t_star",
         "blowup_reason", "proxy",
     )
-    if cfg.fmt == "csv":
-        write_csv(
-            _outpath(cfg, "dichotomy_report.csv"),
-            digest,
-            header,
-            ([r[k] for k in header] for r in rows),
-        )
-    else:
-        write_json(
-            _outpath(cfg, "dichotomy_report.json"),
-            {
-                "config_digest": digest,
-                "params": cfg.params_dict(),
-                "blowup_h1_factor": DICHOTOMY_H1_FACTOR,
-                "rows": rows,
-                "row_files": row_files,
-            },
-        )
+    _write_report(
+        cfg,
+        "dichotomy_report",
+        {
+            "blowup_h1_factor": DICHOTOMY_H1_FACTOR,
+            "rows": rows,
+            "row_files": row_files,
+        },
+        ([r[k] for k in header] for r in rows),
+        header,
+    )
     if any(r["status"] == "inner_solve_failure" for r in rows):
         return _err(EXIT_SOLVER, "inner solve failure in the dichotomy sweep")
     return EXIT_SCIENCE if failed else EXIT_PASS
@@ -418,13 +421,10 @@ def cmd_dichotomy(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_virial_check(cfg: ExperimentConfig) -> int:
-    if "horizon" not in cfg.explicit:
-        cfg.horizon = 1.0  # a unit of time resolves the comparison already
     grid = build_grid(cfg.n, cfg.rmax, cfg.points)
     u0 = fn.RadialField(
         grid=grid, values=(0.5 * np.exp(-grid.nodes**2)).astype(complex)
     )
-    horizon = cfg.horizon
     icfg = IntegratorConfig(dt=cfg.dt, diag_stride=100.0)
     digest = cfg.digest()
 
@@ -437,9 +437,9 @@ def cmd_virial_check(cfg: ExperimentConfig) -> int:
              for radius in sweep_radii]
         )
 
-    out = evolve_run(u0, horizon, icfg, cfg.p, cfg.lam, None, monitor=monitor)
+    out = evolve_run(u0, cfg.horizon, icfg, cfg.p, cfg.lam, None, monitor=monitor)
     write_csv(
-        _outpath(cfg, "virial_diag.csv"),
+        _outpath(cfg.out_dir, "virial_diag.csv"),
         digest,
         fn.DIAGNOSTICS_COLUMNS,
         (rec.row() for rec in out.series),
@@ -463,26 +463,18 @@ def cmd_virial_check(cfg: ExperimentConfig) -> int:
     )
     passed = bool(mismatch < 0.02 and monotone)
 
-    if cfg.fmt == "csv":
-        write_csv(
-            _outpath(cfg, "virial_report.csv"),
-            digest,
-            ("quantity", "value"),
-            [("mismatch", mismatch), ("sweep_monotone", int(monotone))]
-            + [(f"gap_R{int(radius)}", gap) for radius, gap in sweep_rows],
-        )
-    else:
-        write_json(
-            _outpath(cfg, "virial_report.json"),
-            {
-                "config_digest": digest,
-                "params": cfg.params_dict(),
-                "mismatch": mismatch,
-                "r_sweep": {str(int(radius)): gap for radius, gap in sweep_rows},
-                "sweep_monotone": monotone,
-                "passed": passed,
-            },
-        )
+    _write_report(
+        cfg,
+        "virial_report",
+        {
+            "mismatch": mismatch,
+            "r_sweep": {str(int(radius)): gap for radius, gap in sweep_rows},
+            "sweep_monotone": monotone,
+            "passed": passed,
+        },
+        [("mismatch", mismatch), ("sweep_monotone", int(monotone))]
+        + [(f"gap_R{int(radius)}", gap) for radius, gap in sweep_rows],
+    )
     return EXIT_PASS if passed else EXIT_SCIENCE
 
 
@@ -516,7 +508,6 @@ def cmd_inequalities(cfg: ExperimentConfig) -> int:
         and abs(w1_max - 1.0 / 3.0) < 1e-6
         and w1_tail < 1e-12
     )
-    digest = cfg.digest()
     rows = [
         ("quartic_min", quartic_min),
         ("quartic_argmin", quartic_argmin),
@@ -525,24 +516,12 @@ def cmd_inequalities(cfg: ExperimentConfig) -> int:
         ("w1_max", w1_max),
         ("w1_tail", w1_tail),
     ]
-    if cfg.fmt == "csv":
-        write_csv(
-            _outpath(cfg, "inequalities_report.csv"),
-            digest,
-            ("quantity", "value"),
-            rows,
-        )
-    else:
-        write_json(
-            _outpath(cfg, "inequalities_report.json"),
-            {
-                "config_digest": digest,
-                "params": cfg.params_dict(),
-                "critical_p": p_crit,
-                "results": {k: v for k, v in rows},
-                "passed": passed,
-            },
-        )
+    _write_report(
+        cfg,
+        "inequalities_report",
+        {"critical_p": p_crit, "results": dict(rows), "passed": passed},
+        rows,
+    )
     return EXIT_PASS if passed else EXIT_SCIENCE
 
 
@@ -578,14 +557,14 @@ def cmd_mass_curve(cfg: ExperimentConfig) -> int:
         )
 
     write_csv(
-        _outpath(cfg, "mass_curve.csv"),
+        _outpath(cfg.out_dir, "mass_curve.csv"),
         digest,
         ("alpha", "e_alpha", "lagrange_lambda", "el_residual", "iterations"),
         rows,
     )
     if cfg.fmt == "json":
         write_json(
-            _outpath(cfg, "mass_curve_report.json"),
+            _outpath(cfg.out_dir, "mass_curve_report.json"),
             {
                 "config_digest": digest,
                 "params": cfg.params_dict(),
@@ -608,11 +587,6 @@ def cmd_spectral_check(cfg: ExperimentConfig) -> int:
             "spectral analysis is implemented for n = 3 only; the H^2 "
             "kernel is a documented gap",
         )
-    # the bump family's spectral quantities are grid-converged at 2000
-    # points, well below production size, so both tiers use 2000 unless
-    # the user explicitly asks otherwise
-    if "points" not in cfg.explicit:
-        cfg.points = 2000
     grid = build_grid(3, cfg.rmax, cfg.points)
     family = sp.bump_family(grid)
     digest = cfg.digest()
@@ -645,7 +619,7 @@ def cmd_spectral_check(cfg: ExperimentConfig) -> int:
     reference = fn.RadialField(grid=grid, values=np.exp(-grid.nodes**2))
     prof = sp.radial_fourier(reference)
     write_csv(
-        _outpath(cfg, "spectral_reference.csv"),
+        _outpath(cfg.out_dir, "spectral_reference.csv"),
         digest,
         ("lambda", "re", "im", "density"),
         zip(
@@ -662,35 +636,27 @@ def cmd_spectral_check(cfg: ExperimentConfig) -> int:
         and all(np.isfinite(v) for per in lemma.values() for v in per.values())
         and all(r["spread"] < 10.0 for r in refined.values())
     )
-    if cfg.fmt == "csv":
-        rows = [("parseval_max", parseval_max), ("reconstruction_max", recon_max)]
-        for s, per in sorted(lemma.items()):
-            for m, c in sorted(per.items()):
-                rows.append((f"lemma_C_s{_numtag(s)}_m{_numtag(m)}", c))
-        for s, r in sorted(refined.items()):
-            rows.append((f"refined_spread_s{_numtag(s)}", r["spread"]))
-        write_csv(
-            _outpath(cfg, "spectral_report.csv"),
-            digest,
-            ("quantity", "value"),
-            rows,
-        )
-    else:
-        write_json(
-            _outpath(cfg, "spectral_report.json"),
-            {
-                "config_digest": digest,
-                "params": cfg.params_dict(),
-                "parseval_max": parseval_max,
-                "reconstruction_max": recon_max,
-                "lemma_constants": {
-                    _numtag(s): {_numtag(m): per[m] for m in m_set}
-                    for s, per in lemma.items()
-                },
-                "refined_ratio": {_numtag(s): refined[s] for s in refined},
-                "passed": passed,
+    rows = [("parseval_max", parseval_max), ("reconstruction_max", recon_max)]
+    for s, per in sorted(lemma.items()):
+        for m, c in sorted(per.items()):
+            rows.append((f"lemma_C_s{_numtag(s)}_m{_numtag(m)}", c))
+    for s, r in sorted(refined.items()):
+        rows.append((f"refined_spread_s{_numtag(s)}", r["spread"]))
+    _write_report(
+        cfg,
+        "spectral_report",
+        {
+            "parseval_max": parseval_max,
+            "reconstruction_max": recon_max,
+            "lemma_constants": {
+                _numtag(s): {_numtag(m): per[m] for m in m_set}
+                for s, per in lemma.items()
             },
-        )
+            "refined_ratio": {_numtag(s): refined[s] for s in refined},
+            "passed": passed,
+        },
+        rows,
+    )
     return EXIT_PASS if passed else EXIT_SCIENCE
 
 
@@ -698,49 +664,37 @@ def cmd_spectral_check(cfg: ExperimentConfig) -> int:
 # plot data
 # ---------------------------------------------------------------------------
 
-PLOT_KINDS = ("diagnostics", "profile", "spectrum")
+PLOT_HEADERS = {
+    "diagnostics": list(fn.DIAGNOSTICS_COLUMNS),
+    "profile": ["r", "Q"],
+    "spectrum": ["lambda", "re", "im", "density"],
+}
 
 
 def cmd_plotdata(args) -> int:
-    if args.kind not in PLOT_KINDS:
-        return _err(EXIT_USAGE, f"unknown kind {args.kind!r}; options: {PLOT_KINDS}")
+    if args.kind not in PLOT_HEADERS:
+        return _err(
+            EXIT_USAGE, f"unknown kind {args.kind!r}; options: {tuple(PLOT_HEADERS)}"
+        )
     try:
         digest, header, rows = read_csv(args.input)
     except UsageError as exc:
         return _err(EXIT_USAGE, str(exc))
-
-    expected = {
-        "diagnostics": list(fn.DIAGNOSTICS_COLUMNS),
-        "profile": ["r", "Q"],
-        "spectrum": ["lambda", "re", "im", "density"],
-    }[args.kind]
-    if header != expected:
+    if header != PLOT_HEADERS[args.kind]:
         return _err(
             EXIT_USAGE,
             f"{args.input}: header does not match kind {args.kind!r}",
         )
 
-    tidy = []
-    if args.kind == "diagnostics":
-        # every column is a series against t, the time column included,
-        # so a diagnostics file yields exactly twelve series
-        for name in fn.DIAGNOSTICS_COLUMNS:
-            j = header.index(name)
-            for row in rows:
-                tidy.append((name, row[0], row[j]))
-    elif args.kind == "profile":
-        for row in rows:
-            tidy.append(("Q", row[0], row[1]))
-    else:
-        for name in ("re", "im", "density"):
-            j = header.index(name)
-            for row in rows:
-                tidy.append((name, row[0], row[j]))
+    # each column after the first is a series against the first; a
+    # diagnostics file counts its time column too, so it yields twelve series
+    first = 0 if args.kind == "diagnostics" else 1
+    tidy = [
+        (header[j], row[0], row[j]) for j in range(first, len(header)) for row in rows
+    ]
 
-    out_dir = os.environ.get("HYPNLS_OUT") or args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.input))[0]
-    path = os.path.join(out_dir, f"{stem}_plotdata.csv")
+    path = _outpath(args.out, f"{stem}_plotdata.csv")
     write_csv(path, digest, ("series", "t_or_r_or_lambda", "value"), tidy)
     return EXIT_PASS
 
@@ -751,20 +705,15 @@ def cmd_plotdata(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, help="dimension of H^n (2 or 3)")
-    common.add_argument("--p", type=float, help="nonlinearity power")
-    common.add_argument("--lambda", dest="lam", type=float, help="frequency shift")
-    common.add_argument(
-        "--alpha", action="append", type=float,
-        help="datum amplitude or mass (repeatable)",
-    )
-    common.add_argument("--rmax", type=float, help="domain radius")
-    common.add_argument("--points", type=int, help="grid points")
-    common.add_argument("--dt", type=float, help="base time step")
-    common.add_argument("--horizon", type=float, help="integration horizon")
-    common.add_argument("--tier", choices=sorted(TIERS), help="resolution tier")
-    common.add_argument("--out", help="output directory (HYPNLS_OUT overrides)")
-    common.add_argument("--format", choices=("csv", "json"), help="report format")
+    for param in PARAMS:
+        common.add_argument(
+            "--" + param.key,
+            dest=param.attr,
+            type=param.cast,
+            choices=param.choices,
+            action="append" if param.many else "store",
+            help=param.help,
+        )
     common.add_argument("--config", help="flat key=value config file")
 
     parser = argparse.ArgumentParser(
@@ -807,14 +756,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "plotdata":
         return cmd_plotdata(args)
     try:
-        cfg = resolve_config(args)
-    except UsageError as exc:
-        return _err(EXIT_USAGE, str(exc))
-    try:
-        return COMMANDS[args.command](cfg)
-    except UsageError as exc:
-        return _err(EXIT_USAGE, str(exc))
-    except (ValueError, fn.ParameterMismatch) as exc:
+        return COMMANDS[args.command](resolve_config(args))
+    except ValueError as exc:  # UsageError, ParameterMismatch, bad values
         return _err(EXIT_USAGE, str(exc))
     except (gsmod.ShootingFailure, InnerSolveFailure, np.linalg.LinAlgError) as exc:
         return _err(EXIT_SOLVER, str(exc))

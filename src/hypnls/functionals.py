@@ -57,10 +57,6 @@ class RadialField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
 
-    @classmethod
-    def from_function(cls, grid: RadialGrid, fn) -> "RadialField":
-        return cls(grid=grid, values=np.asarray(fn(grid.nodes), dtype=complex))
-
     def copy(self) -> "RadialField":
         return RadialField(grid=self.grid, values=self.values.copy())
 
@@ -163,16 +159,6 @@ def _G_from(grid: RadialGrid, p: float, usq, up1, grad: float, m: float) -> floa
 def second_moment(u: RadialField) -> float:
     """int |u|^2 r^2 dmu, the virial weight before differentiation."""
     return float(quadrature(np.abs(u.values) ** 2 * u.grid.nodes**2, u.grid))
-
-
-def H_aux(u: RadialField, gs) -> float:
-    """G(u) - 16 E_lambda(u) + 16 E_lambda(Q), the blow-up comparison term."""
-    _check_same_grid(u, gs.grid)
-    return (
-        G_functional(u, gs.p)
-        - 16.0 * energy_lambda(u, gs.lam, gs.p)
-        + 16.0 * gs.elam
-    )
 
 
 # ---------------------------------------------------------------------------

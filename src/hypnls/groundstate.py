@@ -148,14 +148,6 @@ def shooting_classifier(n, p, lam, a, grid, coth_half=None) -> int:
     return -1 if event == "crossed" else +1
 
 
-def amplitude_scan(n, p, lam, grid, amplitudes):
-    """Classifier signs over an amplitude list (uniqueness diagnostics)."""
-    coth_half = _coth_half_lattice(grid)
-    return np.array(
-        [shooting_classifier(n, p, lam, a, grid, coth_half) for a in amplitudes]
-    )
-
-
 # ---------------------------------------------------------------------------
 # discrete polish and certification
 # ---------------------------------------------------------------------------

@@ -252,17 +252,6 @@ def refined_sobolev_ratio(u: RadialField, s: float) -> float:
     return lal / (hs ** (2.0 / alpha) * bs ** (1.0 - 2.0 / alpha))
 
 
-def pm_sup_ratio(u: RadialField, s: float, m: float) -> float:
-    """sup_r |P_m u| divided by (1/m^2 + m^{3/2-s}) e^{-rho^2/m^2} |u|_{H^s}.
-
-    The maximum of this ratio over a family of fields and scales is the
-    fitted constant of the projector sup-bound.
-    """
-    pm_u = apply_Pm(u, m)
-    bound = (1.0 / m**2 + m ** (1.5 - s)) * math.exp(-(RHO**2) / m**2) * hs_norm(u, s)
-    return float(np.max(np.abs(pm_u.values))) / bound
-
-
 def bump_family(grid: RadialGrid):
     """The 30-field test family: 27 off-center bumps (radius x width x
     amplitude) plus 3 centered Gaussians."""

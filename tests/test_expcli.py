@@ -132,6 +132,42 @@ def test_config_file_errors(tmp_path, capsys):
     assert cli.main(["inequalities", "--config", str(bad_tier)]) == 2
     assert "unknown tier" in stderr_payload(capsys)["error"]
 
+    # a bad list entry is a usage error naming the key as written
+    bad_alpha = tmp_path / "bad5.conf"
+    bad_alpha.write_text("alpha=0.5,abc\n")
+    assert cli.main(["dichotomy", "--config", str(bad_alpha)]) == 2
+    assert stderr_payload(capsys) == {
+        "error": "config key 'alpha': could not convert string to float: 'abc'",
+        "code": 2,
+    }
+
+
+def test_flags_and_config_file_resolve_alike(tmp_path):
+    settings = {
+        "n": "2", "p": "3.5", "lambda": "0.1", "rmax": "18.0", "points": "1500",
+        "dt": "0.004", "horizon": "0.5", "tier": "production", "format": "csv",
+        "out": str(tmp_path / "runs"),
+    }
+    conf = tmp_path / "all.conf"
+    conf.write_text(
+        "".join(f"{k}={v}\n" for k, v in settings.items()) + "alpha=0.7, 1.2\n"
+    )
+    flags = [f"--{k}={v}" for k, v in settings.items()]
+    flags += ["--alpha", "0.7", "--alpha", "1.2"]
+    parser = cli.build_parser()
+    from_file, from_flags = (
+        cli.resolve_config(parser.parse_args(["dichotomy"] + argv))
+        for argv in (["--config", str(conf)], flags)
+    )
+    assert from_file.params_dict() == from_flags.params_dict() == {
+        "command": "dichotomy", "n": 2, "p": 3.5, "lambda": 0.1, "rmax": 18.0,
+        "points": 1500, "dt": 0.004, "horizon": 0.5, "tier": "production",
+    }
+    assert from_file.digest() == from_flags.digest()
+    for cfg in (from_file, from_flags):
+        assert cfg.alphas == [0.7, 1.2]
+        assert (cfg.fmt, cfg.out_dir) == ("csv", settings["out"])
+
 
 def test_tier_from_config_file(tmp_path):
     conf = tmp_path / "prod.conf"
@@ -141,6 +177,30 @@ def test_tier_from_config_file(tmp_path):
     payload = read_json(tmp_path / "inequalities_report.json")
     assert payload["params"]["tier"] == "production"
     assert payload["params"]["points"] == 8000
+
+
+def test_config_digest_is_pinned(tmp_path):
+    # golden digests: the digest text (items, order, number format) must not
+    # drift, or every stored output stops matching its configuration
+    args = cli.build_parser().parse_args(["groundstate"])
+    assert cli.resolve_config(args).digest() == (
+        "0a20e704968ec678045fc2cefc0f88237256f58c39f61ffd1387456861225e0f"
+    )
+    for argv, report, golden in (
+        (["spectral-check", "--format", "csv", "--tier", "production"],
+         "spectral_report.csv",
+         "31ff91c75724d16ec2441b33d48c4dd07981222c85567cc96f0de83c486ce9e1"),
+        (["virial-check", "--n", "2", "--format", "csv"],
+         "virial_report.csv",
+         "5ef0e2f17efffda08126412d9c46da9f0d72aa0d43fc98c0b483f0059b283fac"),
+    ):
+        out = tmp_path / argv[0]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert cli.read_csv(str(out / report))[0] == golden
+    # the subcommand defaults sit above the tier
+    out = tmp_path / "spectral-json"
+    assert cli.main(["spectral-check", "--tier", "production", "--out", str(out)]) == 0
+    assert read_json(out / "spectral_report.json")["params"]["points"] == 2000
 
 
 def test_env_out_dir_overrides_flag(tmp_path, monkeypatch):
@@ -252,6 +312,7 @@ def test_virial_check_quick(tmp_path):
     assert payload["mismatch"] < 0.02
     assert payload["sweep_monotone"] is True
     assert set(payload["r_sweep"]) == {"4", "8", "16"}
+    assert payload["params"]["horizon"] == 1.0
     digest, header, rows = cli.read_csv(str(tmp_path / "virial_diag.csv"))
     assert header == list(fn.DIAGNOSTICS_COLUMNS)
     assert len(rows) >= 5

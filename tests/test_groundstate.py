@@ -101,8 +101,10 @@ def test_shooting_classifier_bracket(grid3):
     # q0 for lambda = 0.5 is ~3.77: smaller amplitudes decay, larger cross
     assert gsm.shooting_classifier(3, 3.0, 0.5, 2.0, grid3) == 1
     assert gsm.shooting_classifier(3, 3.0, 0.5, 5.0, grid3) == -1
-    scan = gsm.amplitude_scan(3, 3.0, 0.5, grid3, [2.0, 3.0, 4.0, 5.0])
-    assert list(scan) == [1, 1, -1, -1]
+    scan = [
+        gsm.shooting_classifier(3, 3.0, 0.5, a, grid3) for a in (2.0, 3.0, 4.0, 5.0)
+    ]
+    assert scan == [1, 1, -1, -1]
 
 
 def test_mass_curve_guards(grid3, grid2):

@@ -150,8 +150,6 @@ def test_refined_sobolev_ratio(grid3):
     for s in (0.5, 1.0):
         ratio = sp.refined_sobolev_ratio(u, s)
         assert math.isfinite(ratio) and 0.1 < ratio < 10.0
-    r = sp.pm_sup_ratio(u, 1.0, 4.0)
-    assert math.isfinite(r) and r > 0.0
 
 
 def test_bump_family(grid3):
