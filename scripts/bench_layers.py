@@ -1,0 +1,118 @@
+"""Layer timings of the evolution: one tridiagonal solve and one CN step.
+
+Times, on the H^3 quick-tier grid (r_max = 20) with N = 2000 and 8000
+points, a Gaussian datum 0.5 e^{-r^2} and dt = 2e-3:
+
+- tridiag_solve_us: one Cayley solve as the Crank-Nicolson stepper makes
+  it (`_CNStepper._cayley`: the matrix operands for the step's phi, then
+  the tridiagonal solve), at a fixed dt;
+- cn_step_us: one full step (`_CNStepper.step`), whose solve count is
+  reported as solves_per_step.
+
+Each figure is the median, with quartiles, of 1000 single-call timings
+after 20 warm-up calls, on one BLAS thread. The results are merged into the JSON file
+under --label, so that the same script run on two source trees (for
+example a checkout of the parent commit and of a change) leaves both
+sets side by side:
+
+    python scripts/bench_layers.py --src PARENT/src --label before
+    python scripts/bench_layers.py --label after
+
+Needs only the standard library, numpy and the package's own dependencies.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import sys
+from pathlib import Path
+from time import perf_counter_ns
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402  (after the thread settings)
+
+ROOT = Path(__file__).resolve().parent.parent
+SIZES = (2000, 8000)
+DT = 2e-3
+REPEATS = 1000
+WARMUP = 20
+
+
+def _quartiles(samples_ns):
+    q1, med, q3 = np.percentile(np.asarray(samples_ns) / 1e3, [25, 50, 75])
+    return {"median": round(float(med), 2), "q1": round(float(q1), 2),
+            "q3": round(float(q3), 2)}
+
+
+def _time_calls(call):
+    for _ in range(WARMUP):
+        call()
+    samples = []
+    for _ in range(REPEATS):
+        start = perf_counter_ns()
+        call()
+        samples.append(perf_counter_ns() - start)
+    return samples
+
+
+def measure(num_points):
+    from hypnls import evolve, hypgeom
+
+    grid = hypgeom.build_grid(3, 20.0, num_points)
+    u = (0.5 * np.exp(-grid.nodes**2)).astype(complex)
+    stepper = evolve._CNStepper(grid, 3.0, 1e-10, 50)
+    # steady state: the step after one step, with its relaxation predictor
+    u, phi_half, _ = stepper.step(u, DT)
+    phi = 2.0 * np.abs(u) ** 2 - phi_half
+    lin = u + 0.5j * DT * hypgeom.apply_laplacian(u, grid)
+    rhs = lin + 0.5j * DT * phi * u
+
+    solve = _time_calls(lambda: stepper._cayley(rhs, phi, DT))
+    solves = stepper.step(u, DT, phi_half)[2]
+    step = _time_calls(lambda: stepper.step(u, DT, phi_half))
+    return {
+        "tridiag_solve_us": _quartiles(solve),
+        "cn_step_us": _quartiles(step),
+        "solves_per_step": solves,
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="source tree to import hypnls from (default: ./src)")
+    parser.add_argument("--label", required=True,
+                        help="key of this run in the output file, e.g. before/after")
+    parser.add_argument("--out", default=str(ROOT / "BENCH_layers.json"))
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, os.path.abspath(args.src))
+    import scipy
+
+    run = {
+        "machine": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "processor": platform.processor() or platform.machine(),
+            "cpus": os.cpu_count(),
+            "blas_threads": 1,
+        },
+        "repeats": REPEATS,
+        "layers": {f"N={n}": measure(n) for n in SIZES},
+    }
+    out = Path(args.out)
+    merged = json.loads(out.read_text()) if out.exists() else {}
+    merged[args.label] = run
+    out.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+    print(json.dumps({args.label: run["layers"]}, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -24,6 +24,13 @@ and A(phi') = 1 - i H with H self-adjoint has |A(phi')^{-1}| <= 1, so
 in the volume-weighted L^2 norm. The bound costs one pointwise product, so
 the solve with phi' is made only when the bound fails.
 
+Only the diagonal 1 - i dt/2 ((diag(L) + shift) + phi) of A(phi) changes
+from solve to solve. The stepper forms diag(L) + shift once and keeps the
+off-diagonals -i dt/2 L_{j,j+-1} for the last dt it was called with; a
+halving or a shortened record-landing step rebuilds them, and the next full
+step rebuilds them again. The operands and their rounding are those of
+hypgeom.shifted_bands, so the solutions are the same to the bit.
+
 A Strang splitting path (n = 3 only) cross-validates the default: the
 substitution g = u sinh r turns the radial H^3 Laplacian into (g'' - g)/
 sinh r, diagonal in a discrete sine basis, so the kinetic half steps are
@@ -43,9 +50,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 from scipy.fft import dst, idst
-from scipy.linalg import solve_banded
 
-from .hypgeom import apply_laplacian, dirichlet_energy, shifted_bands
+from .hypgeom import apply_laplacian, dirichlet_energy, laplacian_bands, solve_banded
 from . import functionals as fn
 
 SCHEMES = ("crank_nicolson_relaxation", "strang_splitting")
@@ -114,10 +120,17 @@ class _CNStepper:
         # gauge shift: integrate i v_t = -(L + shift) v - |v|^{p-1} v
         self.shift = shift
         self.vol = grid.vol_weights
+        lower, diag, upper = laplacian_bands(grid)
+        self._lower, self._upper = lower[1:], upper[:-1]
+        self._diag_shift = diag + shift
+        self._dt = None  # dt of the cached off-diagonals
 
     def _cayley(self, rhs, phi, dt):
-        ab = shifted_bands(self.grid, 1.0, -0.5j * dt, phi, shift=self.shift)
-        return solve_banded((1, 1), ab, rhs)
+        # shifted_bands(grid, 1, -i dt/2, phi, shift), off-diagonals per dt
+        b = -0.5j * dt
+        if dt != self._dt:
+            self._dt, self._dl, self._du = dt, b * self._lower, b * self._upper
+        return solve_banded(self._dl, 1.0 + b * (self._diag_shift + phi), self._du, rhs)
 
     def _l2(self, v):
         return math.sqrt(float(np.dot(np.abs(v) ** 2, self.vol)))
@@ -127,7 +140,8 @@ class _CNStepper:
 
         phi_half is the field u_new was solved with. A solve is accepted
         when (dt/2) |(phi' - phi)(u + u_new)| < fixedpoint_tol |u|, the
-        certified bound on the move the solve with phi' would make.
+        certified bound on the move the solve with phi' would make. A
+        non-finite solve, or a non-finite bound, is a fatal failure.
         """
         pm1 = self.p - 1.0
         mod = np.abs(u) ** pm1
@@ -137,13 +151,17 @@ class _CNStepper:
         if scale == 0.0:
             return u.copy(), mod, 0
         for solves in range(1, self.maxiter + 1):
-            u_new = self._cayley(lin + 0.5j * dt * phi * u, phi, dt)
-            if not np.all(np.isfinite(u_new.view(float))):
-                raise InnerSolveFailure("non-finite state in inner solve", fatal=True)
+            try:
+                u_new = self._cayley(lin + 0.5j * dt * phi * u, phi, dt)
+            except ValueError as exc:  # non-finite solution; LinAlgError too
+                raise InnerSolveFailure(f"inner solve: {exc}", fatal=True) from exc
             u_sum = u + u_new
             phi_next = np.abs(0.5 * u_sum) ** pm1
-            if 0.5 * dt * self._l2((phi_next - phi) * u_sum) < self.tol * scale:
+            move = 0.5 * dt * self._l2((phi_next - phi) * u_sum)
+            if move < self.tol * scale:
                 return u_new, phi, solves
+            if not math.isfinite(move):
+                raise InnerSolveFailure("non-finite state in inner solve", fatal=True)
             phi = phi_next
         raise InnerSolveFailure(
             f"fixed point not certified after {self.maxiter} solves"

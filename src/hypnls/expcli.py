@@ -537,7 +537,6 @@ def cmd_mass_curve(cfg: ExperimentConfig) -> int:
         )
     grid = build_grid(cfg.n, cfg.rmax, cfg.points)
     alphas = sorted(cfg.alphas) if cfg.alphas else list(np.geomspace(0.1, 20.0, 13))
-    digest = cfg.digest()
     bottom = spectrum_bottom(cfg.n)
 
     rows = []
@@ -558,21 +557,17 @@ def cmd_mass_curve(cfg: ExperimentConfig) -> int:
 
     write_csv(
         _outpath(cfg.out_dir, "mass_curve.csv"),
-        digest,
+        cfg.digest(),
         ("alpha", "e_alpha", "lagrange_lambda", "el_residual", "iterations"),
         rows,
     )
-    if cfg.fmt == "json":
-        write_json(
-            _outpath(cfg.out_dir, "mass_curve_report.json"),
-            {
-                "config_digest": digest,
-                "params": cfg.params_dict(),
-                "alpha0_estimate": alpha0,
-                "negative_rows": sum(1 for r in rows if r[1] < 0),
-                "passed": ok,
-            },
-        )
+    negative = sum(1 for r in rows if r[1] < 0)
+    _write_report(
+        cfg,
+        "mass_curve_report",
+        {"alpha0_estimate": alpha0, "negative_rows": negative, "passed": ok},
+        [("alpha0_estimate", alpha0), ("negative_rows", negative), ("passed", int(ok))],
+    )
     return EXIT_PASS if ok else EXIT_SCIENCE
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .hypgeom import (
     RadialGrid,
@@ -28,6 +27,7 @@ from .hypgeom import (
     coth,
     laplacian_bands,
     shifted_bands,
+    solve_banded,
     spectrum_bottom,
 )
 from . import functionals as fn
@@ -165,8 +165,8 @@ def _newton_polish(profile, n, p, lam, grid, tol=1e-12, max_iter=40):
         res = apply_laplacian(q, grid) + lam * q + _odd_pow(q, p)
         if float(np.max(np.abs(res))) < tol * scale:
             break
-        ab = shifted_bands(grid, 0.0, 1.0, p * np.abs(q) ** (p - 1.0), shift=lam)
-        q = q + solve_banded((1, 1), ab, -res)
+        bands = shifted_bands(grid, 0.0, 1.0, p * np.abs(q) ** (p - 1.0), shift=lam)
+        q = q + solve_banded(*bands, -res)
     return q
 
 
@@ -355,8 +355,8 @@ def _flow_trial(q, tau, alpha, grid, p, rho2):
     """One semi-implicit flow trial at step tau, renormalized to mass
     alpha^2: (1 + tau A) trial = q + tau q^p with A = -(L + rho^2).
     Returns (trial, its flow energy)."""
-    ab = shifted_bands(grid, 1.0, -tau, shift=rho2)
-    trial = solve_banded((1, 1), ab, q + tau * _odd_pow(q, p))
+    bands = shifted_bands(grid, 1.0, -tau, shift=rho2)
+    trial = solve_banded(*bands, q + tau * _odd_pow(q, p))
     trial *= alpha / math.sqrt(np.dot(trial * trial, grid.vol_weights))
     return trial, _flow_energy(trial, grid, p, rho2)
 
@@ -383,11 +383,11 @@ def _newton_polish_constrained(q, lam, alpha, grid, p):
             return q, lam
         if it == 30:
             return None
-        ab = shifted_bands(grid, 0.0, -1.0, p * np.abs(q) ** (p - 1.0), shift=lam)
+        bands = shifted_bands(grid, 0.0, -1.0, p * np.abs(q) ** (p - 1.0), shift=lam)
         try:
-            a = solve_banded((1, 1), ab, -f1)
-            b = solve_banded((1, 1), ab, q)
-        except Exception:
+            a = solve_banded(*bands, -f1)
+            b = solve_banded(*bands, q)
+        except ValueError:  # a zero pivot (LinAlgError) or a non-finite solve
             return None
         wq = w * q
         denom = float(np.dot(wq, b))
@@ -513,7 +513,7 @@ def mass_constrained_minimize(
     lap_q, lam_fit = _lagrange_fit(q, grid, p)
     el = -lap_q - lam_fit * q - q**p
     # discrete H^{-1}-type norm: <el, (1 - L)^{-1} el> against the H^1 scale
-    w = solve_banded((1, 1), shifted_bands(grid, 1.0, -1.0), el)
+    w = solve_banded(*shifted_bands(grid, 1.0, -1.0), el)
     h1 = float(np.dot(q * q, grid.vol_weights) - np.dot(lap_q * grid.vol_weights, q))
     residual = math.sqrt(abs(float(np.dot(el * grid.vol_weights, w)))) / math.sqrt(h1)
     return MassCurvePoint(

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv, zgtsv
 
 SUPPORTED_DIMENSIONS = (2, 3)
 
@@ -232,8 +233,8 @@ def apply_laplacian(values, grid: RadialGrid, shift: float = 0.0):
 
 
 def shifted_bands(grid: RadialGrid, a, b, extra_diag=0.0, shift: float = 0.0):
-    """(1, 1) banded storage of a + b (L + shift + diag(extra_diag)), for
-    solve_banded.
+    """Sub-, main and super-diagonal (lengths N-1, N, N-1) of
+    a + b (L + shift + diag(extra_diag)), for solve_banded.
 
     a, b and shift are scalars (a and b may be complex); extra_diag is a
     scalar or a per-node array. The diagonal is rounded as
@@ -241,11 +242,26 @@ def shifted_bands(grid: RadialGrid, a, b, extra_diag=0.0, shift: float = 0.0):
     floating-point operator as apply_laplacian(values, grid, shift).
     """
     lower, diag, upper = laplacian_bands(grid)
-    ab = np.zeros((3, grid.num_points), dtype=np.result_type(a, b, extra_diag, diag))
-    ab[0, 1:] = b * upper[:-1]
-    ab[1, :] = a + b * (diag + shift + extra_diag)
-    ab[2, :-1] = b * lower[1:]
-    return ab
+    return b * lower[1:], a + b * (diag + shift + extra_diag), b * upper[:-1]
+
+
+def solve_banded(dl, d, du, rhs):
+    """Solve the tridiagonal system with sub-, main and super-diagonal
+    (dl, d, du) for rhs by LAPACK gtsv (Gaussian elimination with partial
+    pivoting); the solve is complex when any operand is complex.
+
+    The inputs are left unchanged. Raises LinAlgError on an exactly zero
+    pivot and ValueError when the solution is not finite.
+    """
+    gtsv = zgtsv if np.result_type(dl, d, du, rhs).kind == "c" else dgtsv
+    _, _, _, x, info = gtsv(dl, d, du, rhs)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular tridiagonal matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gtsv")
+    if not np.isfinite(x).all():
+        raise ValueError("tridiagonal solve gave a non-finite solution")
+    return x
 
 
 def dirichlet_energy(values, grid: RadialGrid, edge_weight=None):

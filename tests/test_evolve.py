@@ -153,6 +153,22 @@ def test_gaussian_two_solves_per_step(grid3, monkeypatch):
     assert len(calls) == 500
 
 
+def test_cached_off_diagonals_follow_dt(grid3):
+    # one stepper through a halving, a shortened record-landing step and
+    # back: each step must match a fresh stepper's, bit for bit
+    stepper = ev._CNStepper(grid3, 3.0, 1e-10, 50, shift=0.5)
+    u = small_gaussian(grid3, amp=0.5).values
+    phi_half = None
+    for dt in (2e-3, 1e-3, 0.0045 - (2e-3 + 1e-3), 2e-3):
+        fresh = ev._CNStepper(grid3, 3.0, 1e-10, 50, shift=0.5)
+        expected = fresh.step(u, dt, phi_half)
+        got = stepper.step(u, dt, phi_half)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+        assert got[2] == expected[2]
+        u, phi_half = got[0], got[1]
+
+
 # ---------------------------------------------------------------------------
 # scheme cross-validation and convergence
 # ---------------------------------------------------------------------------
@@ -187,6 +203,39 @@ def test_half_dt_self_convergence(grid3):
     d1 = math.sqrt(hg.quadrature(np.abs(finals[4e-3] - finals[2e-3]) ** 2, grid3))
     d2 = math.sqrt(hg.quadrature(np.abs(finals[2e-3] - finals[1e-3]) ** 2, grid3))
     assert 3.5 < d1 / d2 < 4.5
+
+
+def _odd_gaussian_pair(grid, t, amp=1e-7, a=0.5, k=0.0, x0=3.0):
+    # with g = u sinh r the linear radial flow on H^3 is i g_t + g'' - g = 0
+    # with g odd, solved exactly by an odd pair of free Gaussian packets
+    def psi(x):
+        return np.sqrt(a / (a + 1j * t)) * np.exp(
+            -(x - 2.0 * k * t) ** 2 / (4.0 * (a + 1j * t)) + 1j * k * x - 1j * k**2 * t
+        )
+
+    r = grid.nodes
+    return amp * np.exp(-1j * t) * (psi(r - x0) - psi(-r - x0)) / np.sinh(r)
+
+
+@pytest.mark.parametrize("scheme", ev.SCHEMES)
+def test_exact_reference_solution_h3(scheme):
+    # at amplitude 1e-7 the cubic flow is the linear one to ~1e-14, so the
+    # error against the closed form is the (dr, dt) discretization error
+    errs = []
+    for num, dt in ((1000, 4e-3), (2000, 2e-3), (4000, 1e-3)):
+        grid = hg.build_grid(3, 20.0, num)
+        u0 = fn.RadialField(grid=grid, values=_odd_gaussian_pair(grid, 0.0))
+        cfg = ev.IntegratorConfig(dt=dt, scheme=scheme, diag_stride=1.0)
+        out = ev.evolve_run(u0, 1.0, cfg, 3.0, 0.0, None)
+        assert out.status == "completed"
+        exact = _odd_gaussian_pair(grid, 1.0)
+        errs.append(math.sqrt(
+            hg.quadrature(np.abs(out.final_state.values - exact) ** 2, grid)
+            / hg.quadrature(np.abs(exact) ** 2, grid)
+        ))
+    orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
+    assert min(orders) >= 1.9, (errs, orders)
+    assert errs[-1] < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +273,7 @@ def test_uncertified_steps_halve_dt_to_the_floor(grid3):
 
 def test_non_finite_solve_stops_the_run(grid3, monkeypatch):
     # a non-finite Cayley solve is fatal: dt does not halve, no blow-up verdict
-    nan_solve = lambda l_and_u, ab, b: np.full_like(b, np.nan)
+    nan_solve = lambda *args: np.full_like(args[-1], np.nan)
     monkeypatch.setattr(ev, "solve_banded", nan_solve)
     cfg = ev.IntegratorConfig(dt=2e-3)
     out = ev.evolve_run(small_gaussian(grid3, amp=0.5), 1.0, cfg, 3.0, 0.0, None)
@@ -232,6 +281,14 @@ def test_non_finite_solve_stops_the_run(grid3, monkeypatch):
     assert out.t_stop == 0.0
     assert out.t_star is None
     assert len(out.series) == 1
+
+
+def test_overflowing_solve_is_fatal(grid3):
+    # |u|^2 overflows, so the solve is not finite and solve_banded raises
+    stepper = ev._CNStepper(grid3, 3.0, 1e-10, 50)
+    with np.errstate(all="ignore"), pytest.raises(ev.InnerSolveFailure) as info:
+        stepper.step(small_gaussian(grid3, amp=1e200).values, 2e-3)
+    assert info.value.fatal
 
 
 # ---------------------------------------------------------------------------

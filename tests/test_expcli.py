@@ -261,6 +261,19 @@ def test_mass_curve_alpha_subset(tmp_path):
     assert payload["passed"] is True
 
 
+def test_mass_curve_csv_report(tmp_path):
+    # in csv format the verdict lands in mass_curve_report.csv, not only in
+    # the exit code
+    out = str(tmp_path)
+    args = ["mass-curve", "--p", "2", "--alpha", "13", "--format", "csv", "--out", out]
+    assert cli.main(args) == 0
+    digest, header, rows = cli.read_csv(str(tmp_path / "mass_curve_report.csv"))
+    assert digest == cli.read_csv(str(tmp_path / "mass_curve.csv"))[0]
+    assert header == ["quantity", "value"]
+    assert rows == [["alpha0_estimate", "13.0"], ["negative_rows", "1"], ["passed", "1"]]
+    assert not (tmp_path / "mass_curve_report.json").exists()
+
+
 def test_spectral_check_rejects_h2(tmp_path, capsys):
     assert cli.main(["spectral-check", "--n", "2", "--out", str(tmp_path)]) == 2
     assert "n = 3" in stderr_payload(capsys)["error"]
@@ -335,7 +348,7 @@ def test_virial_check_failure_writes_report(tmp_path, monkeypatch):
 
 def test_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
     # every Cayley solve returns NaN, so every run ends in inner_solve_failure
-    nan_solve = lambda l_and_u, ab, b: np.full_like(b, np.nan)
+    nan_solve = lambda *args: np.full_like(args[-1], np.nan)
     monkeypatch.setattr(ev, "solve_banded", nan_solve)
     dich = tmp_path / "dich"
     assert cli.main(["dichotomy", "--alpha", "0.5", "--out", str(dich)]) == 3

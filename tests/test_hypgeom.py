@@ -172,9 +172,48 @@ def test_shifted_bands_matches_dense_solve(a, b, shift):
     eye = np.eye(grid.num_points)
     matrix = a * eye + b * (dense + shift * eye + np.diag(extra))
     rhs = _noise_field(grid, 15)
-    ab = hg.shifted_bands(grid, a, b, extra, shift=shift)
-    got = scipy.linalg.solve_banded((1, 1), ab, rhs)
+    got = hg.solve_banded(*hg.shifted_bands(grid, a, b, extra, shift=shift), rhs)
     assert np.allclose(got, np.linalg.solve(matrix, rhs), rtol=1e-12, atol=0)
+
+
+def _random_tridiagonal(num, kind, seed):
+    rng = np.random.default_rng(seed)
+
+    def draw(size, cplx):
+        x = rng.standard_normal(size)
+        return x + 1j * rng.standard_normal(size) if cplx else x
+
+    cplx = kind != "real"
+    dl, d, du = draw(num - 1, cplx), draw(num, cplx), draw(num - 1, cplx)
+    return dl, d, du, draw(num, kind == "complex")
+
+
+@pytest.mark.parametrize("num", [64, 2000])
+@pytest.mark.parametrize("kind", ["real", "complex", "complex bands, real rhs"])
+def test_solve_banded_is_scipy_gtsv(num, kind):
+    # scipy.linalg.solve_banded((1, 1), ...) runs the same gtsv on the same
+    # operands, so the solutions agree bit for bit
+    dl, d, du, rhs = _random_tridiagonal(num, kind, 16)
+    ab = np.zeros((3, num), dtype=np.result_type(dl, d, du))
+    ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+    inputs = [x.copy() for x in (dl, d, du, rhs)]
+    got = hg.solve_banded(dl, d, du, rhs)
+    assert got.dtype == np.result_type(dl, d, du, rhs)
+    assert np.array_equal(got, scipy.linalg.solve_banded((1, 1), ab, rhs))
+    for before, after in zip(inputs, (dl, d, du, rhs)):
+        assert np.array_equal(before, after)
+
+
+def test_solve_banded_failures():
+    dl, d, du, rhs = _random_tridiagonal(64, "real", 17)
+    zero_pivot = d.copy()
+    zero_pivot[5] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        hg.solve_banded(np.zeros(63), zero_pivot, np.zeros(63), rhs)
+    bad_rhs = rhs.copy()
+    bad_rhs[10] = np.nan
+    with pytest.raises(ValueError):
+        hg.solve_banded(dl, d, du, bad_rhs)
 
 
 def test_dirichlet_energy_gaussian_refinement():
