@@ -65,7 +65,7 @@ def measure(num_points):
 
     grid = hypgeom.build_grid(3, 20.0, num_points)
     u = (0.5 * np.exp(-grid.nodes**2)).astype(complex)
-    stepper = evolve._CNStepper(grid, 3.0, 1e-10, 50)
+    stepper = evolve._make_stepper(grid, 3.0, evolve.IntegratorConfig(dt=DT))
     # steady state: the step after one step, with its relaxation predictor
     u, phi_half, _ = stepper.step(u, DT)
     phi = 2.0 * np.abs(u) ** 2 - phi_half

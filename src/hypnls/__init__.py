@@ -39,13 +39,11 @@ from .groundstate import (
     solve_ground_state,
     verify_identities,
     mass_constrained_minimize,
-    FlowParams,
     MassCurvePoint,
 )
 from .evolve import (
     IntegratorConfig,
     RunOutcome,
-    step,
     evolve_run,
     virial_consistency,
     scattering_proxy,
@@ -95,11 +93,9 @@ __all__ = [
     "solve_ground_state",
     "verify_identities",
     "mass_constrained_minimize",
-    "FlowParams",
     "MassCurvePoint",
     "IntegratorConfig",
     "RunOutcome",
-    "step",
     "evolve_run",
     "virial_consistency",
     "scattering_proxy",

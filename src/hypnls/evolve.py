@@ -12,7 +12,7 @@ self-adjoint in the volume-weighted inner product, every solve is unitary
 there and the discrete mass is conserved to solver roundoff.
 
 Each solve is accepted as soon as a certified bound says the next iterate
-would move it by less than fixedpoint_tol relative to |u|. Subtracting the
+would move it by less than FIXEDPOINT_TOL relative to |u|. Subtracting the
 Cayley systems for phi and phi' gives
 
     A(phi') (u' - u_new) = (i dt/2) (phi' - phi) (u + u_new),
@@ -56,12 +56,13 @@ from . import functionals as fn
 
 SCHEMES = ("crank_nicolson_relaxation", "strang_splitting")
 STRAIN_ITERS = 12  # Cayley solves in one step counted as "straining" -> halve dt
+FIXEDPOINT_TOL = 1e-10  # certified move of the next solve, relative to |u|
+FIXEDPOINT_MAXITER = 50  # Cayley solves per step at most
 
 
 class InnerSolveFailure(RuntimeError):
-    def __init__(self, message, t=None, fatal=False):
+    def __init__(self, message, fatal=False):
         super().__init__(message)
-        self.t = t
         self.fatal = fatal  # non-finite state: halving dt cannot recover
 
 
@@ -69,12 +70,9 @@ class InnerSolveFailure(RuntimeError):
 class IntegratorConfig:
     dt: float = 5e-4
     scheme: str = "crank_nicolson_relaxation"
-    fixedpoint_tol: float = 1e-10
-    fixedpoint_maxiter: int = 50           # Cayley solves per step at most
     blowup_h1_factor: float = 50.0
     blowup_dt_min: Optional[float] = None  # default dt / 512
     diag_stride: float = 10.0              # records per unit time
-    r_loc: float = 8.0                     # localized-virial radius
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -112,11 +110,9 @@ class RunOutcome:
 # ---------------------------------------------------------------------------
 
 class _CNStepper:
-    def __init__(self, grid, p, tol, maxiter, shift=0.0):
+    def __init__(self, grid, p, shift=0.0):
         self.grid = grid
         self.p = p
-        self.tol = tol
-        self.maxiter = maxiter
         # gauge shift: integrate i v_t = -(L + shift) v - |v|^{p-1} v
         self.shift = shift
         self.vol = grid.vol_weights
@@ -139,7 +135,7 @@ class _CNStepper:
         """One CN step; returns (u_new, phi_half, cayley_solves).
 
         phi_half is the field u_new was solved with. A solve is accepted
-        when (dt/2) |(phi' - phi)(u + u_new)| < fixedpoint_tol |u|, the
+        when (dt/2) |(phi' - phi)(u + u_new)| < FIXEDPOINT_TOL |u|, the
         certified bound on the move the solve with phi' would make. A
         non-finite solve, or a non-finite bound, is a fatal failure.
         """
@@ -150,7 +146,7 @@ class _CNStepper:
         scale = self._l2(u)
         if scale == 0.0:
             return u.copy(), mod, 0
-        for solves in range(1, self.maxiter + 1):
+        for solves in range(1, FIXEDPOINT_MAXITER + 1):
             try:
                 u_new = self._cayley(lin + 0.5j * dt * phi * u, phi, dt)
             except ValueError as exc:  # non-finite solution; LinAlgError too
@@ -158,13 +154,13 @@ class _CNStepper:
             u_sum = u + u_new
             phi_next = np.abs(0.5 * u_sum) ** pm1
             move = 0.5 * dt * self._l2((phi_next - phi) * u_sum)
-            if move < self.tol * scale:
+            if move < FIXEDPOINT_TOL * scale:
                 return u_new, phi, solves
             if not math.isfinite(move):
                 raise InnerSolveFailure("non-finite state in inner solve", fatal=True)
             phi = phi_next
         raise InnerSolveFailure(
-            f"fixed point not certified after {self.maxiter} solves"
+            f"fixed point not certified after {FIXEDPOINT_MAXITER} solves"
         )
 
 
@@ -195,14 +191,7 @@ class _StrangStepper:
 def _make_stepper(grid, p, cfg: IntegratorConfig, shift=0.0):
     if cfg.scheme == "strang_splitting":
         return _StrangStepper(grid, p, shift=shift)
-    return _CNStepper(grid, p, cfg.fixedpoint_tol, cfg.fixedpoint_maxiter, shift=shift)
-
-
-def step(u: fn.RadialField, cfg: IntegratorConfig, p: float) -> fn.RadialField:
-    """Advance one time step of the configured scheme (stateless wrapper)."""
-    stepper = _make_stepper(u.grid, p, cfg)
-    values, _, _ = stepper.step(np.asarray(u.values, dtype=complex), cfg.dt)
-    return fn.RadialField(grid=u.grid, values=values)
+    return _CNStepper(grid, p, shift=shift)
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +217,10 @@ def evolve_run(
     Records are emitted at t = 0, at every multiple of 1/diag_stride (steps
     are shortened to land on record times exactly, which keeps the record
     grid uniform for finite differencing), and at the stop time. dt halves
-    (never re-raises) when the inner solve strains or the H^1 norm grows
-    more than 10% in a single step. Blow-up is declared when the H^1 norm
-    exceeds blowup_h1_factor times its initial value (threshold crossing
+    (never re-raises) when a step is not certified within FIXEDPOINT_MAXITER
+    solves (the step is then retried), takes more than STRAIN_ITERS solves,
+    or grows the H^1 norm more than 10%. Blow-up is declared when the H^1
+    norm exceeds blowup_h1_factor times its initial value (threshold crossing
     time interpolated inside the step) or when the halving cascade drives
     dt below blowup_dt_min. monitor(t, field), when given, is called at
     every record emission.
@@ -270,70 +260,56 @@ def evolve_run(
     def emit(t_now, values):
         if lam != 0.0:
             values = values * np.exp(-1j * lam * t_now)
-        rec = fn.compute_diagnostics(
-            t_now,
-            fn.RadialField(grid=grid, values=values),
-            p,
-            lam,
-            gs=gs,
-            r_loc=cfg.r_loc,
-        )
-        series.append(rec)
+        field = fn.RadialField(grid=grid, values=values)
+        series.append(fn.compute_diagnostics(t_now, field, p, lam, gs=gs))
         if monitor is not None:
             monitor(t_now, fn.RadialField(grid=grid, values=values.copy()))
 
     emit(0.0, u)
     status = "completed"
-    t_stop = T
-    h1_stop = h1_0
     reason = None
     eps = 1e-12 * max(T, 1.0)
 
     while t < T - eps:
         # shorten the step to land exactly on record times and the horizon
-        step_dt = min(dt, T - t)
-        if next_rec - t > 1e-9 * interval:
-            step_dt = min(step_dt, next_rec - t)
+        step_dt = min(dt, T - t, next_rec - t)
         try:
             u_new, phi_half, solves = stepper.step(u, step_dt, phi_half)
         except InnerSolveFailure as exc:
             if exc.fatal:
                 status, t_stop, h1_stop = "inner_solve_failure", t, h1_prev
                 break
-            phi_half = None
+            phi_half, halve = None, True
+        else:
+            h1_new = _h1_sq_arrays(u_new, grid)
+            t += step_dt
+            u = u_new
+            # strict, so that the zero solution (threshold 0) runs to T
+            if h1_new > threshold:
+                # threshold crossing interpolated inside the step, on log H^1
+                frac = math.log(threshold / h1_prev) / math.log(h1_new / h1_prev)
+                status = "blowup"
+                t_stop = t - step_dt + frac * step_dt
+                h1_stop = h1_new
+                reason = "h1_threshold"
+                break
+            if t >= next_rec - 1e-9 * interval and t < T - eps:
+                emit(t, u)
+                while next_rec <= t + 1e-9 * interval:
+                    next_rec += interval
+            halve = solves > STRAIN_ITERS or h1_new > 1.21 * h1_prev
+            h1_prev = h1_new
+        if halve:
             dt *= 0.5
             if dt < cfg.blowup_dt_min:
                 status, t_stop, h1_stop = "blowup", t, h1_prev
                 reason = "dt_floor"
                 break
-            continue
-        h1_new = _h1_sq_arrays(u_new, grid)
-        t += step_dt
-        u = u_new
-        if h1_new >= threshold:
-            # threshold crossing interpolated inside the step, on log H^1
-            frac = math.log(threshold / h1_prev) / math.log(h1_new / h1_prev)
-            status = "blowup"
-            t_stop = t - step_dt + frac * step_dt
-            h1_stop = h1_new
-            reason = "h1_threshold"
-            break
-        if t >= next_rec - 1e-9 * interval and t < T - eps:
-            emit(t, u)
-            while next_rec <= t + 1e-9 * interval:
-                next_rec += interval
-        if solves > STRAIN_ITERS or h1_new > 1.21 * h1_prev:
-            dt *= 0.5
-            if dt < cfg.blowup_dt_min:
-                status, t_stop, h1_stop = "blowup", t, h1_new
-                reason = "dt_floor"
-                break
-        h1_prev = h1_new
 
     if status == "completed":
         t_stop, h1_stop = T, h1_prev
         emit(T, u)
-    elif not series or series[-1].t < t_stop - eps:
+    elif series[-1].t < t_stop - eps:
         # the final record carries the declared stop time; its state is the
         # first post-threshold field
         emit(t_stop, u)
@@ -384,11 +360,11 @@ def virial_consistency(outcome: RunOutcome) -> float:
     return worst
 
 
-def scattering_proxy(outcome: RunOutcome, window: float = 0.3) -> str:
+def scattering_proxy(outcome: RunOutcome) -> str:
     """One-sided dispersion indicator: 'consistent' or 'inconclusive'.
 
-    Consistent requires a completed run of length >= 1 whose trailing
-    window keeps delta_lambda < 0 and G > 0 at every record while the
+    Consistent requires a completed run of length >= 1 whose last 30% in
+    time keeps delta_lambda < 0 and G > 0 at every record while the
     potential term stays at least 30% below its maximum over the run.
     Never claims more than consistency with the dispersive scenario.
     """
@@ -399,7 +375,7 @@ def scattering_proxy(outcome: RunOutcome, window: float = 0.3) -> str:
     if t_end < 1.0:
         return "inconclusive"
     lp1_max = max(r.lp1 for r in recs)
-    tail = [r for r in recs if r.t >= (1.0 - window) * t_end]
+    tail = [r for r in recs if r.t >= 0.7 * t_end]
     for r in tail:
         if r.lp1 > 0.7 * lp1_max or r.delta_lambda >= 0 or r.G_value <= 0:
             return "inconclusive"

@@ -329,12 +329,11 @@ def compute_diagnostics(
     p: float,
     lam: float,
     gs=None,
-    r_loc: float = 8.0,
 ) -> DiagnosticsRecord:
     """Assemble the full per-time diagnostics row for a run.
 
     |u|^2, |u|^{p+1} and the Dirichlet form are computed once and shared by
-    every column; loc_virial is localized_virial_rhs at R = r_loc, with the
+    every column; loc_virial is localized_virial_rhs at R = 8, with the
     weights of localized_weights built once per grid and radius.
     """
     grid = u.grid
@@ -358,7 +357,7 @@ def compute_diagnostics(
         delta_lambda=dl,
         G_value=_G_from(grid, p, usq, up1, grad, m),
         second_moment=float(quadrature(usq * grid.nodes**2, grid)),
-        loc_virial=_localized_virial_from(u, r_loc, p, usq, up1),
+        loc_virial=_localized_virial_from(u, 8.0, p, usq, up1),
         h1_sq=grad + m,
     )
 

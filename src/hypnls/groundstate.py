@@ -46,6 +46,14 @@ MATCH_LEVEL = 1e-9       # extend by the linear far field below this fraction of
 TAIL_SPLICE_LEVEL = 1e-13  # below this fraction of q0 keep the analytic tail
 POSITIVITY_ROUNDOFF = 1e-12  # dip below 0 allowed, as a fraction of the max
 
+# mass-curve flow: initial and largest step, step factors on a backtrack and
+# on an accepted step, the energy decrease per unit flow time (relative to
+# 1 + |e|) that ends a flow no Newton try has stopped, and its step cap
+FLOW_TAU, FLOW_TAU_MAX = 0.25, 2.0
+FLOW_BACKTRACK, FLOW_GROW = 0.5, 1.2
+FLOW_TOL, FLOW_MAX_STEPS = 1e-8, 50000
+ZERO_LEVEL = -1e-8  # flows whose energy stays above this report e(alpha) = 0
+
 
 def _admissible(n: int, p: float):
     if n == 3 and not (1.0 < p < 5.0):
@@ -156,14 +164,14 @@ def _odd_pow(values: np.ndarray, p: float) -> np.ndarray:
     return np.sign(values) * np.abs(values) ** p
 
 
-def _newton_polish(profile, n, p, lam, grid, tol=1e-12, max_iter=40):
+def _newton_polish(profile, n, p, lam, grid):
     """Newton iteration on L q + lambda q + q^p = 0 with Dirichlet far end."""
     q = profile.copy()
     qmax = float(np.max(q))
     scale = abs(lam) * qmax + qmax**p + qmax
-    for _ in range(max_iter):
+    for _ in range(40):
         res = apply_laplacian(q, grid) + lam * q + _odd_pow(q, p)
-        if float(np.max(np.abs(res))) < tol * scale:
+        if float(np.max(np.abs(res))) < 1e-12 * scale:
             break
         bands = shifted_bands(grid, 0.0, 1.0, p * np.abs(q) ** (p - 1.0), shift=lam)
         q = q + solve_banded(*bands, -res)
@@ -204,10 +212,9 @@ class GroundState:
         return fn.RadialField(grid=self.grid, values=self.profile.astype(complex))
 
 
-def solve_ground_state(
-    n: int, p: float, lam: float, grid: RadialGrid, tol: float = 1e-13
-) -> GroundState:
-    """Shooting + discrete Newton certification of the ground state."""
+def solve_ground_state(n: int, p: float, lam: float, grid: RadialGrid) -> GroundState:
+    """Shooting + discrete Newton certification of the ground state; the
+    amplitude is bisected to 1e-13 of itself."""
     _admissible(n, p)
     if grid.n != n:
         raise fn.ParameterMismatch("grid dimension differs from requested n")
@@ -239,7 +246,7 @@ def solve_ground_state(
         raise ShootingFailure(
             f"no zero-crossing amplitude found below {a_max}"
         )
-    while hi - lo > tol * lo:
+    while hi - lo > 1e-13 * lo:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -321,18 +328,6 @@ def verify_identities(gs: GroundState) -> dict:
 # ---------------------------------------------------------------------------
 # mass-constrained minimization
 # ---------------------------------------------------------------------------
-
-@dataclass
-class FlowParams:
-    tau: float = 0.25                # initial flow step
-    tau_max: float = 2.0
-    tol: float = 1e-8                # energy decrease per unit flow time,
-    max_steps: int = 50000           # relative to 1 + |e|; ends a flow that
-                                     # no Newton try has stopped
-    backtrack: float = 0.5
-    grow: float = 1.2
-    zero_level: float = -1e-8        # limits above this report e(alpha) = 0
-
 
 @dataclass
 class MassCurvePoint:
@@ -432,7 +427,6 @@ def mass_constrained_minimize(
     n: int,
     p: float,
     grid: RadialGrid,
-    flow_params: FlowParams = None,
     start: Optional[np.ndarray] = None,
 ) -> MassCurvePoint:
     """Projected gradient flow for inf{ J(u) : |u|_{L^2} = alpha }, handed
@@ -446,24 +440,25 @@ def mass_constrained_minimize(
     continuation sweeps in alpha); fixed points are the Euler-Lagrange
     states of the constrained problem.
 
-    Once the flow energy is below `zero_level`, the Newton solve of the EL
+    Once the flow energy is below ZERO_LEVEL, the Newton solve of the EL
     system is tried from the current iterate on a doubling schedule (at
     the first such step, then once the step count has doubled, and so on),
     so a flow makes at most about log2(steps) attempts. The flow stops at
     the first attempt that converges to a state that is positive up to
     roundoff and whose flow energy is not above the flow's; that state is
-    the minimizer. A flow that instead ends by `tol` or by backtracking is
+    the minimizer. A flow that instead ends by FLOW_TOL or by backtracking is
     polished once after the loop and keeps its own iterate if that fails.
     `iterations` counts flow trials, backtracks included, up to the stop.
     """
     _admissible(n, p)
+    if alpha <= 0:
+        raise ValueError(f"the mass alpha must be positive, got {alpha}")
     if p >= 1.0 + 4.0 / n:
         raise ValueError(
             f"mass-constrained minimization requires p < 1 + 4/n = {1 + 4 / n}, got {p}"
         )
     if grid.n != n:
         raise fn.ParameterMismatch("grid dimension differs from requested n")
-    fp = flow_params or FlowParams()
     rho2 = spectrum_bottom(n)
 
     if start is not None:
@@ -473,34 +468,34 @@ def mass_constrained_minimize(
     else:
         q = np.exp(-grid.nodes**2)
     q *= alpha / math.sqrt(np.dot(q * q, grid.vol_weights))
-    tau = fp.tau
+    tau = FLOW_TAU
     energy_now = _flow_energy(q, grid, p, rho2)
     steps = 0
     next_try = 1
     polished = None
-    while steps < fp.max_steps:
+    while steps < FLOW_MAX_STEPS:
         steps += 1
         trial, energy_trial = _flow_trial(q, tau, alpha, grid, p, rho2)
         if energy_trial > energy_now:
-            tau *= fp.backtrack
+            tau *= FLOW_BACKTRACK
             if tau < 1e-12:
                 break
             continue
         drop_rate = (energy_now - energy_trial) / tau
         q, energy_now = trial, energy_trial
-        tau = min(tau * fp.grow, fp.tau_max)
-        if energy_now < fp.zero_level and steps >= next_try:
+        tau = min(tau * FLOW_GROW, FLOW_TAU_MAX)
+        if energy_now < ZERO_LEVEL and steps >= next_try:
             next_try = 2 * steps
             polished = _polish_minimizer(q, alpha, grid, p, rho2)
             if polished is not None and polished[2] and polished[1] <= energy_now:
                 break
             polished = None
         # the float noise floor of the energy difference scales with |e|
-        if drop_rate < fp.tol * (1.0 + abs(energy_now)):
+        if drop_rate < FLOW_TOL * (1.0 + abs(energy_now)):
             break
 
     if polished is None:
-        if energy_now >= fp.zero_level:
+        if energy_now >= ZERO_LEVEL:
             return MassCurvePoint(
                 alpha=alpha, e_alpha=0.0, minimizer=None, lagrange_lambda=None,
                 iterations=steps,

@@ -160,15 +160,12 @@ def hs_norm(u: RadialField, s: float) -> float:
     return math.sqrt(float(val))
 
 
-def default_m_samples(m_max: float = 32.0):
-    count = int(round(4 * math.log2(m_max))) + 1
-    return 2.0 ** (np.arange(count) / 4.0)
+def default_m_samples():
+    return 2.0 ** (np.arange(21) / 4.0)  # quarter octaves from m = 1 to 32
 
 
-def pm_sup_profile(u: RadialField, m_samples=None) -> np.ndarray:
+def pm_sup_profile(u: RadialField, m_samples) -> np.ndarray:
     """sup_r |P_m u| for each sampled scale m, batched over the scales."""
-    if m_samples is None:
-        m_samples = default_m_samples()
     m_arr = np.asarray(m_samples, dtype=float)
     tr = get_transform(u.grid)
     vhat = tr.forward(u.values)
@@ -178,14 +175,12 @@ def pm_sup_profile(u: RadialField, m_samples=None) -> np.ndarray:
     return np.max(np.abs(pm_u), axis=1)
 
 
-def besov_norm(u: RadialField, s: float, m_samples=None) -> float:
-    """max over sampled m >= 1 of m^{s-3/2} sup_r |P_m u| (a lower bound
-    for the sup over all m)."""
+def besov_norm(u: RadialField, s: float) -> float:
+    """max over the default m samples of m^{s-3/2} sup_r |P_m u| (a lower
+    bound for the sup over all m >= 1)."""
     if not 0 < s <= 1.5:
         raise ValueError("regularity s must lie in (0, 3/2]")
-    if m_samples is None:
-        m_samples = default_m_samples()
-    m_arr = np.asarray(m_samples, dtype=float)
+    m_arr = default_m_samples()
     sups = pm_sup_profile(u, m_arr)
     return float(np.max(m_arr ** (s - 1.5) * sups))
 

@@ -93,11 +93,11 @@ def test_monitor_sees_every_record(grid3):
 
 def test_step_holds_ground_state(gs3_zero):
     # 100 steps at dt = 1e-3 leave the lambda = 0 soliton in place
-    u = gs3_zero.field_on_grid()
-    cfg = ev.IntegratorConfig(dt=1e-3)
+    u = gs3_zero.field_on_grid().values
+    stepper = ev._CNStepper(gs3_zero.grid, 3.0)
     for _ in range(100):
-        u = ev.step(u, cfg, 3.0)
-    dev = np.max(np.abs(np.abs(u.values) - gs3_zero.profile)) / gs3_zero.q0
+        u = stepper.step(u, 1e-3)[0]
+    dev = np.max(np.abs(np.abs(u) - gs3_zero.profile)) / gs3_zero.q0
     assert dev < 1e-4
 
 
@@ -110,7 +110,7 @@ def test_acceptance_bound_holds(grid3, grid2, n, lam, amp):
     # |u' - u_new| <= (dt/2) |(phi' - phi)(u + u_new)|, u' the next iterate
     grid = grid3 if n == 3 else grid2
     dt = 2e-3
-    st = ev._CNStepper(grid, 3.0, 1e-10, 50, shift=lam)
+    st = ev._CNStepper(grid, 3.0, shift=lam)
     u = small_gaussian(grid, amp=amp).values
     lin = u + 0.5j * dt * hg.apply_laplacian(u, grid, shift=lam)
     phi = np.abs(u) ** 2
@@ -156,11 +156,11 @@ def test_gaussian_two_solves_per_step(grid3, monkeypatch):
 def test_cached_off_diagonals_follow_dt(grid3):
     # one stepper through a halving, a shortened record-landing step and
     # back: each step must match a fresh stepper's, bit for bit
-    stepper = ev._CNStepper(grid3, 3.0, 1e-10, 50, shift=0.5)
+    stepper = ev._CNStepper(grid3, 3.0, shift=0.5)
     u = small_gaussian(grid3, amp=0.5).values
     phi_half = None
     for dt in (2e-3, 1e-3, 0.0045 - (2e-3 + 1e-3), 2e-3):
-        fresh = ev._CNStepper(grid3, 3.0, 1e-10, 50, shift=0.5)
+        fresh = ev._CNStepper(grid3, 3.0, shift=0.5)
         expected = fresh.step(u, dt, phi_half)
         got = stepper.step(u, dt, phi_half)
         assert np.array_equal(got[0], expected[0])
@@ -189,6 +189,26 @@ def test_strang_requires_h3(grid2):
     cfg = ev.IntegratorConfig(dt=1e-3, scheme="strang_splitting")
     with pytest.raises(ValueError):
         ev.evolve_run(datum, 0.1, cfg, 3.0, 0.0, None)
+
+
+def test_half_dt_self_convergence_h2():
+    # second order in (dr, dt) together on H^2: each finer solution is
+    # restricted to the coarser cells by averaging its pairs of cells
+    finals = []
+    for num, dt in ((1000, 4e-3), (2000, 2e-3), (4000, 1e-3)):
+        grid = hg.build_grid(2, 20.0, num)
+        cfg = ev.IntegratorConfig(dt=dt, diag_stride=1.0)
+        out = ev.evolve_run(small_gaussian(grid, amp=0.5), 1.0, cfg, 3.0, 0.0, None)
+        assert out.status == "completed"
+        finals.append((grid, out.final_state.values))
+    gaps = []
+    for (grid, coarse), (_, fine) in zip(finals, finals[1:]):
+        gap = np.abs(coarse - 0.5 * (fine[0::2] + fine[1::2])) ** 2
+        gaps.append(math.sqrt(
+            hg.quadrature(gap, grid) / hg.quadrature(np.abs(coarse) ** 2, grid)
+        ))
+    order = math.log2(gaps[0] / gaps[1])
+    assert order >= 1.9, (gaps, order)
 
 
 def test_half_dt_self_convergence(grid3):
@@ -261,14 +281,40 @@ def test_supercritical_amplitude_blows_up(gs3_zero):
     assert verdict.kind == "constant_positive"
 
 
-def test_uncertified_steps_halve_dt_to_the_floor(grid3):
+def test_uncertified_steps_halve_dt_to_the_floor(grid3, monkeypatch):
     # one solve that never certifies: every step fails and dt halves away
-    cfg = ev.IntegratorConfig(dt=2e-3, fixedpoint_maxiter=1, fixedpoint_tol=1e-30)
+    monkeypatch.setattr(ev, "FIXEDPOINT_MAXITER", 1)
+    monkeypatch.setattr(ev, "FIXEDPOINT_TOL", 1e-30)
+    cfg = ev.IntegratorConfig(dt=2e-3)
     out = ev.evolve_run(small_gaussian(grid3, amp=0.5), 1.0, cfg, 3.0, 0.0, None)
     assert out.status == "blowup"
     assert out.blowup_reason == "dt_floor"
     assert out.t_stop == 0.0
     assert len(out.series) == 1
+
+
+def test_strained_steps_halve_dt_to_the_floor(grid3, monkeypatch):
+    # every certified step counts as strained, so dt halves after each of
+    # the steps 2e-3, 1e-3, ..., 2e-3 / 2^9 and then drops below dt / 512
+    monkeypatch.setattr(ev, "STRAIN_ITERS", 0)
+    cfg = ev.IntegratorConfig(dt=2e-3)
+    out = ev.evolve_run(small_gaussian(grid3, amp=0.5), 1.0, cfg, 3.0, 0.0, None)
+    assert out.status == "blowup"
+    assert out.blowup_reason == "dt_floor"
+    assert abs(out.t_stop - 2e-3 * (2.0 - 2.0**-9)) < 1e-15
+    assert len(out.series) == 2
+    assert out.series[-1].t == out.t_stop
+    assert out.h1_at_stop == math.sqrt(fn.h1_norm_sq(out.final_state))
+
+
+def test_zero_datum_runs_to_the_horizon(grid3):
+    # the zero solution exists for all time, though its H^1 threshold is 0
+    zero = fn.RadialField(grid=grid3, values=np.zeros(grid3.num_points, dtype=complex))
+    out = ev.evolve_run(zero, 0.3, ev.IntegratorConfig(dt=2e-3), 3.0, 0.0, None)
+    assert out.status == "completed"
+    assert out.t_star is None
+    assert out.h1_at_stop == 0.0
+    assert len(out.series) == 4
 
 
 def test_non_finite_solve_stops_the_run(grid3, monkeypatch):
@@ -285,7 +331,7 @@ def test_non_finite_solve_stops_the_run(grid3, monkeypatch):
 
 def test_overflowing_solve_is_fatal(grid3):
     # |u|^2 overflows, so the solve is not finite and solve_banded raises
-    stepper = ev._CNStepper(grid3, 3.0, 1e-10, 50)
+    stepper = ev._CNStepper(grid3, 3.0)
     with np.errstate(all="ignore"), pytest.raises(ev.InnerSolveFailure) as info:
         stepper.step(small_gaussian(grid3, amp=1e200).values, 2e-3)
     assert info.value.fatal

@@ -274,6 +274,13 @@ def test_mass_curve_csv_report(tmp_path):
     assert not (tmp_path / "mass_curve_report.json").exists()
 
 
+@pytest.mark.parametrize("alpha", ["0", "-1"])
+def test_mass_curve_nonpositive_alpha_is_usage_error(tmp_path, capsys, alpha):
+    argv = ["mass-curve", "--p", "2", "--alpha", alpha, "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert "alpha must be positive" in stderr_payload(capsys)["error"]
+
+
 def test_spectral_check_rejects_h2(tmp_path, capsys):
     assert cli.main(["spectral-check", "--n", "2", "--out", str(tmp_path)]) == 2
     assert "n = 3" in stderr_payload(capsys)["error"]
@@ -315,6 +322,26 @@ def test_dichotomy_single_alpha(tmp_path):
     _, header, (csv_row,) = cli.read_csv(str(csv_dir / "dichotomy_report.csv"))
     assert header[header.index("t_star") + 1] == "blowup_reason"
     assert csv_row[header.index("blowup_reason")] == "h1_threshold"
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_dichotomy_zero_datum_completes(tmp_path):
+    # the zero solution exists for all time: no blow-up, and no NaN t_star
+    assert cli.main(["dichotomy", "--alpha", "0", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "dichotomy_report.json").read_text()
+    (row,) = json.loads(text, parse_constant=_reject_constant)["rows"]
+    assert row["status"] == "completed"
+    assert row["t_star"] is None
+    assert row["blowup_reason"] is None
+
+
+def test_dichotomy_horizon_zero_is_usage_error(tmp_path, capsys):
+    assert cli.main(["dichotomy", "--horizon", "0", "--out", str(tmp_path)]) == 2
+    assert stderr_payload(capsys)["error"] == "horizon must be positive"
+    assert not (tmp_path / "dichotomy_report.json").exists()
 
 
 def test_virial_check_quick(tmp_path):

@@ -110,6 +110,9 @@ def test_shooting_classifier_bracket(grid3):
 def test_mass_curve_guards(grid3, grid2):
     with pytest.raises(ValueError):
         gsm.mass_constrained_minimize(1.0, 3, 3.0, grid3)  # p >= 1 + 4/n
+    for alpha in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            gsm.mass_constrained_minimize(alpha, 3, 2.0, grid3)
     with pytest.raises(fn.ParameterMismatch):
         gsm.mass_constrained_minimize(1.0, 3, 2.0, grid2)
     with pytest.raises(fn.ParameterMismatch):
@@ -227,20 +230,19 @@ E_ALPHA_20 = -564.348026871694
 
 def _cold_flow_iterates(alpha, n, p, grid, count):
     """The first `count` accepted iterates of the flow from the Gaussian."""
-    fp = gsm.FlowParams()
     rho2 = hg.spectrum_bottom(n)
     q = np.exp(-grid.nodes**2)
     q *= alpha / math.sqrt(np.dot(q * q, grid.vol_weights))
     energy = gsm._flow_energy(q, grid, p, rho2)
-    tau = fp.tau
+    tau = gsm.FLOW_TAU
     iterates = []
     while len(iterates) < count:
         trial, energy_trial = gsm._flow_trial(q, tau, alpha, grid, p, rho2)
         if energy_trial > energy:
-            tau *= fp.backtrack
+            tau *= gsm.FLOW_BACKTRACK
             continue
         q, energy = trial, energy_trial
-        tau = min(tau * fp.grow, fp.tau_max)
+        tau = min(tau * gsm.FLOW_GROW, gsm.FLOW_TAU_MAX)
         iterates.append(q)
     return iterates
 
@@ -300,5 +302,5 @@ def test_mass_curve_hands_off_to_newton(cold_point_12, grid2, grid3):
     assert abs(warm.e_alpha - E_ALPHA_20) < 1e-10 * abs(E_ALPHA_20)
     # without the handoff this flow runs into its step cap
     pt = gsm.mass_constrained_minimize(ALPHA_12, 2, 2.5, grid2)
-    assert pt.iterations < gsm.FlowParams().max_steps
+    assert pt.iterations < gsm.FLOW_MAX_STEPS
     assert pt.el_residual < 1e-4
