@@ -1,4 +1,5 @@
-"""Layer timings of the evolution: one tridiagonal solve and one CN step.
+"""Layer timings of the evolution: one solve, one CN step, its H^1 check and
+one diagnostics record.
 
 Times, on the H^3 quick-tier grid (r_max = 20) with N = 2000 and 8000
 points, a Gaussian datum 0.5 e^{-r^2} and dt = 2e-3:
@@ -6,8 +7,12 @@ points, a Gaussian datum 0.5 e^{-r^2} and dt = 2e-3:
 - tridiag_solve_us: one Cayley solve as the Crank-Nicolson stepper makes
   it (`_CNStepper._cayley`: the matrix operands for the step's phi, then
   the tridiagonal solve), at a fixed dt;
-- cn_step_us: one full step (`_CNStepper.step`), whose solve count is
-  reported as solves_per_step.
+- cn_step_us: one full step (`_CNStepper.step`) as `evolve_run` drives
+  it, with the |u| and mass its H^1 check formed; its solve count is
+  reported as solves_per_step;
+- h1_monitor_us: the H^1 check `evolve_run` makes on every accepted state;
+- diagnostics_record_us: one diagnostics record
+  (`functionals.compute_diagnostics`), as `evolve_run` emits it.
 
 Each figure is the median, with quartiles, of 1000 single-call timings
 after 20 warm-up calls, on one BLAS thread. The results are merged into the JSON file
@@ -24,6 +29,7 @@ Needs only the standard library, numpy and the package's own dependencies.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -61,7 +67,7 @@ def _time_calls(call):
 
 
 def measure(num_points):
-    from hypnls import evolve, hypgeom
+    from hypnls import evolve, functionals, hypgeom
 
     grid = hypgeom.build_grid(3, 20.0, num_points)
     u = (0.5 * np.exp(-grid.nodes**2)).astype(complex)
@@ -72,13 +78,26 @@ def measure(num_points):
     lin = u + 0.5j * DT * hypgeom.apply_laplacian(u, grid)
     rhs = lin + 0.5j * DT * phi * u
 
+    h1_and_norms = getattr(evolve, "_h1_sq_and_norms", None)
+    if h1_and_norms is None:  # trees whose step forms |u| and the mass itself
+        h1_monitor = functools.partial(evolve._h1_sq_arrays, u, grid)
+        step_args = (u, DT, phi_half)
+    else:
+        h1_monitor = functools.partial(h1_and_norms, u, grid)
+        step_args = (u, DT, phi_half, h1_and_norms(u, grid)[1])
+    field = functionals.RadialField(grid=grid, values=u)
+
     solve = _time_calls(lambda: stepper._cayley(rhs, phi, DT))
-    solves = stepper.step(u, DT, phi_half)[2]
-    step = _time_calls(lambda: stepper.step(u, DT, phi_half))
+    solves = stepper.step(*step_args)[2]
+    step = _time_calls(lambda: stepper.step(*step_args))
+    h1 = _time_calls(h1_monitor)
+    record = _time_calls(lambda: functionals.compute_diagnostics(0.0, field, 3.0, 0.0))
     return {
         "tridiag_solve_us": _quartiles(solve),
         "cn_step_us": _quartiles(step),
         "solves_per_step": solves,
+        "h1_monitor_us": _quartiles(h1),
+        "diagnostics_record_us": _quartiles(record),
     }
 
 

@@ -19,17 +19,26 @@ Cayley systems for phi and phi' gives
 
 and A(phi') = 1 - i H with H self-adjoint has |A(phi')^{-1}| <= 1, so
 
-    |u' - u_new| <= (dt/2) |(phi' - phi) (u + u_new)|
+    |u' - u_new| <= (dt/2) |(phi' - phi) |u + u_new||
 
-in the volume-weighted L^2 norm. The bound costs one pointwise product, so
-the solve with phi' is made only when the bound fails.
+in the volume-weighted L^2 norm. phi' already needs |u + u_new|, so the
+bound costs real products only, and the solve with phi' is made only when
+the bound fails.
 
 Only the diagonal 1 - i dt/2 ((diag(L) + shift) + phi) of A(phi) changes
-from solve to solve. The stepper forms diag(L) + shift once and keeps the
-off-diagonals -i dt/2 L_{j,j+-1} for the last dt it was called with; a
-halving or a shortened record-landing step rebuilds them, and the next full
-step rebuilds them again. The operands and their rounding are those of
-hypgeom.shifted_bands, so the solutions are the same to the bit.
+from solve to solve. The stepper forms diag(L) + shift once, writes the
+diagonal's imaginary part into a work array whose real part stays 1.0, and
+keeps the off-diagonals -i dt/2 L_{j,j+-1} for the last dt it was called
+with; a halving or a shortened record-landing step rebuilds them, and the
+next full step rebuilds them again. The band product (L + shift) u and the
+right-hand side are formed in work arrays from the same stored bands. The
+operands and their rounding are those of hypgeom.shifted_bands and
+hypgeom.apply_laplacian, so the solutions are the same to the bit. The
+arrays a step returns are never work arrays.
+
+evolve_run forms |u| and the volume-weighted mass once per accepted state;
+its H^1 monitor, the next step's acceptance scale and its predictor
+|u|^{p-1} all share them.
 
 A Strang splitting path (n = 3 only) cross-validates the default: the
 substitution g = u sinh r turns the radial H^3 Laplacian into (g'' - g)/
@@ -51,7 +60,7 @@ from typing import Callable, List, Optional
 import numpy as np
 from scipy.fft import dst, idst
 
-from .hypgeom import apply_laplacian, dirichlet_energy, laplacian_bands, solve_banded
+from .hypgeom import dirichlet_energy, laplacian_bands, solve_banded
 from . import functionals as fn
 
 SCHEMES = ("crank_nicolson_relaxation", "strang_splitting")
@@ -109,52 +118,87 @@ class RunOutcome:
 # steppers
 # ---------------------------------------------------------------------------
 
+def _modulus_and_mass(values, vol):
+    """|u| and the vol-weighted mass int |u|^2 of one state."""
+    modulus = np.abs(values)
+    return modulus, float(np.dot(modulus**2, vol))
+
+
 class _CNStepper:
     def __init__(self, grid, p, shift=0.0):
         self.grid = grid
         self.p = p
-        # gauge shift: integrate i v_t = -(L + shift) v - |v|^{p-1} v
-        self.shift = shift
         self.vol = grid.vol_weights
         lower, diag, upper = laplacian_bands(grid)
         self._lower, self._upper = lower[1:], upper[:-1]
+        # gauge shift: integrate i v_t = -(L + shift) v - |v|^{p-1} v
         self._diag_shift = diag + shift
         self._dt = None  # dt of the cached off-diagonals
+        # work arrays, overwritten by every step
+        n = grid.num_points
+        self._diag = np.ones(n, dtype=complex)  # Cayley diagonal, real part 1.0
+        self._lin = np.empty(n, dtype=complex)  # u + i dt/2 (L + shift) u
+        self._rhs = np.empty(n, dtype=complex)
+        self._half = np.empty(n, dtype=complex)  # (u + u_new) / 2
+        self._mod = np.empty(n)                  # |u + u_new| / 2
+        self._scratch = np.empty(n)              # diag + shift + phi, then the bound
 
     def _cayley(self, rhs, phi, dt):
         # shifted_bands(grid, 1, -i dt/2, phi, shift), off-diagonals per dt
         b = -0.5j * dt
         if dt != self._dt:
             self._dt, self._dl, self._du = dt, b * self._lower, b * self._upper
-        return solve_banded(self._dl, 1.0 + b * (self._diag_shift + phi), self._du, rhs)
+        np.add(self._diag_shift, phi, out=self._scratch)
+        np.multiply(self._scratch, b.imag, out=self._diag.imag)
+        return solve_banded(self._dl, self._diag, self._du, rhs)
 
-    def _l2(self, v):
-        return math.sqrt(float(np.dot(np.abs(v) ** 2, self.vol)))
+    def _linear_part(self, u, dt):
+        # u + i dt/2 (L + shift) u, the band product of apply_laplacian;
+        # the right-hand side's array is free until the first solve
+        lin, tmp = self._lin, self._rhs
+        np.multiply(self._diag_shift, u, out=lin)
+        np.multiply(self._upper, u[1:], out=tmp[:-1])
+        lin[:-1] += tmp[:-1]
+        np.multiply(self._lower, u[:-1], out=tmp[1:])
+        lin[1:] += tmp[1:]
+        np.multiply(0.5j * dt, lin, out=lin)
+        return np.add(u, lin, out=lin)
 
-    def step(self, u, dt, phi_half_prev=None):
+    def step(self, u, dt, phi_half_prev=None, modulus_mass=None):
         """One CN step; returns (u_new, phi_half, cayley_solves).
 
-        phi_half is the field u_new was solved with. A solve is accepted
-        when (dt/2) |(phi' - phi)(u + u_new)| < FIXEDPOINT_TOL |u|, the
+        phi_half is the field u_new was solved with. modulus_mass is
+        (|u|, vol-weighted mass of u) as evolve_run shares them; it is
+        formed here when not given. A solve is accepted when
+        (dt/2) |(phi' - phi) |u + u_new|| < FIXEDPOINT_TOL |u|, the
         certified bound on the move the solve with phi' would make. A
         non-finite solve, or a non-finite bound, is a fatal failure.
         """
         pm1 = self.p - 1.0
-        mod = np.abs(u) ** pm1
-        phi = 2.0 * mod - phi_half_prev if phi_half_prev is not None else mod
-        lin = u + 0.5j * dt * apply_laplacian(u, self.grid, shift=self.shift)
-        scale = self._l2(u)
-        if scale == 0.0:
+        modulus, mass = modulus_mass or _modulus_and_mass(u, self.vol)
+        mod = modulus**pm1
+        if mass == 0.0:
             return u.copy(), mod, 0
+        phi = 2.0 * mod - phi_half_prev if phi_half_prev is not None else mod
+        lin = self._linear_part(u, dt)
+        bound = FIXEDPOINT_TOL * math.sqrt(mass)
+        rhs, half, half_mod, gap = self._rhs, self._half, self._mod, self._scratch
         for solves in range(1, FIXEDPOINT_MAXITER + 1):
+            np.multiply(0.5j * dt, phi, out=rhs)
+            np.multiply(rhs, u, out=rhs)
+            np.add(lin, rhs, out=rhs)
             try:
-                u_new = self._cayley(lin + 0.5j * dt * phi * u, phi, dt)
+                u_new = self._cayley(rhs, phi, dt)
             except ValueError as exc:  # non-finite solution; LinAlgError too
                 raise InnerSolveFailure(f"inner solve: {exc}", fatal=True) from exc
-            u_sum = u + u_new
-            phi_next = np.abs(0.5 * u_sum) ** pm1
-            move = 0.5 * dt * self._l2((phi_next - phi) * u_sum)
-            if move < FIXEDPOINT_TOL * scale:
+            np.add(u, u_new, out=half)
+            np.multiply(0.5, half, out=half)
+            phi_next = np.abs(half, out=half_mod) ** pm1
+            # (dt/2) |(phi' - phi) |u + u_new|| = dt |(phi' - phi) |u + u_new|/2|
+            np.subtract(phi_next, phi, out=gap)
+            np.multiply(gap, half_mod, out=gap)
+            move = dt * math.sqrt(float(np.dot(np.square(gap, out=gap), self.vol)))
+            if move < bound:
                 return u_new, phi, solves
             if not math.isfinite(move):
                 raise InnerSolveFailure("non-finite state in inner solve", fatal=True)
@@ -178,7 +222,7 @@ class _StrangStepper:
         eta = -4.0 / grid.dr**2 * np.sin(k * np.pi / (2.0 * grid.num_points)) ** 2
         self.symbol = eta - 1.0 + shift
 
-    def step(self, u, dt, phi_half_prev=None):
+    def step(self, u, dt, phi_half_prev=None, modulus_mass=None):
         g = u * self.sinh_r
         g = idst(dst(g, type=2) * np.exp(0.5j * dt * self.symbol), type=2)
         u = g / self.sinh_r
@@ -198,9 +242,10 @@ def _make_stepper(grid, p, cfg: IntegratorConfig, shift=0.0):
 # runs
 # ---------------------------------------------------------------------------
 
-def _h1_sq_arrays(values, grid):
-    m = float(np.dot(np.abs(values) ** 2, grid.vol_weights))
-    return dirichlet_energy(values, grid) + m
+def _h1_sq_and_norms(values, grid):
+    """Squared H^1 norm of one state, with its (|u|, mass) for the next step."""
+    norms = _modulus_and_mass(values, grid.vol_weights)
+    return dirichlet_energy(values, grid) + norms[1], norms
 
 
 def evolve_run(
@@ -251,7 +296,8 @@ def evolve_run(
     next_rec = interval
     phi_half = None
 
-    h1_0 = _h1_sq_arrays(u, grid)
+    # norms: |u| and the mass of the current state, for the next step
+    h1_0, norms = _h1_sq_and_norms(u, grid)
     threshold = cfg.blowup_h1_factor**2 * h1_0
     h1_prev = h1_0
 
@@ -274,14 +320,14 @@ def evolve_run(
         # shorten the step to land exactly on record times and the horizon
         step_dt = min(dt, T - t, next_rec - t)
         try:
-            u_new, phi_half, solves = stepper.step(u, step_dt, phi_half)
+            u_new, phi_half, solves = stepper.step(u, step_dt, phi_half, norms)
         except InnerSolveFailure as exc:
             if exc.fatal:
                 status, t_stop, h1_stop = "inner_solve_failure", t, h1_prev
                 break
             phi_half, halve = None, True
         else:
-            h1_new = _h1_sq_arrays(u_new, grid)
+            h1_new, norms = _h1_sq_and_norms(u_new, grid)
             t += step_dt
             u = u_new
             # strict, so that the zero solution (threshold 0) runs to T

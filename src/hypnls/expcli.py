@@ -424,12 +424,13 @@ def cmd_virial_check(cfg: ExperimentConfig) -> int:
     digest = cfg.digest()
 
     sweep_radii = (4.0, 8.0, 16.0)
-    localized = []  # the sweep radii's localized virials, one list per record
+    # (R = 4, R = 16) per record; R = 8 is the record's own loc_virial,
+    # the same localized virial of the same field
+    localized = []
 
     def monitor(t, field):
         localized.append(
-            [fn.localized_virial_rhs(field, radius, p=cfg.p)
-             for radius in sweep_radii]
+            tuple(fn.localized_virial_rhs(field, radius, p=cfg.p) for radius in (4.0, 16.0))
         )
 
     out = evolve_run(u0, cfg.horizon, icfg, cfg.p, cfg.lam, None, monitor=monitor)
@@ -445,9 +446,9 @@ def cmd_virial_check(cfg: ExperimentConfig) -> int:
         return _err(EXIT_SCIENCE, "virial check requires completed run")
 
     gaps = {radius: 0.0 for radius in sweep_radii}
-    for rec, values in zip(out.series, localized):
+    for rec, (lv4, lv16) in zip(out.series, localized):
         scale = max(abs(rec.G_value), 1e-12)
-        for radius, lv in zip(sweep_radii, values):
+        for radius, lv in zip(sweep_radii, (lv4, rec.loc_virial, lv16)):
             gaps[radius] = max(gaps[radius], abs(lv - rec.G_value) / scale)
 
     mismatch = virial_consistency(out)

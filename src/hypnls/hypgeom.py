@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, zgtsv
 
 SUPPORTED_DIMENSIONS = (2, 3)
 
@@ -245,6 +244,19 @@ def shifted_bands(grid: RadialGrid, a, b, extra_diag=0.0, shift: float = 0.0):
     return b * lower[1:], a + b * (diag + shift + extra_diag), b * upper[:-1]
 
 
+_GTSV = None  # (dgtsv, zgtsv), loaded by the first solve
+
+
+def _load_gtsv():
+    # scipy.linalg costs about a third of the package's import time, and
+    # subcommands that solve no banded system never need it
+    global _GTSV
+    from scipy.linalg.lapack import dgtsv, zgtsv
+
+    _GTSV = (dgtsv, zgtsv)
+    return _GTSV
+
+
 def solve_banded(dl, d, du, rhs):
     """Solve the tridiagonal system with sub-, main and super-diagonal
     (dl, d, du) for rhs by LAPACK gtsv (Gaussian elimination with partial
@@ -253,6 +265,7 @@ def solve_banded(dl, d, du, rhs):
     The inputs are left unchanged. Raises LinAlgError on an exactly zero
     pivot and ValueError when the solution is not finite.
     """
+    dgtsv, zgtsv = _GTSV or _load_gtsv()
     gtsv = zgtsv if np.result_type(dl, d, du, rhs).kind == "c" else dgtsv
     _, _, _, x, info = gtsv(dl, d, du, rhs)
     if info > 0:
@@ -279,7 +292,7 @@ def dirichlet_energy(values, grid: RadialGrid, edge_weight=None):
     area = grid.edge_density
     if edge_weight is not None:
         area = area * edge_weight
-    diffs = np.abs(np.diff(values)) ** 2
+    diffs = np.abs(values[1:] - values[:-1]) ** 2
     interior = np.dot(area[1:-1], diffs) / h
     boundary = 2.0 * area[-1] * abs(values[-1]) ** 2 / h
     return grid.sphere_area * (interior + boundary)

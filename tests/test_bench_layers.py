@@ -17,4 +17,9 @@ def test_bench_layers_measure(monkeypatch):
     bench.REPEATS = bench.WARMUP = 2
     layers = bench.measure(2000)
     assert layers["solves_per_step"] == 2
-    assert set(layers) == {"tridiag_solve_us", "cn_step_us", "solves_per_step"}
+    timed = {"tridiag_solve_us", "cn_step_us", "h1_monitor_us", "diagnostics_record_us"}
+    assert set(layers) == timed | {"solves_per_step"}
+    for key in timed:
+        q = layers[key]
+        assert set(q) == {"median", "q1", "q3"}
+        assert 0.0 < q["q1"] <= q["median"] <= q["q3"]

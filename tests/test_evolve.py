@@ -105,6 +105,10 @@ def test_step_holds_ground_state(gs3_zero):
 # certified acceptance of a Cayley solve
 # ---------------------------------------------------------------------------
 
+def vol_norm(v, grid):
+    return math.sqrt(float(np.dot(np.abs(v) ** 2, grid.vol_weights)))
+
+
 @pytest.mark.parametrize("n, lam, amp", [(3, 0.0, 0.5), (3, 0.5, 1.0), (2, 0.0, 1.0)])
 def test_acceptance_bound_holds(grid3, grid2, n, lam, amp):
     # |u' - u_new| <= (dt/2) |(phi' - phi)(u + u_new)|, u' the next iterate
@@ -117,10 +121,13 @@ def test_acceptance_bound_holds(grid3, grid2, n, lam, amp):
     u_new = st._cayley(lin + 0.5j * dt * phi * u, phi, dt)
     phi_next = np.abs(0.5 * (u + u_new)) ** 2
     u_next = st._cayley(lin + 0.5j * dt * phi_next * u, phi_next, dt)
-    moved = st._l2(u_next - u_new)
-    bound = 0.5 * dt * st._l2((phi_next - phi) * (u + u_new))
+    moved = vol_norm(u_next - u_new, grid)
+    bound = 0.5 * dt * vol_norm((phi_next - phi) * (u + u_new), grid)
     assert moved > 0.0
-    assert moved <= bound * (1.0 + 1e-9) + 1e-14 * st._l2(u)
+    assert moved <= bound * (1.0 + 1e-9) + 1e-14 * vol_norm(u, grid)
+    # the stepper's real form of the bound, from |u + u_new| / 2
+    real_bound = dt * vol_norm((phi_next - phi) * np.abs(0.5 * (u + u_new)), grid)
+    assert abs(real_bound - bound) <= 1e-12 * bound
 
 
 def count_solves(monkeypatch):
@@ -167,6 +174,70 @@ def test_cached_off_diagonals_follow_dt(grid3):
         assert np.array_equal(got[1], expected[1])
         assert got[2] == expected[2]
         u, phi_half = got[0], got[1]
+
+
+def plain_cn_step(grid, shift, u, dt, phi_half_prev):
+    # the step written out with the hypgeom owners: apply_laplacian for the
+    # band product, shifted_bands for the Cayley matrix, solve_banded, and
+    # the bound as a complex product
+    mod = np.abs(u) ** 2
+    phi = 2.0 * mod - phi_half_prev if phi_half_prev is not None else mod
+    lin = u + 0.5j * dt * hg.apply_laplacian(u, grid, shift=shift)
+    scale = vol_norm(u, grid)
+    for solves in range(1, ev.FIXEDPOINT_MAXITER + 1):
+        bands = hg.shifted_bands(grid, 1.0, -0.5j * dt, phi, shift)
+        u_new = hg.solve_banded(*bands, lin + 0.5j * dt * phi * u)
+        u_sum = u + u_new
+        phi_next = np.abs(0.5 * u_sum) ** 2
+        if 0.5 * dt * vol_norm((phi_next - phi) * u_sum, grid) < ev.FIXEDPOINT_TOL * scale:
+            return u_new, phi, solves
+        phi = phi_next
+    raise AssertionError("plain step not certified")
+
+
+@pytest.mark.parametrize("n, shift", [(3, 0.5), (2, 0.0)])
+def test_step_matches_plain_step(grid3, grid2, n, shift):
+    # 40 steps through a shortened record-landing step and a dt halving,
+    # with |u| and the mass shared the way evolve_run shares them
+    grid = grid3 if n == 3 else grid2
+    stepper = ev._CNStepper(grid, 3.0, shift=shift)
+    u = small_gaussian(grid, amp=1.0).values
+    phi_half = None
+    previous = None
+    for dt in [2e-3] * 15 + [7e-4] + [1e-3] * 24:
+        expected = plain_cn_step(grid, shift, u, dt, phi_half)
+        got = stepper.step(u, dt, phi_half, ev._modulus_and_mass(u, grid.vol_weights))
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+        assert got[2] == expected[2]
+        if previous is not None:
+            # the arrays a step returns are not reused by the next step
+            for kept, copy in previous:
+                assert np.array_equal(kept, copy)
+        previous = [(arr, arr.copy()) for arr in got[:2]]
+        u, phi_half = got[0], got[1]
+
+
+@pytest.mark.parametrize("n, lam", [(3, 0.5), (2, 0.0)])
+def test_shared_modulus_and_mass_change_no_record(grid3, grid2, n, lam, monkeypatch):
+    # dt = 3e-3 does not divide the record interval, so every record is
+    # landed on by a shortened step
+    grid = grid3 if n == 3 else grid2
+    cfg = ev.IntegratorConfig(dt=3e-3)
+    datum = small_gaussian(grid, amp=0.5)
+    shared = ev.evolve_run(datum, 0.3, cfg, 3.0, lam, None)
+
+    step = ev._CNStepper.step
+
+    def recomputing(self, u, dt, phi_half_prev=None, modulus_mass=None):
+        fresh = (np.abs(u), float(np.dot(np.abs(u) ** 2, grid.vol_weights)))
+        return step(self, u, dt, phi_half_prev, fresh)
+
+    monkeypatch.setattr(ev._CNStepper, "step", recomputing)
+    fresh = ev.evolve_run(datum, 0.3, cfg, 3.0, lam, None)
+    rows = [np.array([rec.row() for rec in out.series]) for out in (shared, fresh)]
+    assert np.array_equal(*rows, equal_nan=True)
+    assert np.array_equal(shared.final_state.values, fresh.final_state.values)
 
 
 # ---------------------------------------------------------------------------

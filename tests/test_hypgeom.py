@@ -6,6 +6,10 @@ frozen here with tolerances matched to the discretization order.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +218,25 @@ def test_solve_banded_failures():
     bad_rhs[10] = np.nan
     with pytest.raises(ValueError):
         hg.solve_banded(dl, d, du, bad_rhs)
+
+
+def test_lapack_loads_on_first_solve():
+    # importing the command line leaves scipy.linalg unloaded; the first
+    # banded solve loads it
+    src = str(Path(hg.__file__).resolve().parent.parent)
+    code = (
+        "import sys; import numpy as np; import hypnls.expcli; "
+        "import hypnls.hypgeom as hg; "
+        "print('scipy.linalg' in sys.modules); "
+        "hg.solve_banded(np.ones(1), np.full(2, 3.0), np.ones(1), np.ones(2)); "
+        "print('scipy.linalg' in sys.modules)"
+    )
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.split() == ["False", "True"]
 
 
 def test_dirichlet_energy_gaussian_refinement():
