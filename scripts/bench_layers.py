@@ -72,19 +72,22 @@ def measure(num_points):
     grid = hypgeom.build_grid(3, 20.0, num_points)
     u = (0.5 * np.exp(-grid.nodes**2)).astype(complex)
     stepper = evolve._make_stepper(grid, 3.0, evolve.IntegratorConfig(dt=DT))
+    h1_and_norms = getattr(evolve, "_h1_sq_and_norms", None)
+    if h1_and_norms is None:  # trees whose step forms |u| and the mass itself
+        def args_for(u, phi_half):
+            return (u, DT, phi_half)
+        h1_check = evolve._h1_sq_arrays
+    else:
+        def args_for(u, phi_half):
+            return (u, DT, phi_half, h1_and_norms(u, grid)[1])
+        h1_check = h1_and_norms
     # steady state: the step after one step, with its relaxation predictor
-    u, phi_half, _ = stepper.step(u, DT)
+    u, phi_half, _ = stepper.step(*args_for(u, None))
     phi = 2.0 * np.abs(u) ** 2 - phi_half
     lin = u + 0.5j * DT * hypgeom.apply_laplacian(u, grid)
     rhs = lin + 0.5j * DT * phi * u
-
-    h1_and_norms = getattr(evolve, "_h1_sq_and_norms", None)
-    if h1_and_norms is None:  # trees whose step forms |u| and the mass itself
-        h1_monitor = functools.partial(evolve._h1_sq_arrays, u, grid)
-        step_args = (u, DT, phi_half)
-    else:
-        h1_monitor = functools.partial(h1_and_norms, u, grid)
-        step_args = (u, DT, phi_half, h1_and_norms(u, grid)[1])
+    step_args = args_for(u, phi_half)
+    h1_monitor = functools.partial(h1_check, u, grid)
     field = functionals.RadialField(grid=grid, values=u)
 
     solve = _time_calls(lambda: stepper._cayley(rhs, phi, DT))

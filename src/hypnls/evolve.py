@@ -26,15 +26,11 @@ bound costs real products only, and the solve with phi' is made only when
 the bound fails.
 
 Only the diagonal 1 - i dt/2 ((diag(L) + shift) + phi) of A(phi) changes
-from solve to solve. The stepper forms diag(L) + shift once, writes the
-diagonal's imaginary part into a work array whose real part stays 1.0, and
-keeps the off-diagonals -i dt/2 L_{j,j+-1} for the last dt it was called
-with; a halving or a shortened record-landing step rebuilds them, and the
-next full step rebuilds them again. The band product (L + shift) u and the
-right-hand side are formed in work arrays from the same stored bands. The
-operands and their rounding are those of hypgeom.shifted_bands and
-hypgeom.apply_laplacian, so the solutions are the same to the bit. The
-arrays a step returns are never work arrays.
+from solve to solve. The stepper forms diag(L) + shift once and keeps the
+off-diagonals -i dt/2 L_{j,j+-1} for the last dt it was called with; a
+halving or a shortened record-landing step rebuilds them, and the next full
+step rebuilds them again. The operands and their rounding are those of
+hypgeom.shifted_bands, so the solutions are the same to the bit.
 
 evolve_run forms |u| and the volume-weighted mass once per accepted state;
 its H^1 monitor, the next step's acceptance scale and its predictor
@@ -60,7 +56,7 @@ from typing import Callable, List, Optional
 import numpy as np
 from scipy.fft import dst, idst
 
-from .hypgeom import dirichlet_energy, laplacian_bands, solve_banded
+from .hypgeom import apply_laplacian, dirichlet_energy, laplacian_bands, solve_banded
 from . import functionals as fn
 
 SCHEMES = ("crank_nicolson_relaxation", "strang_splitting")
@@ -128,76 +124,48 @@ class _CNStepper:
     def __init__(self, grid, p, shift=0.0):
         self.grid = grid
         self.p = p
+        # gauge shift: integrate i v_t = -(L + shift) v - |v|^{p-1} v
+        self.shift = shift
         self.vol = grid.vol_weights
         lower, diag, upper = laplacian_bands(grid)
         self._lower, self._upper = lower[1:], upper[:-1]
-        # gauge shift: integrate i v_t = -(L + shift) v - |v|^{p-1} v
         self._diag_shift = diag + shift
         self._dt = None  # dt of the cached off-diagonals
-        # work arrays, overwritten by every step
-        n = grid.num_points
-        self._diag = np.ones(n, dtype=complex)  # Cayley diagonal, real part 1.0
-        self._lin = np.empty(n, dtype=complex)  # u + i dt/2 (L + shift) u
-        self._rhs = np.empty(n, dtype=complex)
-        self._half = np.empty(n, dtype=complex)  # (u + u_new) / 2
-        self._mod = np.empty(n)                  # |u + u_new| / 2
-        self._scratch = np.empty(n)              # diag + shift + phi, then the bound
 
     def _cayley(self, rhs, phi, dt):
         # shifted_bands(grid, 1, -i dt/2, phi, shift), off-diagonals per dt
         b = -0.5j * dt
         if dt != self._dt:
             self._dt, self._dl, self._du = dt, b * self._lower, b * self._upper
-        np.add(self._diag_shift, phi, out=self._scratch)
-        np.multiply(self._scratch, b.imag, out=self._diag.imag)
-        return solve_banded(self._dl, self._diag, self._du, rhs)
+        return solve_banded(self._dl, 1.0 + b * (self._diag_shift + phi), self._du, rhs)
 
-    def _linear_part(self, u, dt):
-        # u + i dt/2 (L + shift) u, the band product of apply_laplacian;
-        # the right-hand side's array is free until the first solve
-        lin, tmp = self._lin, self._rhs
-        np.multiply(self._diag_shift, u, out=lin)
-        np.multiply(self._upper, u[1:], out=tmp[:-1])
-        lin[:-1] += tmp[:-1]
-        np.multiply(self._lower, u[:-1], out=tmp[1:])
-        lin[1:] += tmp[1:]
-        np.multiply(0.5j * dt, lin, out=lin)
-        return np.add(u, lin, out=lin)
-
-    def step(self, u, dt, phi_half_prev=None, modulus_mass=None):
+    def step(self, u, dt, phi_half_prev, modulus_mass):
         """One CN step; returns (u_new, phi_half, cayley_solves).
 
-        phi_half is the field u_new was solved with. modulus_mass is
-        (|u|, vol-weighted mass of u) as evolve_run shares them; it is
-        formed here when not given. A solve is accepted when
+        modulus_mass is (|u|, vol-weighted mass of u), as evolve_run forms
+        them once per accepted state. phi_half is the field u_new was
+        solved with. A solve is accepted when
         (dt/2) |(phi' - phi) |u + u_new|| < FIXEDPOINT_TOL |u|, the
         certified bound on the move the solve with phi' would make. A
         non-finite solve, or a non-finite bound, is a fatal failure.
         """
         pm1 = self.p - 1.0
-        modulus, mass = modulus_mass or _modulus_and_mass(u, self.vol)
+        modulus, mass = modulus_mass
         mod = modulus**pm1
         if mass == 0.0:
             return u.copy(), mod, 0
         phi = 2.0 * mod - phi_half_prev if phi_half_prev is not None else mod
-        lin = self._linear_part(u, dt)
+        lin = u + 0.5j * dt * apply_laplacian(u, self.grid, shift=self.shift)
         bound = FIXEDPOINT_TOL * math.sqrt(mass)
-        rhs, half, half_mod, gap = self._rhs, self._half, self._mod, self._scratch
         for solves in range(1, FIXEDPOINT_MAXITER + 1):
-            np.multiply(0.5j * dt, phi, out=rhs)
-            np.multiply(rhs, u, out=rhs)
-            np.add(lin, rhs, out=rhs)
             try:
-                u_new = self._cayley(rhs, phi, dt)
+                u_new = self._cayley(lin + 0.5j * dt * phi * u, phi, dt)
             except ValueError as exc:  # non-finite solution; LinAlgError too
                 raise InnerSolveFailure(f"inner solve: {exc}", fatal=True) from exc
-            np.add(u, u_new, out=half)
-            np.multiply(0.5, half, out=half)
-            phi_next = np.abs(half, out=half_mod) ** pm1
+            half_mod = np.abs(0.5 * (u + u_new))
+            phi_next = half_mod**pm1
             # (dt/2) |(phi' - phi) |u + u_new|| = dt |(phi' - phi) |u + u_new|/2|
-            np.subtract(phi_next, phi, out=gap)
-            np.multiply(gap, half_mod, out=gap)
-            move = dt * math.sqrt(float(np.dot(np.square(gap, out=gap), self.vol)))
+            move = dt * math.sqrt(float(np.dot(((phi_next - phi) * half_mod) ** 2, self.vol)))
             if move < bound:
                 return u_new, phi, solves
             if not math.isfinite(move):
@@ -222,7 +190,7 @@ class _StrangStepper:
         eta = -4.0 / grid.dr**2 * np.sin(k * np.pi / (2.0 * grid.num_points)) ** 2
         self.symbol = eta - 1.0 + shift
 
-    def step(self, u, dt, phi_half_prev=None, modulus_mass=None):
+    def step(self, u, dt, phi_half_prev, modulus_mass):
         g = u * self.sinh_r
         g = idst(dst(g, type=2) * np.exp(0.5j * dt * self.symbol), type=2)
         u = g / self.sinh_r

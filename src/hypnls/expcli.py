@@ -424,14 +424,16 @@ def cmd_virial_check(cfg: ExperimentConfig) -> int:
     digest = cfg.digest()
 
     sweep_radii = (4.0, 8.0, 16.0)
-    # (R = 4, R = 16) per record; R = 8 is the record's own loc_virial,
-    # the same localized virial of the same field
-    localized = []
+    # each record's loc_virial is the localized virial at R = 8 of the same
+    # field, so the monitor forms the other radii only
+    record_radius = 8.0
+    localized = []  # per record, {radius: localized virial}
 
     def monitor(t, field):
-        localized.append(
-            tuple(fn.localized_virial_rhs(field, radius, p=cfg.p) for radius in (4.0, 16.0))
-        )
+        localized.append({
+            radius: fn.localized_virial_rhs(field, radius, p=cfg.p)
+            for radius in sweep_radii if radius != record_radius
+        })
 
     out = evolve_run(u0, cfg.horizon, icfg, cfg.p, cfg.lam, None, monitor=monitor)
     write_csv(
@@ -446,10 +448,11 @@ def cmd_virial_check(cfg: ExperimentConfig) -> int:
         return _err(EXIT_SCIENCE, "virial check requires completed run")
 
     gaps = {radius: 0.0 for radius in sweep_radii}
-    for rec, (lv4, lv16) in zip(out.series, localized):
+    for rec, values in zip(out.series, localized):
+        values[record_radius] = rec.loc_virial
         scale = max(abs(rec.G_value), 1e-12)
-        for radius, lv in zip(sweep_radii, (lv4, rec.loc_virial, lv16)):
-            gaps[radius] = max(gaps[radius], abs(lv - rec.G_value) / scale)
+        for radius in sweep_radii:
+            gaps[radius] = max(gaps[radius], abs(values[radius] - rec.G_value) / scale)
 
     mismatch = virial_consistency(out)
     sweep_rows = [(radius, gaps[radius]) for radius in sweep_radii]

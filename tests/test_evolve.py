@@ -96,7 +96,7 @@ def test_step_holds_ground_state(gs3_zero):
     u = gs3_zero.field_on_grid().values
     stepper = ev._CNStepper(gs3_zero.grid, 3.0)
     for _ in range(100):
-        u = stepper.step(u, 1e-3)[0]
+        u = stepper.step(u, 1e-3, None, ev._modulus_and_mass(u, stepper.vol))[0]
     dev = np.max(np.abs(np.abs(u) - gs3_zero.profile)) / gs3_zero.q0
     assert dev < 1e-4
 
@@ -168,8 +168,9 @@ def test_cached_off_diagonals_follow_dt(grid3):
     phi_half = None
     for dt in (2e-3, 1e-3, 0.0045 - (2e-3 + 1e-3), 2e-3):
         fresh = ev._CNStepper(grid3, 3.0, shift=0.5)
-        expected = fresh.step(u, dt, phi_half)
-        got = stepper.step(u, dt, phi_half)
+        norms = ev._modulus_and_mass(u, grid3.vol_weights)
+        expected = fresh.step(u, dt, phi_half, norms)
+        got = stepper.step(u, dt, phi_half, norms)
         assert np.array_equal(got[0], expected[0])
         assert np.array_equal(got[1], expected[1])
         assert got[2] == expected[2]
@@ -229,7 +230,7 @@ def test_shared_modulus_and_mass_change_no_record(grid3, grid2, n, lam, monkeypa
 
     step = ev._CNStepper.step
 
-    def recomputing(self, u, dt, phi_half_prev=None, modulus_mass=None):
+    def recomputing(self, u, dt, phi_half_prev, modulus_mass):
         fresh = (np.abs(u), float(np.dot(np.abs(u) ** 2, grid.vol_weights)))
         return step(self, u, dt, phi_half_prev, fresh)
 
@@ -404,7 +405,8 @@ def test_overflowing_solve_is_fatal(grid3):
     # |u|^2 overflows, so the solve is not finite and solve_banded raises
     stepper = ev._CNStepper(grid3, 3.0)
     with np.errstate(all="ignore"), pytest.raises(ev.InnerSolveFailure) as info:
-        stepper.step(small_gaussian(grid3, amp=1e200).values, 2e-3)
+        u = small_gaussian(grid3, amp=1e200).values
+        stepper.step(u, 2e-3, None, ev._modulus_and_mass(u, grid3.vol_weights))
     assert info.value.fatal
 
 
