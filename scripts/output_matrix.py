@@ -1,0 +1,87 @@
+"""Run a fixed matrix of `hypnls` invocations and keep everything they emit.
+
+    python scripts/output_matrix.py OUTDIR [--src SRC]
+
+Each entry of MATRIX runs as `python -m hypnls.expcli ARGV --out
+OUTDIR/NAME` in a fresh process that imports the package from SRC
+(default: this tree's src). The entry's directory then holds the files
+the subcommand wrote, plus its stdout.txt, stderr.txt and exit_code.txt.
+The outputs are deterministic for a fixed source tree, so
+
+    python scripts/output_matrix.py /tmp/before --src PARENT/src
+    python scripts/output_matrix.py /tmp/after
+    diff -r /tmp/before /tmp/after
+
+is a byte-identity check of two trees: digests, reports, diagnostics,
+stdout, stderr and exit codes. The matrix takes about 20 s on a 2-vCPU
+machine. Needs only the standard library and the package's dependencies.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, argv without --out); the groundstate cases are acceptance
+# criterion 1's, at the resolutions the benchmark's stationary workload uses
+MATRIX = (
+    ("gs_n3_lam0", ("groundstate", "--n", "3", "--lambda", "0.0",
+                    "--rmax", "20.0", "--points", "4000")),
+    ("gs_n3_lam0.5", ("groundstate", "--n", "3", "--lambda", "0.5",
+                      "--rmax", "20.0", "--points", "4000")),
+    ("gs_n3_lam0.9", ("groundstate", "--n", "3", "--lambda", "0.9",
+                      "--rmax", "40.0", "--points", "8000")),
+    ("gs_n2_lam0", ("groundstate", "--n", "2", "--lambda", "0.0",
+                    "--rmax", "20.0", "--points", "4000")),
+    ("gs_n2_lam0.2", ("groundstate", "--n", "2", "--lambda", "0.2",
+                      "--rmax", "40.0", "--points", "8000")),
+    ("gs_csv", ("groundstate", "--lambda", "0.5", "--format", "csv")),
+    ("dichotomy_n3", ("dichotomy", "--n", "3")),
+    ("dichotomy_n2_csv", ("dichotomy", "--n", "2", "--format", "csv")),
+    ("dichotomy_lam0.3", ("dichotomy", "--n", "3", "--lambda", "0.3")),
+    ("virial_n3", ("virial-check", "--n", "3", "--horizon", "2.0")),
+    ("virial_n2", ("virial-check", "--n", "2", "--horizon", "2.0")),
+    ("virial_lam0.4", ("virial-check", "--lambda", "0.4")),
+    ("mass_curve_p2", ("mass-curve", "--p", "2")),
+    ("inequalities", ("inequalities",)),
+    ("spectral", ("spectral-check",)),
+)
+
+
+def run_entry(outdir: Path, name: str, argv, src: str) -> int:
+    target = outdir / name
+    target.mkdir(parents=True, exist_ok=False)
+    env = {k: v for k, v in os.environ.items() if k != "HYPNLS_OUT"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypnls.expcli", *argv, "--out", str(target)],
+        env=env, capture_output=True, text=True,
+    )
+    (target / "stdout.txt").write_text(proc.stdout)
+    (target / "stderr.txt").write_text(proc.stderr)
+    (target / "exit_code.txt").write_text(f"{proc.returncode}\n")
+    return proc.returncode
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", help="directory for the results (must not exist)")
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="source tree to import hypnls from (default: ./src)")
+    args = parser.parse_args(argv)
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=False)
+    src = os.path.abspath(args.src)
+    for name, entry in MATRIX:
+        code = run_entry(outdir, name, entry, src)
+        print(f"{name}: exit {code}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

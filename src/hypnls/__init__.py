@@ -4,6 +4,10 @@ Radial geometry and quadrature (hypgeom), conserved functionals and virial
 identities (functionals), ground-state solver and constrained minimization
 (groundstate), time integration with blow-up detection (evolve), H^3 radial
 Fourier analysis (spectral), and the experiment CLI (expcli).
+
+The functionals of a field (mass, energies, norms, delta_lambda, G, second
+moment) are read from the functionals.DiagnosticsRecord that
+compute_diagnostics returns; no standalone function forms any one of them.
 """
 
 from .hypgeom import (
@@ -17,14 +21,6 @@ from .hypgeom import (
 from .functionals import (
     RadialField,
     ParameterMismatch,
-    mass,
-    energy,
-    energy_lambda,
-    delta_lambda,
-    hlam_norm_sq,
-    h_norm_sq,
-    h1_norm_sq,
-    G_functional,
     localized_virial_rhs,
     compute_diagnostics,
     trapping_sign_check,
@@ -73,14 +69,6 @@ __all__ = [
     "spectrum_bottom",
     "RadialField",
     "ParameterMismatch",
-    "mass",
-    "energy",
-    "energy_lambda",
-    "delta_lambda",
-    "hlam_norm_sq",
-    "h_norm_sq",
-    "h1_norm_sq",
-    "G_functional",
     "localized_virial_rhs",
     "compute_diagnostics",
     "trapping_sign_check",

@@ -101,8 +101,8 @@ PARAMS = (
 
 
 class ExperimentConfig(SimpleNamespace):
-    """A resolved configuration: `command`, `inject_sign_flip` and one
-    attribute per row of PARAMS."""
+    """A resolved configuration: `command` and one attribute per row of
+    PARAMS."""
 
     def digest(self) -> str:
         # str of a float is its repr, the shortest round trip
@@ -113,8 +113,6 @@ class ExperimentConfig(SimpleNamespace):
                 items[param.digest] = (
                     ",".join(map(str, value or [])) if param.many else str(value)
                 )
-        if self.inject_sign_flip:
-            items["inject_sign_flip"] = "1"
         text = "\n".join(f"{k}={items[k]}" for k in sorted(items))
         return hashlib.sha256(text.encode()).hexdigest()
 
@@ -169,11 +167,7 @@ def resolve_config(args) -> ExperimentConfig:
         values[param.attr] = value
         if param.attr == "tier":
             defaults = {**TIERS[value], **defaults}
-    return ExperimentConfig(
-        command=args.command,
-        inject_sign_flip=bool(getattr(args, "inject_sign_flip", False)),
-        **values,
-    )
+    return ExperimentConfig(command=args.command, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -351,22 +345,22 @@ def cmd_dichotomy(cfg: ExperimentConfig) -> int:
     for alpha in alphas:
         u0 = gs.field_on_grid()
         u0.values = alpha * u0.values
-        delta0 = fn.delta_lambda(u0, gs)
-        elam_ratio = fn.energy_lambda(u0, cfg.lam, cfg.p) / gs.elam
+        # alpha * Q is real, so the backward-time run is the conjugate of
+        # this one and classifies the datum the same way
+        out = evolve_run(u0, cfg.horizon, icfg, cfg.p, cfg.lam, gs)
+        # the t = 0 record holds the functionals of the datum itself
+        delta0 = out.series[0].delta_lambda
+        elam_ratio = out.series[0].energy_lambda / gs.elam
         row = {
             "alpha": alpha,
             "delta_sign": "+" if delta0 > 0 else ("-" if delta0 < 0 else "0"),
             "elam_ratio": elam_ratio,
             "trapped": bool(elam_ratio <= 1.0 + 1e-12),
-            "status": "",
+            "status": out.status,
             "t_star": None,
             "blowup_reason": None,
             "proxy": "",
         }
-        # alpha * Q is real, so the backward-time run is the conjugate of
-        # this one and classifies the datum the same way
-        out = evolve_run(u0, cfg.horizon, icfg, cfg.p, cfg.lam, gs)
-        row["status"] = out.status
         if out.status == "blowup":
             row["t_star"] = out.t_star
             row["blowup_reason"] = out.blowup_reason
@@ -423,16 +417,15 @@ def cmd_virial_check(cfg: ExperimentConfig) -> int:
     icfg = IntegratorConfig(dt=cfg.dt, diag_stride=100.0)
     digest = cfg.digest()
 
-    sweep_radii = (4.0, 8.0, 16.0)
-    # each record's loc_virial is the localized virial at R = 8 of the same
-    # field, so the monitor forms the other radii only
-    record_radius = 8.0
+    sweep_radii = (4.0, fn.LOC_VIRIAL_RADIUS, 16.0)
+    # each record's loc_virial is the localized virial at LOC_VIRIAL_RADIUS
+    # of the same field, so the monitor forms the other radii only
     localized = []  # per record, {radius: localized virial}
 
     def monitor(t, field):
         localized.append({
             radius: fn.localized_virial_rhs(field, radius, p=cfg.p)
-            for radius in sweep_radii if radius != record_radius
+            for radius in sweep_radii if radius != fn.LOC_VIRIAL_RADIUS
         })
 
     out = evolve_run(u0, cfg.horizon, icfg, cfg.p, cfg.lam, None, monitor=monitor)
@@ -449,7 +442,7 @@ def cmd_virial_check(cfg: ExperimentConfig) -> int:
 
     gaps = {radius: 0.0 for radius in sweep_radii}
     for rec, values in zip(out.series, localized):
-        values[record_radius] = rec.loc_virial
+        values[fn.LOC_VIRIAL_RADIUS] = rec.loc_virial
         scale = max(abs(rec.G_value), 1e-12)
         for radius in sweep_radii:
             gaps[radius] = max(gaps[radius], abs(values[radius] - rec.G_value) / scale)
@@ -483,14 +476,7 @@ def cmd_virial_check(cfg: ExperimentConfig) -> int:
 
 def cmd_inequalities(cfg: ExperimentConfig) -> int:
     r_grid = np.linspace(20.0 / 100000, 20.0, 100000)
-    values = fn.quartic_values(cfg.n, r_grid)
-    if cfg.inject_sign_flip:
-        # test hook: flip the sign of F at its maximum and rescan
-        values = values.copy()
-        k = int(np.argmax(values))
-        values[k] = -values[k]
-    k = int(np.argmin(values))
-    quartic_min, quartic_argmin = float(values[k]), float(r_grid[k])
+    quartic_min, quartic_argmin = fn.quartic_inequality_scan(cfg.n, r_grid)
 
     p_crit = 1.0 + 4.0 / cfg.n
     pm_min_crit = fn.pm_coefficient_positivity(cfg.n, p_crit)
@@ -718,10 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("groundstate", parents=[common], help="solve and certify Q")
     sub.add_parser("dichotomy", parents=[common], help="alpha-sweep of alpha*Q data")
     sub.add_parser("virial-check", parents=[common], help="second-moment vs G")
-    ineq = sub.add_parser("inequalities", parents=[common], help="weight scans")
-    ineq.add_argument(
-        "--inject-sign-flip", action="store_true", help=argparse.SUPPRESS
-    )
+    sub.add_parser("inequalities", parents=[common], help="weight scans")
     sub.add_parser("mass-curve", parents=[common], help="constrained minimization")
     sub.add_parser("spectral-check", parents=[common], help="transform checks")
     plot = sub.add_parser("plotdata", help="reshape an output file for plotting")

@@ -1,11 +1,13 @@
 """Scalar functionals of radial waves on H^n.
 
-Mass, energy, the spectrally shifted energy E_lambda and norm H_lambda, the
-distance-to-ground-state gap delta_lambda, the virial functional G, its
-localized variant with weight h_R = R^2 phi(r/R), the auxiliary functional of
-the blow-up argument, sign/trapping detectors, and standalone positivity
-scans for the two closed-form radial inequalities the virial analysis rests
-on.
+compute_diagnostics forms every functional of one field in one record:
+mass, energy, the spectrally shifted energy E_lambda and norm H_lambda, the
+H and H^1 norms, the distance-to-ground-state gap delta_lambda, the virial
+functional G, the second moment and the localized virial at
+LOC_VIRIAL_RADIUS. The module also holds the localized virial with weight
+h_R = R^2 phi(r/R) at any R, sign/trapping detectors read off a series of
+records, and standalone positivity scans for the two closed-form radial
+inequalities the virial analysis rests on.
 
 Conventions. For u radial on H^n:
 
@@ -66,99 +68,6 @@ class RadialField:
         if amax == 0.0:
             return 0.0
         return float(np.abs(self.values[-1])) / amax
-
-
-def _check_same_grid(u: RadialField, grid: RadialGrid):
-    if not u.grid.same_as(grid):
-        raise ParameterMismatch("field grid does not match")
-
-
-# ---------------------------------------------------------------------------
-# basic functionals
-# ---------------------------------------------------------------------------
-
-def mass(u: RadialField) -> float:
-    return float(quadrature(np.abs(u.values) ** 2, u.grid))
-
-
-def lp1_functional(u: RadialField, p: float) -> float:
-    """int |u|^{p+1} dmu."""
-    return float(quadrature(np.abs(u.values) ** (p + 1.0), u.grid))
-
-
-def gradient_sq(u: RadialField) -> float:
-    """int |grad u|^2 dmu (divergence-form discrete Dirichlet energy)."""
-    return float(dirichlet_energy(u.values, u.grid))
-
-
-def energy(u: RadialField, p: float) -> float:
-    return 0.5 * gradient_sq(u) - lp1_functional(u, p) / (p + 1.0)
-
-
-def hlam_norm_sq(u: RadialField, lam: float) -> float:
-    """Squared H_lambda norm, |grad u|^2 - lambda |u|^2 integrals."""
-    n = u.grid.n
-    if lam > spectrum_bottom(n):
-        raise ValueError(
-            f"lambda={lam} at or above the spectral bottom {spectrum_bottom(n)}; "
-            "H_lambda is not a norm there"
-        )
-    return gradient_sq(u) - lam * mass(u)
-
-
-def h_norm_sq(u: RadialField) -> float:
-    """Squared H norm: the shift sits exactly at the spectral bottom."""
-    return gradient_sq(u) - spectrum_bottom(u.grid.n) * mass(u)
-
-
-def h1_norm_sq(u: RadialField) -> float:
-    """Plain Sobolev H^1 norm squared (gradient + mass)."""
-    return gradient_sq(u) + mass(u)
-
-
-def energy_lambda(u: RadialField, lam: float, p: float) -> float:
-    n = u.grid.n
-    if lam >= spectrum_bottom(n):
-        raise ValueError(
-            f"lambda={lam} at or above the spectral bottom {spectrum_bottom(n)}"
-        )
-    return 0.5 * hlam_norm_sq(u, lam) - lp1_functional(u, p) / (p + 1.0)
-
-
-def delta_lambda(u: RadialField, gs) -> float:
-    """Squared-norm gap |u|^2_{H_lambda} - |Q|^2_{H_lambda}."""
-    _check_same_grid(u, gs.grid)
-    return hlam_norm_sq(u, gs.lam) - gs.hlam_sq
-
-
-# ---------------------------------------------------------------------------
-# virial functionals
-# ---------------------------------------------------------------------------
-
-def G_functional(u: RadialField, p: float) -> float:
-    """Virial functional; the shift inside is always the spectral bottom
-    (the sign analysis is anchored at the spectral-bottom norm regardless
-    of the equation's lambda)."""
-    usq = np.abs(u.values) ** 2
-    m = float(quadrature(usq, u.grid))
-    up1 = np.abs(u.values) ** (p + 1.0)
-    return _G_from(u.grid, p, usq, up1, gradient_sq(u), m)
-
-
-def _G_from(grid: RadialGrid, p: float, usq, up1, grad: float, m: float) -> float:
-    # G from the per-field intermediates |u|^2, |u|^{p+1}, |grad u|^2, M(u)
-    n = grid.n
-    w = cached_weights(grid)
-    out = 8.0 * (grad - spectrum_bottom(n) * m)
-    if n != 3:
-        out += 2.0 * (n - 1) * (n - 3) * float(quadrature(usq * w.w1, grid))
-    out -= (4.0 * (p - 1.0) / (p + 1.0)) * float(quadrature(up1 * w.w2, grid))
-    return out
-
-
-def second_moment(u: RadialField) -> float:
-    """int |u|^2 r^2 dmu, the virial weight before differentiation."""
-    return float(quadrature(np.abs(u.values) ** 2 * u.grid.nodes**2, u.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +211,8 @@ DIAGNOSTICS_COLUMNS = (
     "loc_virial",
     "h1_sq",
 )
+# the radius R of the record's localized virial loc_virial
+LOC_VIRIAL_RADIUS = 8.0
 
 
 @dataclass
@@ -330,34 +241,44 @@ def compute_diagnostics(
     lam: float,
     gs=None,
 ) -> DiagnosticsRecord:
-    """Assemble the full per-time diagnostics row for a run.
+    """The diagnostics record of u at time t: the one place in the package
+    where the functionals of the module docstring are formed.
 
     |u|^2, |u|^{p+1} and the Dirichlet form are computed once and shared by
-    every column; loc_virial is localized_virial_rhs at R = 8, with the
-    weights of localized_weights built once per grid and radius.
+    every column. The shift of h_sq and of G is the spectral bottom whatever
+    lam is. delta_lambda is hlam_sq - gs.hlam_sq, NaN without gs; a gs on
+    another grid raises ParameterMismatch. loc_virial is localized_virial_rhs
+    at R = LOC_VIRIAL_RADIUS, with the weights of localized_weights built
+    once per grid and radius.
     """
     grid = u.grid
+    if gs is not None and not grid.same_as(gs.grid):
+        raise ParameterMismatch("field grid does not match")
+    n = grid.n
     usq = np.abs(u.values) ** 2
     up1 = np.abs(u.values) ** (p + 1.0)
     m = float(quadrature(usq, grid))
-    grad = gradient_sq(u)
+    grad = float(dirichlet_energy(u.values, grid))
     lp1 = float(quadrature(up1, grid))
-    rho2 = spectrum_bottom(grid.n)
+    h_sq = grad - spectrum_bottom(n) * m
     hl = grad - lam * m
-    e = 0.5 * grad - lp1 / (p + 1.0)
-    dl = hl - gs.hlam_sq if gs is not None else float("nan")
+    w = cached_weights(grid)
+    g = 8.0 * h_sq
+    if n != 3:
+        g += 2.0 * (n - 1) * (n - 3) * float(quadrature(usq * w.w1, grid))
+    g -= (4.0 * (p - 1.0) / (p + 1.0)) * float(quadrature(up1 * w.w2, grid))
     return DiagnosticsRecord(
         t=t,
         mass=m,
-        energy=e,
-        energy_lambda=e - 0.5 * lam * m,
+        energy=0.5 * grad - lp1 / (p + 1.0),
+        energy_lambda=0.5 * hl - lp1 / (p + 1.0),
         hlam_sq=hl,
-        h_sq=grad - rho2 * m,
+        h_sq=h_sq,
         lp1=lp1,
-        delta_lambda=dl,
-        G_value=_G_from(grid, p, usq, up1, grad, m),
+        delta_lambda=hl - gs.hlam_sq if gs is not None else float("nan"),
+        G_value=g,
         second_moment=float(quadrature(usq * grid.nodes**2, grid)),
-        loc_virial=_localized_virial_from(u, 8.0, p, usq, up1),
+        loc_virial=_localized_virial_from(u, LOC_VIRIAL_RADIUS, p, usq, up1),
         h1_sq=grad + m,
     )
 
@@ -409,16 +330,14 @@ def variational_bound_check(u: RadialField, gs) -> Optional[float]:
     When E_l(u) <= E_l(Q) and |u|^2_{H_lambda} <= |Q|^2_{H_lambda}, the
     quantity (E_l(u)/E_l(Q)) |Q|^2_{H_lambda} - |u|^2_{H_lambda} must be
     nonnegative; its value is returned. Outside those hypotheses returns
-    None.
+    None. Both functionals of u come from its diagnostics record.
     """
-    _check_same_grid(u, gs.grid)
+    rec = compute_diagnostics(0.0, u, gs.p, gs.lam, gs=gs)
     if gs.elam <= 0:
         raise ValueError("ground state with nonpositive E_lambda is corrupted")
-    el_u = energy_lambda(u, gs.lam, gs.p)
-    hl_u = hlam_norm_sq(u, gs.lam)
-    if el_u > gs.elam or hl_u > gs.hlam_sq:
+    if rec.energy_lambda > gs.elam or rec.hlam_sq > gs.hlam_sq:
         return None
-    return (el_u / gs.elam) * gs.hlam_sq - hl_u
+    return (rec.energy_lambda / gs.elam) * gs.hlam_sq - rec.hlam_sq
 
 
 # ---------------------------------------------------------------------------

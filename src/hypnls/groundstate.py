@@ -295,17 +295,15 @@ def solve_ground_state(n: int, p: float, lam: float, grid: RadialGrid) -> Ground
 def _certificates(u: fn.RadialField, p: float, lam: float):
     """(hlam_sq, lp1, elam, residuals) with the Pohozaev gap, the
     energy-ratio gap, and the virial value, each relative."""
-    hlam_sq = fn.hlam_norm_sq(u, lam)
-    lp1 = fn.lp1_functional(u, p)
-    elam = fn.energy_lambda(u, lam, p)
-    gval = fn.G_functional(u, p)
+    rec = fn.compute_diagnostics(0.0, u, p, lam)
     ratio = (p - 1.0) / (2.0 * (p + 1.0))
     residuals = {
-        "pohozaev": abs(hlam_sq - lp1) / hlam_sq,
-        "energy_ratio": abs(elam - ratio * hlam_sq) / abs(elam),
-        "g_value": abs(gval) / hlam_sq,
+        "pohozaev": abs(rec.hlam_sq - rec.lp1) / rec.hlam_sq,
+        "energy_ratio": abs(rec.energy_lambda - ratio * rec.hlam_sq)
+        / abs(rec.energy_lambda),
+        "g_value": abs(rec.G_value) / rec.hlam_sq,
     }
-    return hlam_sq, lp1, elam, residuals
+    return rec.hlam_sq, rec.lp1, rec.energy_lambda, residuals
 
 
 def verify_identities(gs: GroundState) -> dict:

@@ -156,23 +156,17 @@ def cached_weights(grid: RadialGrid) -> "WeightTable":
     """Weight table memoized on the grid object (hot path of diagnostics)."""
     table = getattr(grid, "_weight_table", None)
     if table is None:
-        table = build_weights(grid)
-        grid._weight_table = table
+        r = grid.nodes
+        n = grid.n
+        w1 = w1_weight(r)
+        rc = r_coth_r(r)
+        table = grid._weight_table = WeightTable(
+            w1=w1,
+            w2=1.0 + (n - 1) * rc,
+            lap_r2=2.0 + 2.0 * (n - 1) * rc,
+            bilap_r2=2.0 * (n - 1) ** 2 - 2.0 * (n - 1) * (n - 3) * w1,
+        )
     return table
-
-
-def build_weights(grid: RadialGrid) -> WeightTable:
-    r = grid.nodes
-    n = grid.n
-    w1 = w1_weight(r)
-    rc = r_coth_r(r)
-    w2 = 1.0 + (n - 1) * rc
-    return WeightTable(
-        w1=w1,
-        w2=w2,
-        lap_r2=2.0 + 2.0 * (n - 1) * rc,
-        bilap_r2=2.0 * (n - 1) ** 2 - 2.0 * (n - 1) * (n - 3) * w1,
-    )
 
 
 # ---------------------------------------------------------------------------

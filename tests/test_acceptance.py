@@ -144,10 +144,7 @@ def test_criterion_4_dichotomy(dichotomy_runs, gs3_zero, gs2_zero):
             assert out.t_star is not None and math.isfinite(out.t_star)
             assert 0.0 < out.t_star < 3.0
             assert all(rec.delta_lambda > 0.0 for rec in out.series)
-            u0 = fn.RadialField(
-                grid=gs.grid, values=alpha * gs.profile.astype(complex)
-            )
-            e0 = fn.energy_lambda(u0, 0.0, P_CUBIC)
+            e0 = out.series[0].energy_lambda
             bound = -16.0 * (gs.elam - e0) + 1e-3 * gs.hlam_sq
             gmax = max(rec.G_value for rec in out.series)
             good = gmax <= bound
@@ -168,7 +165,7 @@ def test_criterion_5_trapping(dichotomy_runs, gs3_zero, gs2_zero):
     for (n, alpha), out in sorted(dichotomy_runs.items()):
         gs = gs3_zero if n == 3 else gs2_zero
         u0 = fn.RadialField(grid=gs.grid, values=alpha * gs.profile.astype(complex))
-        if fn.energy_lambda(u0, 0.0, P_CUBIC) > gs.elam:
+        if out.series[0].energy_lambda > gs.elam:
             continue
         verdict = fn.trapping_sign_check(out.series)
         assert verdict.kind != "violation"

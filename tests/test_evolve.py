@@ -336,7 +336,7 @@ def test_exact_reference_solution_h3(scheme):
 
 def test_supercritical_amplitude_blows_up(gs3_zero):
     u0 = fn.RadialField(grid=gs3_zero.grid, values=1.3 * gs3_zero.profile.astype(complex))
-    h1_0 = math.sqrt(fn.h1_norm_sq(u0))
+    h1_0 = math.sqrt(fn.compute_diagnostics(0.0, u0, 3.0, 0.0).h1_sq)
     out = ev.evolve_run(
         u0, 3.0, ev.IntegratorConfig(dt=2e-3, blowup_h1_factor=10.0),
         3.0, 0.0, gs3_zero,
@@ -376,7 +376,8 @@ def test_strained_steps_halve_dt_to_the_floor(grid3, monkeypatch):
     assert abs(out.t_stop - 2e-3 * (2.0 - 2.0**-9)) < 1e-15
     assert len(out.series) == 2
     assert out.series[-1].t == out.t_stop
-    assert out.h1_at_stop == math.sqrt(fn.h1_norm_sq(out.final_state))
+    final = fn.compute_diagnostics(out.t_stop, out.final_state, 3.0, 0.0)
+    assert out.h1_at_stop == math.sqrt(final.h1_sq)
 
 
 def test_zero_datum_runs_to_the_horizon(grid3):

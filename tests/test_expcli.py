@@ -16,6 +16,8 @@ import pytest
 import hypnls.evolve as ev
 import hypnls.expcli as cli
 import hypnls.functionals as fn
+import hypnls.groundstate as gsmod
+from hypnls.hypgeom import build_grid
 
 
 def read_json(path):
@@ -219,7 +221,7 @@ def test_unknown_format_is_usage_error(tmp_path, capsys):
     assert "unknown format" in stderr_payload(capsys)["error"]
 
 
-def test_inequalities_pass_and_injected_failure(tmp_path):
+def test_inequalities_pass_and_injected_failure(tmp_path, monkeypatch):
     out = str(tmp_path)
     assert cli.main(["inequalities", "--out", out]) == 0
     payload = read_json(tmp_path / "inequalities_report.json")
@@ -227,8 +229,18 @@ def test_inequalities_pass_and_injected_failure(tmp_path):
     assert payload["results"]["quartic_min"] >= -1e-12
     assert abs(payload["results"]["w1_max"] - 1.0 / 3.0) < 1e-6
     assert payload["results"]["w1_tail"] < 1e-12
-    # the sign-flip hook must trip the scan
-    assert cli.main(["inequalities", "--inject-sign-flip", "--out", out]) == 1
+    # F with the sign of its maximum flipped must trip the scan
+    quartic_values = fn.quartic_values
+
+    def flipped(n, r_grid):
+        values = quartic_values(n, r_grid)
+        k = int(np.argmax(values))
+        values[k] = -values[k]
+        return values
+
+    monkeypatch.setattr(fn, "quartic_values", flipped)
+    assert cli.main(["inequalities", "--out", out]) == 1
+    assert read_json(tmp_path / "inequalities_report.json")["passed"] is False
 
 
 def test_inequalities_csv_format(tmp_path):
@@ -326,6 +338,24 @@ def test_dichotomy_single_alpha(tmp_path):
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
+
+
+def test_dichotomy_report_rows_match_first_records(tmp_path):
+    # the report's datum columns are read off the t = 0 record of the run
+    out = str(tmp_path)
+    argv = ["dichotomy", "--lambda", "0.3", "--alpha", "0.9", "--alpha", "1.1",
+            "--horizon", "0.05", "--out", out]
+    assert cli.main(argv) == 0
+    gs = gsmod.solve_ground_state(3, 3.0, 0.3, build_grid(3, 20.0, 2000))
+    payload = read_json(tmp_path / "dichotomy_report.json")
+    assert [row["delta_sign"] for row in payload["rows"]] == ["-", "+"]
+    for row, fname in zip(payload["rows"], payload["row_files"]):
+        _, header, rows = cli.read_csv(str(tmp_path / fname))
+        first = dict(zip(header, rows[0]))
+        assert float(first["t"]) == 0.0
+        delta = float(first["delta_lambda"])
+        assert row["delta_sign"] == ("+" if delta > 0 else "-")
+        assert row["elam_ratio"] == float(first["energy_lambda"]) / gs.elam
 
 
 def test_dichotomy_zero_datum_completes(tmp_path):

@@ -82,20 +82,21 @@ def test_radial_field_rejects_nonfinite(grid3):
 # ---------------------------------------------------------------------------
 
 def test_gaussian_functionals_h3(grid3):
-    u = gaussian(grid3)
-    assert abs(fn.mass(u) - GAUSS3["mass"]) < 1e-12
-    assert abs(fn.gradient_sq(u) - GAUSS3["gradient_sq"]) < 1e-4
-    assert abs(fn.lp1_functional(u, 3.0) - GAUSS3["l4"]) < 1e-12
-    assert abs(fn.second_moment(u) - GAUSS3["second_moment"]) < 1e-12
-    assert abs(fn.G_functional(u, 3.0) - GAUSS3["G"]) < 1e-3
+    # at lambda = 0 the record's hlam_sq is the Dirichlet form itself
+    rec = fn.compute_diagnostics(0.0, gaussian(grid3), 3.0, 0.0)
+    assert abs(rec.mass - GAUSS3["mass"]) < 1e-12
+    assert abs(rec.hlam_sq - GAUSS3["gradient_sq"]) < 1e-4
+    assert abs(rec.lp1 - GAUSS3["l4"]) < 1e-12
+    assert abs(rec.second_moment - GAUSS3["second_moment"]) < 1e-12
+    assert abs(rec.G_value - GAUSS3["G"]) < 1e-3
 
 
 def test_gaussian_functionals_h2(grid2):
-    u = gaussian(grid2)
-    assert abs(fn.mass(u) - GAUSS2["mass"]) < 1e-4
-    assert abs(fn.gradient_sq(u) - GAUSS2["gradient_sq"]) < 2e-4
-    assert abs(fn.lp1_functional(u, 3.0) - GAUSS2["l4"]) < 1e-4
-    assert abs(fn.G_functional(u, 3.0) - GAUSS2["G"]) < 5e-3
+    rec = fn.compute_diagnostics(0.0, gaussian(grid2), 3.0, 0.0)
+    assert abs(rec.mass - GAUSS2["mass"]) < 1e-4
+    assert abs(rec.hlam_sq - GAUSS2["gradient_sq"]) < 2e-4
+    assert abs(rec.lp1 - GAUSS2["l4"]) < 1e-4
+    assert abs(rec.G_value - GAUSS2["G"]) < 5e-3
 
 
 # ---------------------------------------------------------------------------
@@ -105,29 +106,18 @@ def test_gaussian_functionals_h2(grid2):
 def test_energy_identities(grid3):
     u = gaussian(grid3)
     lam, p = 0.37, 3.0
-    m, grad = fn.mass(u), fn.gradient_sq(u)
-    assert abs(fn.hlam_norm_sq(u, lam) - (grad - lam * m)) < 1e-12
-    assert abs(fn.h_norm_sq(u) - (grad - 1.0 * m)) < 1e-12
-    assert abs(fn.h1_norm_sq(u) - (grad + m)) < 1e-12
-    e = fn.energy(u, p)
-    assert abs(fn.energy_lambda(u, lam, p) - (e - 0.5 * lam * m)) < 1e-12
+    # at lambda = 0 the record's hlam_sq is the Dirichlet form itself
+    grad = fn.compute_diagnostics(0.0, u, p, 0.0).hlam_sq
+    rec = fn.compute_diagnostics(0.0, u, p, lam)
+    m = rec.mass
+    assert abs(rec.hlam_sq - (grad - lam * m)) < 1e-12
+    assert abs(rec.h_sq - (grad - 1.0 * m)) < 1e-12
+    assert abs(rec.h1_sq - (grad + m)) < 1e-12
+    assert abs(rec.energy - (0.5 * grad - rec.lp1 / (p + 1.0))) < 1e-12
+    assert abs(rec.energy_lambda - (rec.energy - 0.5 * lam * m)) < 1e-12
     assert abs(
-        fn.energy_lambda(u, lam, p)
-        - (0.5 * fn.hlam_norm_sq(u, lam) - fn.lp1_functional(u, p) / (p + 1.0))
+        rec.energy_lambda - (0.5 * rec.hlam_sq - rec.lp1 / (p + 1.0))
     ) < 1e-12
-
-
-def test_spectral_bottom_guards(grid3, grid2):
-    u3, u2 = gaussian(grid3), gaussian(grid2)
-    with pytest.raises(ValueError):
-        fn.hlam_norm_sq(u3, 1.2)
-    with pytest.raises(ValueError):
-        fn.hlam_norm_sq(u2, 0.3)
-    # the norm degenerates exactly at the bottom but is still a quadratic form
-    assert abs(fn.hlam_norm_sq(u3, 1.0) - fn.h_norm_sq(u3)) < 1e-12
-    # the energy guard is strict at the bottom
-    with pytest.raises(ValueError):
-        fn.energy_lambda(u3, 1.0, 3.0)
 
 
 def test_delta_lambda_scaling_and_mismatch(gs3_zero, grid2):
@@ -135,10 +125,13 @@ def test_delta_lambda_scaling_and_mismatch(gs3_zero, grid2):
     for alpha in (0.9, 1.1):
         scaled = fn.RadialField(grid=q.grid, values=alpha * q.values)
         expected = (alpha**2 - 1.0) * gs3_zero.hlam_sq
-        assert abs(fn.delta_lambda(scaled, gs3_zero) - expected) < 1e-9 * abs(expected)
-    assert fn.delta_lambda(scaled, gs3_zero) > 0.0
+        delta = fn.compute_diagnostics(0.0, scaled, 3.0, 0.0, gs=gs3_zero).delta_lambda
+        assert abs(delta - expected) < 1e-9 * abs(expected)
+    assert delta > 0.0
     with pytest.raises(fn.ParameterMismatch):
-        fn.delta_lambda(gaussian(grid2), gs3_zero)
+        fn.compute_diagnostics(0.0, gaussian(grid2), 3.0, 0.0, gs=gs3_zero)
+    with pytest.raises(fn.ParameterMismatch):
+        fn.variational_bound_check(gaussian(grid2), gs3_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +161,11 @@ def test_default_cutoff_shape():
 
 def test_localized_virial_matches_global(grid3):
     u = gaussian(grid3)
-    g = fn.G_functional(u, 3.0)
+    rec = fn.compute_diagnostics(0.0, u, 3.0, 0.0)
+    g = rec.G_value
+    # the record's loc_virial is the localized virial at its own radius
+    loc = fn.localized_virial_rhs(u, fn.LOC_VIRIAL_RADIUS, p=3.0)
+    assert abs(rec.loc_virial - loc) < 1e-12
     gaps = [abs(fn.localized_virial_rhs(u, R, p=3.0) - g) for R in (2.0, 4.0, 8.0)]
     # for data this concentrated the R = 8 window already sees everything
     assert gaps[0] > gaps[1] >= gaps[2]
@@ -181,31 +178,13 @@ def test_localized_virial_matches_global(grid3):
 # diagnostics records
 # ---------------------------------------------------------------------------
 
-def test_compute_diagnostics_consistency(gs3_half):
-    u = fn.RadialField(
-        grid=gs3_half.grid, values=0.9 * gs3_half.field_on_grid().values
-    )
-    rec = fn.compute_diagnostics(0.7, u, 3.0, 0.5, gs=gs3_half)
-    assert rec.t == 0.7
-    assert abs(rec.mass - fn.mass(u)) < 1e-12
-    assert abs(rec.energy - fn.energy(u, 3.0)) < 1e-12
-    assert abs(rec.energy_lambda - fn.energy_lambda(u, 0.5, 3.0)) < 1e-12
-    assert abs(rec.hlam_sq - fn.hlam_norm_sq(u, 0.5)) < 1e-12
-    assert abs(rec.h_sq - fn.h_norm_sq(u)) < 1e-12
-    assert abs(rec.lp1 - fn.lp1_functional(u, 3.0)) < 1e-12
-    assert abs(rec.delta_lambda - fn.delta_lambda(u, gs3_half)) < 1e-12
-    assert abs(rec.G_value - fn.G_functional(u, 3.0)) < 1e-12
-    assert abs(rec.second_moment - fn.second_moment(u)) < 1e-12
-    assert abs(rec.loc_virial - fn.localized_virial_rhs(u, 8.0, p=3.0)) < 1e-12
-    assert abs(rec.h1_sq - fn.h1_norm_sq(u)) < 1e-12
-    assert rec.row() == [getattr(rec, c) for c in fn.DIAGNOSTICS_COLUMNS]
-    assert fn.DIAGNOSTICS_COLUMNS[0] == "t"
-
-
 def test_compute_diagnostics_without_ground_state(grid3):
-    rec = fn.compute_diagnostics(0.0, gaussian(grid3), 3.0, 0.0)
+    rec = fn.compute_diagnostics(0.7, gaussian(grid3), 3.0, 0.0)
+    assert rec.t == 0.7
     assert math.isnan(rec.delta_lambda)
     assert math.isfinite(rec.G_value)
+    assert rec.row() == [getattr(rec, c) for c in fn.DIAGNOSTICS_COLUMNS]
+    assert fn.DIAGNOSTICS_COLUMNS[0] == "t"
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,8 @@ def test_certification_residuals(gs3_zero, gs3_half):
 
 def test_ground_state_sits_on_its_own_shell(gs3_half):
     q = gs3_half.field_on_grid()
-    assert abs(fn.delta_lambda(q, gs3_half)) < 1e-9 * gs3_half.hlam_sq
+    rec = fn.compute_diagnostics(0.0, q, gs3_half.p, gs3_half.lam, gs=gs3_half)
+    assert abs(rec.delta_lambda) < 1e-9 * gs3_half.hlam_sq
 
 
 def test_verify_identities_matches_stored(gs3_half):
@@ -135,7 +136,8 @@ def test_mass_curve_negative_branch_and_warm_start(grid3):
     assert cold.minimizer is not None
     assert cold.el_residual < 1e-4
     assert cold.lagrange_lambda < 1.0
-    assert abs(fn.mass(cold.minimizer) - 13.0**2) < 1e-8 * 13.0**2
+    mass = fn.compute_diagnostics(0.0, cold.minimizer, 2.0, 0.0).mass
+    assert abs(mass - 13.0**2) < 1e-8 * 13.0**2
     warm = gsm.mass_constrained_minimize(
         16.0, 3, 2.0, grid3, start=cold.minimizer.values.real
     )
