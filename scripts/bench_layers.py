@@ -1,5 +1,5 @@
-"""Layer timings of the evolution: one solve, one CN step, its H^1 check and
-one diagnostics record.
+"""Layer timings: one solve, one CN step, its H^1 check and one diagnostics
+record of the evolution, and one gradient-flow step of the mass curve.
 
 Times, on the H^3 quick-tier grid (r_max = 20) with N = 2000 and 8000
 points, a Gaussian datum 0.5 e^{-r^2} and dt = 2e-3:
@@ -12,7 +12,11 @@ points, a Gaussian datum 0.5 e^{-r^2} and dt = 2e-3:
   reported as solves_per_step;
 - h1_monitor_us: the H^1 check `evolve_run` makes on every accepted state;
 - diagnostics_record_us: one diagnostics record
-  (`functionals.compute_diagnostics`), as `evolve_run` emits it.
+  (`functionals.compute_diagnostics`), as `evolve_run` emits it;
+- flow_trial_us: one trial of the mass curve's gradient flow
+  (`groundstate._flow_trial`: the implicit solve, the renormalization and
+  the flow energy) at p = 2, mass alpha = 12.86 (criterion 7's cold start)
+  and the flow's initial step, from the normalized Gaussian start.
 
 Each figure is the median, with quartiles, of 1000 single-call timings
 after 20 warm-up calls, on one BLAS thread. The results are merged into the JSON file
@@ -45,6 +49,7 @@ import numpy as np  # noqa: E402  (after the thread settings)
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (2000, 8000)
 DT = 2e-3
+FLOW_ALPHA = float(np.geomspace(0.1, 20.0, 13)[11])
 REPEATS = 1000
 WARMUP = 20
 
@@ -67,40 +72,38 @@ def _time_calls(call):
 
 
 def measure(num_points):
-    from hypnls import evolve, functionals, hypgeom
+    from hypnls import evolve, functionals, groundstate, hypgeom
 
     grid = hypgeom.build_grid(3, 20.0, num_points)
     u = (0.5 * np.exp(-grid.nodes**2)).astype(complex)
     stepper = evolve._make_stepper(grid, 3.0, evolve.IntegratorConfig(dt=DT))
-    h1_and_norms = getattr(evolve, "_h1_sq_and_norms", None)
-    if h1_and_norms is None:  # trees whose step forms |u| and the mass itself
-        def args_for(u, phi_half):
-            return (u, DT, phi_half)
-        h1_check = evolve._h1_sq_arrays
-    else:
-        def args_for(u, phi_half):
-            return (u, DT, phi_half, h1_and_norms(u, grid)[1])
-        h1_check = h1_and_norms
+    h1_and_norms = evolve._h1_sq_and_norms
     # steady state: the step after one step, with its relaxation predictor
-    u, phi_half, _ = stepper.step(*args_for(u, None))
+    u, phi_half, _ = stepper.step(u, DT, None, h1_and_norms(u, grid)[1])
     phi = 2.0 * np.abs(u) ** 2 - phi_half
     lin = u + 0.5j * DT * hypgeom.apply_laplacian(u, grid)
     rhs = lin + 0.5j * DT * phi * u
-    step_args = args_for(u, phi_half)
-    h1_monitor = functools.partial(h1_check, u, grid)
+    step_args = (u, DT, phi_half, h1_and_norms(u, grid)[1])
+    h1_monitor = functools.partial(h1_and_norms, u, grid)
     field = functionals.RadialField(grid=grid, values=u)
+    q = np.exp(-grid.nodes**2)
+    q *= FLOW_ALPHA / np.sqrt(np.dot(q * q, grid.vol_weights))
+    flow_args = (q, groundstate.FLOW_TAU, FLOW_ALPHA, grid, 2.0,
+                 hypgeom.spectrum_bottom(3))
 
     solve = _time_calls(lambda: stepper._cayley(rhs, phi, DT))
     solves = stepper.step(*step_args)[2]
     step = _time_calls(lambda: stepper.step(*step_args))
     h1 = _time_calls(h1_monitor)
     record = _time_calls(lambda: functionals.compute_diagnostics(0.0, field, 3.0, 0.0))
+    flow = _time_calls(lambda: groundstate._flow_trial(*flow_args))
     return {
         "tridiag_solve_us": _quartiles(solve),
         "cn_step_us": _quartiles(step),
         "solves_per_step": solves,
         "h1_monitor_us": _quartiles(h1),
         "diagnostics_record_us": _quartiles(record),
+        "flow_trial_us": _quartiles(flow),
     }
 
 

@@ -8,6 +8,8 @@ Fourier analysis (spectral), and the experiment CLI (expcli).
 The functionals of a field (mass, energies, norms, delta_lambda, G, second
 moment) are read from the functionals.DiagnosticsRecord that
 compute_diagnostics returns; no standalone function forms any one of them.
+Radial transforms go through the grid's memoized spectral.SpectralTransform
+(get_transform), whose forward and inverse are the only transform pair.
 """
 
 from .hypgeom import (
@@ -46,12 +48,8 @@ from .evolve import (
 )
 from .spectral import (
     UnsupportedDimension,
-    SpectralProfile,
-    radial_fourier,
-    inverse_fourier,
+    get_transform,
     parseval_residual,
-    apply_Pm,
-    heat_semigroup,
     hs_norm,
     besov_norm,
     reconstruction_residual,
@@ -88,12 +86,8 @@ __all__ = [
     "virial_consistency",
     "scattering_proxy",
     "UnsupportedDimension",
-    "SpectralProfile",
-    "radial_fourier",
-    "inverse_fourier",
+    "get_transform",
     "parseval_residual",
-    "apply_Pm",
-    "heat_semigroup",
     "hs_norm",
     "besov_norm",
     "reconstruction_residual",

@@ -80,7 +80,7 @@ class IntegratorConfig:
     diag_stride: float = 10.0              # records per unit time
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; options: {SCHEMES}")
@@ -245,7 +245,7 @@ def evolve_run(
     records, monitor callbacks, and final_state are all in the original
     frame. For lam = 0 the two frames coincide.
     """
-    if T <= 0:
+    if not T > 0:
         raise ValueError("horizon must be positive")
     grid = u0.grid
     if gs is not None and (gs.n != grid.n or not gs.grid.same_as(grid)):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -64,6 +65,14 @@ class UsageError(ValueError):
     pass
 
 
+def finite_float(text: str) -> float:
+    """float(text), refusing nan and the infinities."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 class Param(NamedTuple):
     """One parameter: the flag --key and the config-file key `key` set the
     ExperimentConfig field `attr`, both through `cast`."""
@@ -84,15 +93,15 @@ PARAMS = (
     Param("tier", "tier", str, "quick", "resolution tier", "tier",
           choices=tuple(TIERS)),
     Param("n", "n", int, 3, "dimension of H^n (2 or 3)", "n"),
-    Param("p", "p", float, 3.0, "nonlinearity power", "p"),
-    Param("lam", "lambda", float, 0.0, "frequency shift", "lambda"),
-    Param("alphas", "alpha", float, None,
+    Param("p", "p", finite_float, 3.0, "nonlinearity power", "p"),
+    Param("lam", "lambda", finite_float, 0.0, "frequency shift", "lambda"),
+    Param("alphas", "alpha", finite_float, None,
           "datum amplitude or mass (repeatable; comma-separated in a config file)",
           "alphas", params=False, many=True),
-    Param("rmax", "rmax", float, None, "domain radius", "rmax"),
+    Param("rmax", "rmax", finite_float, None, "domain radius", "rmax"),
     Param("points", "points", int, None, "grid points", "points"),
-    Param("dt", "dt", float, None, "base time step", "dt"),
-    Param("horizon", "horizon", float, None, "integration horizon", "horizon"),
+    Param("dt", "dt", finite_float, None, "base time step", "dt"),
+    Param("horizon", "horizon", finite_float, None, "integration horizon", "horizon"),
     Param("out_dir", "out", str, None, "output directory (HYPNLS_OUT overrides)",
           None, params=False),
     Param("fmt", "format", str.lower, "json", "report format", "format",
@@ -596,18 +605,13 @@ def cmd_spectral_check(cfg: ExperimentConfig) -> int:
             "spread": max(vals) / min(vals),
         }
 
-    reference = fn.RadialField(grid=grid, values=np.exp(-grid.nodes**2))
-    prof = sp.radial_fourier(reference)
+    tr = sp.get_transform(grid)
+    vhat = tr.forward(np.exp(-grid.nodes**2))
     write_csv(
         _outpath(cfg.out_dir, "spectral_reference.csv"),
         digest,
         ("lambda", "re", "im", "density"),
-        zip(
-            prof.lambda_nodes,
-            prof.values.real,
-            prof.values.imag,
-            prof.plancherel_density,
-        ),
+        zip(tr.lambda_nodes, vhat.real, vhat.imag, tr.density),
     )
 
     passed = (

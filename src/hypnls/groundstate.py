@@ -25,6 +25,7 @@ from .hypgeom import (
     RadialGrid,
     apply_laplacian,
     coth,
+    dirichlet_energy,
     laplacian_bands,
     shifted_bands,
     solve_banded,
@@ -86,20 +87,18 @@ def _series_start(n: int, p: float, lam: float, a: float, r0: float):
 def _integrate(n, p, lam, a, grid: RadialGrid, coth_half, record=False):
     """March the (Q, Q') system across the cell centers with fixed-step RK4.
 
-    Returns (event, stop_index, profile, slope) where event is one of
-    'crossed' (Q hit zero), 'turned' (Q' > 0 with Q > 0), or 'none'
-    (reached r_max still positive and decreasing).  profile/slope are only
-    filled when record=True.
+    Returns (event, stop_index, profile) where event is one of 'crossed'
+    (Q hit zero), 'turned' (Q' > 0 with Q > 0), or 'none' (reached r_max
+    still positive and decreasing).  profile is only filled when
+    record=True.
     """
     h = grid.dr
     n_pts = grid.num_points
     cm1 = n - 1
     q, dq = _series_start(n, p, lam, a, 0.5 * h)
     prof = np.empty(n_pts) if record else None
-    slope = np.empty(n_pts) if record else None
     if record:
         prof[0] = q
-        slope[0] = dq
 
     # the right-hand side (Q', -((n-1) coth(r) Q' + lambda Q + |Q|^{p-1} Q))
     # is written out per stage, each coefficient (n-1) coth(r) formed once
@@ -132,15 +131,14 @@ def _integrate(n, p, lam, a, grid: RadialGrid, coth_half, record=False):
             q = q + sixth * (dq + 2.0 * (p2 + p3) + p4)
             dq = dq + sixth * (k1p + 2.0 * (k2p + k3p) + k4p)
         except OverflowError:
-            return ("turned" if q > 0 else "crossed"), j, prof, slope
+            return ("turned" if q > 0 else "crossed"), j, prof
         if record:
             prof[j + 1] = q
-            slope[j + 1] = dq
         if q <= 0.0:
-            return "crossed", j + 1, prof, slope
+            return "crossed", j + 1, prof
         if dq > 0.0 or q > cap:
-            return "turned", j + 1, prof, slope
-    return "none", n_pts - 1, prof, slope
+            return "turned", j + 1, prof
+    return "none", n_pts - 1, prof
 
 
 def _coth_half_lattice(grid: RadialGrid):
@@ -152,7 +150,7 @@ def shooting_classifier(n, p, lam, a, grid, coth_half=None) -> int:
     """-1 when the trajectory crosses zero (amplitude too large), +1 else."""
     if coth_half is None:
         coth_half = _coth_half_lattice(grid)
-    event, _, _, _ = _integrate(n, p, lam, a, grid, coth_half)
+    event = _integrate(n, p, lam, a, grid, coth_half)[0]
     return -1 if event == "crossed" else +1
 
 
@@ -256,7 +254,7 @@ def solve_ground_state(n: int, p: float, lam: float, grid: RadialGrid) -> Ground
             lo = mid
     q0 = 0.5 * (lo + hi)
 
-    event, stop, prof, _ = _integrate(n, p, lam, q0, grid, coth_half, record=True)
+    event, stop, prof = _integrate(n, p, lam, q0, grid, coth_half, record=True)
     # matching index: where the trajectory is deep into the linear regime,
     # or just before the residual shooting error misbehaves
     candidates = np.nonzero(prof[: stop + 1] < MATCH_LEVEL * q0)[0]
@@ -338,10 +336,9 @@ class MassCurvePoint:
 
 
 def _flow_energy(q, grid, p, rho2):
-    grad = -np.dot(apply_laplacian(q, grid) * grid.vol_weights, q)
     m = np.dot(q * q, grid.vol_weights)
     nl = np.dot(np.abs(q) ** (p + 1.0), grid.vol_weights)
-    return 0.5 * (grad - rho2 * m) - nl / (p + 1.0)
+    return 0.5 * (dirichlet_energy(q, grid) - rho2 * m) - nl / (p + 1.0)
 
 
 def _flow_trial(q, tau, alpha, grid, p, rho2):
@@ -507,7 +504,7 @@ def mass_constrained_minimize(
     el = -lap_q - lam_fit * q - q**p
     # discrete H^{-1}-type norm: <el, (1 - L)^{-1} el> against the H^1 scale
     w = solve_banded(*shifted_bands(grid, 1.0, -1.0), el)
-    h1 = float(np.dot(q * q, grid.vol_weights) - np.dot(lap_q * grid.vol_weights, q))
+    h1 = float(dirichlet_energy(q, grid) + np.dot(q * q, grid.vol_weights))
     residual = math.sqrt(abs(float(np.dot(el * grid.vol_weights, w)))) / math.sqrt(h1)
     return MassCurvePoint(
         alpha=alpha,

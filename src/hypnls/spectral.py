@@ -16,19 +16,19 @@ the sine kernel is exactly the DST-IV matrix (scipy.fft.dst, type 4), so
 the discrete pair is an exact inverse pair and discrete Parseval holds to
 roundoff.
 
-Real fields are transformed as real arrays. Spectral multipliers
-implemented on top: the heat semigroup e^{-t(lambda^2 + rho^2)}, the
-frequency projectors P_m with symbol ((lambda^2+rho^2)/m^2)
+Real fields are transformed as real arrays. Every transform goes through
+the grid's memoized SpectralTransform (get_transform). The quantities built
+on it: the Parseval residual, the spectral Sobolev norm, the sup profile of
+the frequency projectors P_m with symbol ((lambda^2+rho^2)/m^2)
 e^{-(lambda^2+rho^2)/m^2}, the Besov-type norm sup_m m^{s-3/2} |P_m u|_inf,
-and the refined Sobolev ratio built from all three.
+the reconstruction residual of u - e^Delta u from the P_m, and the refined
+Sobolev ratio.
 
 Only n = 3 is supported: the analogous H^2 kernel is not elementary and is
 deliberately left unimplemented.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import math
 import numpy as np
@@ -39,18 +39,11 @@ from .functionals import RadialField
 
 RHO = 1.0                       # (n-1)/2 at n = 3
 DENSITY_CONSTANT = 1.0 / (2.0 * math.pi**2)
+M_SAMPLES = 2.0 ** (np.arange(21) / 4.0)  # quarter octaves from m = 1 to 32
 
 
 class UnsupportedDimension(ValueError):
     """Raised for n != 3: the H^2 spectral kernel is a documented gap."""
-
-
-@dataclass(eq=False)
-class SpectralProfile:
-    lambda_nodes: np.ndarray
-    values: np.ndarray
-    plancherel_density: np.ndarray
-    rho: float = RHO
 
 
 class SpectralTransform:
@@ -104,22 +97,6 @@ def get_transform(grid: RadialGrid) -> SpectralTransform:
     return tr
 
 
-def radial_fourier(u: RadialField) -> SpectralProfile:
-    tr = get_transform(u.grid)
-    return SpectralProfile(
-        lambda_nodes=tr.lambda_nodes,
-        values=tr.forward(u.values),
-        plancherel_density=tr.density.copy(),
-    )
-
-
-def inverse_fourier(profile: SpectralProfile, grid: RadialGrid) -> RadialField:
-    tr = get_transform(grid)
-    if not np.array_equal(profile.lambda_nodes, tr.lambda_nodes):
-        raise ValueError("profile frequency nodes do not match the target grid's")
-    return RadialField(grid=grid, values=tr.inverse(profile.values))
-
-
 def parseval_residual(u: RadialField) -> float:
     tr = get_transform(u.grid)
     vhat = tr.forward(u.values)
@@ -128,28 +105,8 @@ def parseval_residual(u: RadialField) -> float:
     return abs(m - spec_mass) / m
 
 
-def _apply_multiplier(u: RadialField, mult: np.ndarray) -> RadialField:
-    tr = get_transform(u.grid)
-    return RadialField(grid=u.grid, values=tr.inverse(mult * tr.forward(u.values)))
-
-
 def pm_symbol(x: np.ndarray, m: float) -> np.ndarray:
     return (x / m**2) * np.exp(-x / m**2)
-
-
-def apply_Pm(u: RadialField, m: float) -> RadialField:
-    """Frequency projector at scale m >= 1 (heat-regularized Laplacian)."""
-    if m <= 0:
-        raise ValueError("projector scale m must be positive")
-    tr = get_transform(u.grid)
-    return _apply_multiplier(u, pm_symbol(tr.x_symbol(), m))
-
-
-def heat_semigroup(u: RadialField, t: float) -> RadialField:
-    if t < 0:
-        raise ValueError("diffusion time must be nonnegative")
-    tr = get_transform(u.grid)
-    return _apply_multiplier(u, np.exp(-t * tr.x_symbol()))
 
 
 def hs_norm(u: RadialField, s: float) -> float:
@@ -158,10 +115,6 @@ def hs_norm(u: RadialField, s: float) -> float:
     vhat = tr.forward(u.values)
     val = np.sum(tr.x_symbol() ** s * np.abs(vhat) ** 2 * tr.density) * tr.dlam
     return math.sqrt(float(val))
-
-
-def default_m_samples():
-    return 2.0 ** (np.arange(21) / 4.0)  # quarter octaves from m = 1 to 32
 
 
 def pm_sup_profile(u: RadialField, m_samples) -> np.ndarray:
@@ -176,62 +129,52 @@ def pm_sup_profile(u: RadialField, m_samples) -> np.ndarray:
 
 
 def besov_norm(u: RadialField, s: float) -> float:
-    """max over the default m samples of m^{s-3/2} sup_r |P_m u| (a lower
+    """max over the scales M_SAMPLES of m^{s-3/2} sup_r |P_m u| (a lower
     bound for the sup over all m >= 1)."""
     if not 0 < s <= 1.5:
         raise ValueError("regularity s must lie in (0, 3/2]")
-    m_arr = default_m_samples()
-    sups = pm_sup_profile(u, m_arr)
-    return float(np.max(m_arr ** (s - 1.5) * sups))
+    sups = pm_sup_profile(u, M_SAMPLES)
+    return float(np.max(M_SAMPLES ** (s - 1.5) * sups))
 
 
-def reconstruction_residual(u: RadialField, m_max: float = None) -> float:
+def reconstruction_residual(u: RadialField) -> float:
     """Relative L^2 gap in 2 int_1^inf (1/m) P_m u dm = u - e^Delta u.
 
     The m-integral is evaluated in the substituted variable sigma = 1/m^2
     (where the integrand is X e^{-X sigma}) by composite Gauss-Legendre on
-    dyadic panels, so the full infinite range is covered; a finite m_max
-    truncates the range for sensitivity studies.
+    dyadic panels, so the full infinite range is covered.
     """
     tr = get_transform(u.grid)
     x = tr.x_symbol()
     vhat = tr.forward(u.values)
-    recon = tr.inverse(_reconstruction_multiplier(tr, m_max) * vhat)
+    recon = tr.inverse(_reconstruction_multiplier(tr) * vhat)
     target = u.values - tr.inverse(np.exp(-x) * vhat)
     num = float(quadrature(np.abs(recon - target) ** 2, u.grid))
     den = float(quadrature(np.abs(u.values) ** 2, u.grid))
     return math.sqrt(num / den)
 
 
-def _reconstruction_multiplier(tr: SpectralTransform, m_max) -> np.ndarray:
-    # the m-integral's symbol, memoized on the transform per m_max (read-only)
-    cache = getattr(tr, "_reconstruction_multipliers", None)
-    if cache is None:
-        cache = tr._reconstruction_multipliers = {}
-    if m_max in cache:
-        return cache[m_max]
+def _reconstruction_multiplier(tr: SpectralTransform) -> np.ndarray:
+    # the m-integral's symbol, memoized on the transform (read-only)
+    mult = getattr(tr, "_reconstruction_mult", None)
+    if mult is not None:
+        return mult
     x = tr.x_symbol()
-    sigma_hi = 1.0
-    sigma_lo = 0.0 if m_max is None else 1.0 / m_max**2
     nodes, weights = np.polynomial.legendre.leggauss(8)
     mult = np.zeros_like(x)
-    hi = sigma_hi
-    floor = max(sigma_lo, 2.0**-30)
-    while hi > floor:
-        lo = max(hi / 2.0, sigma_lo)
+    hi = 1.0
+    floor = 2.0**-30
+    # dyadic panels [hi/2, hi] down to the floor, then the closing panel
+    # [0, floor], where the integrand ~ X is exactly integrable
+    while hi > 0.0:
+        lo = hi / 2.0 if hi > floor else 0.0
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         for z, w in zip(nodes, weights):
             sig = mid + half * z
             mult += (w * half) * x * np.exp(-x * sig)
         hi = lo
-    if sigma_lo == 0.0:
-        # closing panel [0, floor]: integrand ~ X there, exactly integrable
-        mid, half = 0.5 * floor, 0.5 * floor
-        for z, w in zip(nodes, weights):
-            sig = mid + half * z
-            mult += (w * half) * x * np.exp(-x * sig)
     mult.flags.writeable = False
-    cache[m_max] = mult
+    tr._reconstruction_mult = mult
     return mult
 
 

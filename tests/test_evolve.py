@@ -28,6 +28,8 @@ def test_integrator_config_validation():
     with pytest.raises(ValueError):
         ev.IntegratorConfig(dt=0.0)
     with pytest.raises(ValueError):
+        ev.IntegratorConfig(dt=float("nan"))
+    with pytest.raises(ValueError):
         ev.IntegratorConfig(scheme="leapfrog")
     with pytest.raises(ValueError):
         ev.IntegratorConfig(blowup_h1_factor=1.0)
@@ -42,8 +44,9 @@ def test_integrator_config_validation():
 def test_run_guards(grid3, grid2, gs3_zero):
     u = small_gaussian(grid3)
     cfg = ev.IntegratorConfig(dt=2e-3)
-    with pytest.raises(ValueError):
-        ev.evolve_run(u, -1.0, cfg, 3.0, 0.0, None)
+    for horizon in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            ev.evolve_run(u, horizon, cfg, 3.0, 0.0, None)
     with pytest.raises(fn.ParameterMismatch):
         ev.evolve_run(small_gaussian(grid2), 1.0, cfg, 3.0, 0.0, gs3_zero)
     flat = fn.RadialField(grid=grid3, values=np.ones(grid3.num_points, dtype=complex))

@@ -143,6 +143,15 @@ def test_config_file_errors(tmp_path, capsys):
         "code": 2,
     }
 
+    # so is a value that is not finite
+    bad_horizon = tmp_path / "bad6.conf"
+    bad_horizon.write_text("horizon=nan\n")
+    assert cli.main(["dichotomy", "--config", str(bad_horizon)]) == 2
+    assert stderr_payload(capsys) == {
+        "error": "config key 'horizon': not a finite number: 'nan'",
+        "code": 2,
+    }
+
 
 def test_flags_and_config_file_resolve_alike(tmp_path):
     settings = {
@@ -372,6 +381,11 @@ def test_dichotomy_horizon_zero_is_usage_error(tmp_path, capsys):
     assert cli.main(["dichotomy", "--horizon", "0", "--out", str(tmp_path)]) == 2
     assert stderr_payload(capsys)["error"] == "horizon must be positive"
     assert not (tmp_path / "dichotomy_report.json").exists()
+    # a non-finite flag value is refused before any run starts
+    for horizon in ("nan", "inf"):
+        assert cli.main(["dichotomy", "--horizon", horizon, "--out", str(tmp_path)]) == 2
+        assert f"invalid finite_float value: '{horizon}'" in capsys.readouterr().err
+        assert not (tmp_path / "dichotomy_report.json").exists()
 
 
 def test_virial_check_quick(tmp_path):
