@@ -13,8 +13,9 @@ The outputs are deterministic for a fixed source tree, so
     diff -r /tmp/before /tmp/after
 
 is a byte-identity check of two trees: digests, reports, diagnostics,
-stdout, stderr and exit codes. The matrix takes about 20 s on a 2-vCPU
-machine. Needs only the standard library and the package's dependencies.
+stdout, stderr (error lines included) and exit codes. The matrix takes
+about 20 s on a 2-vCPU machine. Needs only the standard library and the
+package's dependencies.
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ MATRIX = (
     ("mass_curve_p2", ("mass-curve", "--p", "2")),
     ("inequalities", ("inequalities",)),
     ("spectral", ("spectral-check",)),
+    # usage errors: each exits 2 with one JSON line on stderr
+    ("err_gs_lam1", ("groundstate", "--lambda", "1.0")),
+    ("err_mass_curve_p4", ("mass-curve", "--p", "4")),
+    ("err_spectral_n2", ("spectral-check", "--n", "2")),
 )
 
 

@@ -160,7 +160,7 @@ class _CNStepper:
         for solves in range(1, FIXEDPOINT_MAXITER + 1):
             try:
                 u_new = self._cayley(lin + 0.5j * dt * phi * u, phi, dt)
-            except ValueError as exc:  # non-finite solution; LinAlgError too
+            except ValueError as exc:  # LinAlgError: a zero pivot or non-finite solution
                 raise InnerSolveFailure(f"inner solve: {exc}", fatal=True) from exc
             half_mod = np.abs(0.5 * (u + u_new))
             phi_next = half_mod**pm1

