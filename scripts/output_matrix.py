@@ -51,6 +51,7 @@ MATRIX = (
     ("mass_curve_p2", ("mass-curve", "--p", "2")),
     ("inequalities", ("inequalities",)),
     ("spectral", ("spectral-check",)),
+    ("spectral_csv", ("spectral-check", "--format", "csv")),
     # usage errors: each exits 2 with one JSON line on stderr
     ("err_gs_lam1", ("groundstate", "--lambda", "1.0")),
     ("err_mass_curve_p4", ("mass-curve", "--p", "4")),

@@ -9,7 +9,9 @@ The functionals of a field (mass, energies, norms, delta_lambda, G, second
 moment) are read from the functionals.DiagnosticsRecord that
 compute_diagnostics returns; no standalone function forms any one of them.
 Radial transforms go through the grid's memoized spectral.SpectralTransform
-(get_transform), whose forward and inverse are the only transform pair.
+(get_transform), whose forward and inverse are the only transform pair. Every
+spectral quantity of a field is read from one spectral.FieldSpectrum, which
+transforms the field once.
 """
 
 from .hypgeom import (
@@ -49,11 +51,7 @@ from .evolve import (
 from .spectral import (
     UnsupportedDimension,
     get_transform,
-    parseval_residual,
-    hs_norm,
-    besov_norm,
-    reconstruction_residual,
-    refined_sobolev_ratio,
+    FieldSpectrum,
 )
 
 __version__ = "0.1.0"
@@ -87,9 +85,5 @@ __all__ = [
     "scattering_proxy",
     "UnsupportedDimension",
     "get_transform",
-    "parseval_residual",
-    "hs_norm",
-    "besov_norm",
-    "reconstruction_residual",
-    "refined_sobolev_ratio",
+    "FieldSpectrum",
 ]

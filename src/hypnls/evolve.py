@@ -63,6 +63,9 @@ SCHEMES = ("crank_nicolson_relaxation", "strang_splitting")
 STRAIN_ITERS = 12  # Cayley solves in one step counted as "straining" -> halve dt
 FIXEDPOINT_TOL = 1e-10  # certified move of the next solve, relative to |u|
 FIXEDPOINT_MAXITER = 50  # Cayley solves per step at most
+# the dt floor is the base dt over this: 9+ halvings only ever happen inside
+# a focusing cascade; waiting longer just burns steps on an under-resolved field
+DT_FLOOR_DIVISOR = 512.0
 
 
 class InnerSolveFailure(RuntimeError):
@@ -76,8 +79,7 @@ class IntegratorConfig:
     dt: float = 5e-4
     scheme: str = "crank_nicolson_relaxation"
     blowup_h1_factor: float = 50.0
-    blowup_dt_min: Optional[float] = None  # default dt / 512
-    diag_stride: float = 10.0              # records per unit time
+    diag_stride: float = 10.0  # records per unit time
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -86,12 +88,6 @@ class IntegratorConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}; options: {SCHEMES}")
         if self.blowup_h1_factor <= 1:
             raise ValueError("blowup_h1_factor must exceed 1")
-        if self.blowup_dt_min is None:
-            # 9+ halvings only ever happen inside a focusing cascade; waiting
-            # longer just burns steps on an under-resolved field
-            self.blowup_dt_min = self.dt / 512.0
-        if self.blowup_dt_min >= self.dt:
-            raise ValueError("blowup_dt_min must be below dt")
         if self.diag_stride <= 0:
             raise ValueError("diag_stride must be positive")
 
@@ -235,8 +231,8 @@ def evolve_run(
     or grows the H^1 norm more than 10%. Blow-up is declared when the H^1
     norm exceeds blowup_h1_factor times its initial value (threshold crossing
     time interpolated inside the step) or when the halving cascade drives
-    dt below blowup_dt_min. monitor(t, field), when given, is called at
-    every record emission.
+    dt below cfg.dt / DT_FLOOR_DIVISOR. monitor(t, field), when given, is
+    called at every record emission.
 
     Internally the integration runs in the rotating frame v = e^{i lam t} u
     (the linear operator picks up the constant shift lam), where stationary
@@ -315,7 +311,7 @@ def evolve_run(
             h1_prev = h1_new
         if halve:
             dt *= 0.5
-            if dt < cfg.blowup_dt_min:
+            if dt < cfg.dt / DT_FLOOR_DIVISOR:
                 status, t_stop, h1_stop = "blowup", t, h1_prev
                 reason = "dt_floor"
                 break

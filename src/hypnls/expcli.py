@@ -31,7 +31,8 @@ import numpy as np
 from . import functionals as fn
 from . import groundstate as gsmod
 from . import spectral as sp
-from .evolve import IntegratorConfig, evolve_run, scattering_proxy, virial_consistency
+from .evolve import (InnerSolveFailure, IntegratorConfig, evolve_run,
+                     scattering_proxy, virial_consistency)
 from .hypgeom import build_grid, spectrum_bottom, w1_weight
 
 TIERS = {
@@ -58,6 +59,10 @@ EXIT_SOLVER = 3
 
 class UsageError(ValueError):
     pass
+
+
+class CheckFailure(Exception):
+    """A scientific check that could not be carried out: exit 1."""
 
 
 def finite_float(text: str) -> float:
@@ -383,7 +388,7 @@ def cmd_dichotomy(cfg: ExperimentConfig) -> int:
         header,
     )
     if any(r["status"] == "inner_solve_failure" for r in rows):
-        return _err(EXIT_SOLVER, "inner solve failure in the dichotomy sweep")
+        raise InnerSolveFailure("inner solve failure in the dichotomy sweep")
     return EXIT_PASS
 
 
@@ -418,9 +423,9 @@ def cmd_virial_check(cfg: ExperimentConfig) -> int:
         (rec.row() for rec in out.series),
     )
     if out.status == "inner_solve_failure":
-        return _err(EXIT_SOLVER, "inner solve failure in the virial run")
+        raise InnerSolveFailure("inner solve failure in the virial run")
     if out.status != "completed":
-        return _err(EXIT_SCIENCE, "virial check requires completed run")
+        raise CheckFailure("virial check requires completed run")
 
     gaps = {radius: 0.0 for radius in sweep_radii}
     for rec, values in zip(out.series, localized):
@@ -542,30 +547,29 @@ def cmd_spectral_check(cfg: ExperimentConfig) -> int:
     family = sp.bump_family(grid)
     digest = cfg.digest()
 
-    parseval_max = max(sp.parseval_residual(u) for u in family)
-    recon_max = max(sp.reconstruction_residual(u) for u in family)
-
-    m_set = (1.0, 2.0, 4.0, 8.0, 16.0)
-    m_arr = np.array(m_set)
-    lemma = {s: {m: 0.0 for m in m_set} for s in (0.5, 1.0)}
+    # the lemma's scales m = 1, 2, 4, 8, 16 are every fourth of M_SAMPLES
+    lemma_rows = slice(0, 17, 4)
+    m_arr = sp.M_SAMPLES[lemma_rows]
+    lemma = {s: {m: 0.0 for m in m_arr} for s in (0.5, 1.0)}
+    parseval, recon, ratios = [], [], {0.5: [], 1.0: []}
     for u in family:
-        sups = sp.pm_sup_profile(u, m_arr)
+        spec = sp.FieldSpectrum(u)
+        parseval.append(spec.parseval_residual())
+        recon.append(spec.reconstruction_residual())
+        sups = spec.sups[lemma_rows]
         for s in (0.5, 1.0):
-            hs = sp.hs_norm(u, s)
             bounds = (1.0 / m_arr**2 + m_arr ** (1.5 - s)) * np.exp(
                 -(sp.RHO**2) / m_arr**2
-            ) * hs
-            for m, ratio in zip(m_set, sups / bounds):
+            ) * spec.hs_norm(s)
+            for m, ratio in zip(m_arr, sups / bounds):
                 lemma[s][m] = max(lemma[s][m], float(ratio))
-
-    refined = {}
-    for s in (0.5, 1.0):
-        vals = [sp.refined_sobolev_ratio(u, s) for u in family]
-        refined[s] = {
-            "min": min(vals),
-            "max": max(vals),
-            "spread": max(vals) / min(vals),
-        }
+            ratios[s].append(spec.refined_sobolev_ratio(s))
+    parseval_max = max(parseval)
+    recon_max = max(recon)
+    refined = {
+        s: {"min": min(vals), "max": max(vals), "spread": max(vals) / min(vals)}
+        for s, vals in ratios.items()
+    }
 
     tr = sp.get_transform(grid)
     vhat = tr.forward(np.exp(-grid.nodes**2))
@@ -595,7 +599,7 @@ def cmd_spectral_check(cfg: ExperimentConfig) -> int:
             "parseval_max": parseval_max,
             "reconstruction_max": recon_max,
             "lemma_constants": {
-                _numtag(s): {_numtag(m): per[m] for m in m_set}
+                _numtag(s): {_numtag(m): per[m] for m in m_arr}
                 for s, per in lemma.items()
             },
             "refined_ratio": {_numtag(s): refined[s] for s in refined},
@@ -698,7 +702,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return COMMANDS[args.command](resolve_config(args))
     except SystemExit as exc:  # --help; every other parser exit is a UsageError
         return exc.code
-    except (gsmod.ShootingFailure, np.linalg.LinAlgError) as exc:  # before its base
+    except CheckFailure as exc:
+        return _err(EXIT_SCIENCE, str(exc))
+    # LinAlgError is a ValueError: caught before its base
+    except (gsmod.ShootingFailure, InnerSolveFailure, np.linalg.LinAlgError) as exc:
         return _err(EXIT_SOLVER, str(exc))
     except ValueError as exc:  # UsageError, NoGroundState, ParameterMismatch, ...
         return _err(EXIT_USAGE, str(exc))

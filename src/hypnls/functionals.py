@@ -26,7 +26,7 @@ the right-hand side of d^2/dt^2 int |u|^2 r^2 dmu along the flow.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -197,20 +197,6 @@ def _localized_virial_from(u: RadialField, R: float, p: float, usq, up1) -> floa
 # diagnostics
 # ---------------------------------------------------------------------------
 
-DIAGNOSTICS_COLUMNS = (
-    "t",
-    "mass",
-    "energy",
-    "energy_lambda",
-    "hlam_sq",
-    "h_sq",
-    "lp1",
-    "delta_lambda",
-    "G_value",
-    "second_moment",
-    "loc_virial",
-    "h1_sq",
-)
 # the radius R of the record's localized virial loc_virial
 LOC_VIRIAL_RADIUS = 8.0
 
@@ -232,6 +218,10 @@ class DiagnosticsRecord:
 
     def row(self):
         return [getattr(self, c) for c in DIAGNOSTICS_COLUMNS]
+
+
+# the CSV columns of a diagnostics series, in field order
+DIAGNOSTICS_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 def compute_diagnostics(

@@ -17,12 +17,16 @@ the discrete pair is an exact inverse pair and discrete Parseval holds to
 roundoff.
 
 Real fields are transformed as real arrays. Every transform goes through
-the grid's memoized SpectralTransform (get_transform). The quantities built
-on it: the Parseval residual, the spectral Sobolev norm, the sup profile of
-the frequency projectors P_m with symbol ((lambda^2+rho^2)/m^2)
-e^{-(lambda^2+rho^2)/m^2}, the Besov-type norm sup_m m^{s-3/2} |P_m u|_inf,
-the reconstruction residual of u - e^Delta u from the P_m, and the refined
-Sobolev ratio.
+the grid's memoized SpectralTransform (get_transform), which also holds the
+read-only symbol tables: the frequency projectors P_m, with symbol
+((lambda^2+rho^2)/m^2) e^{-(lambda^2+rho^2)/m^2}, at every scale of
+M_SAMPLES, and the multiplier of their reconstruction integral.
+
+FieldSpectrum(u) transforms u once and forms its mass and the sup profile
+sups = sup_r |P_m u| over M_SAMPLES once; its methods give the Parseval
+residual, the spectral Sobolev norm, the Besov-type norm sup_m m^{s-3/2}
+|P_m u|_inf, the reconstruction residual of u - e^Delta u from the P_m, and
+the refined Sobolev ratio.
 
 Only n = 3 is supported: the analogous H^2 kernel is not elementary and is
 deliberately left unimplemented.
@@ -44,6 +48,30 @@ M_SAMPLES = 2.0 ** (np.arange(21) / 4.0)  # quarter octaves from m = 1 to 32
 
 class UnsupportedDimension(ValueError):
     """Raised for n != 3: the H^2 spectral kernel is a documented gap."""
+
+
+def pm_symbol(x: np.ndarray, m: float) -> np.ndarray:
+    return (x / m**2) * np.exp(-x / m**2)
+
+
+def _reconstruction_multiplier(x: np.ndarray) -> np.ndarray:
+    """The symbol of 2 int_1^inf (1/m) P_m dm, which is int_0^1 X e^{-X sigma}
+    dsigma in sigma = 1/m^2, by composite Gauss-Legendre on dyadic panels, so
+    the full infinite range of m is covered."""
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    mult = np.zeros_like(x)
+    hi = 1.0
+    floor = 2.0**-30
+    # dyadic panels [hi/2, hi] down to the floor, then the closing panel
+    # [0, floor], where the integrand ~ X is exactly integrable
+    while hi > 0.0:
+        lo = hi / 2.0 if hi > floor else 0.0
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        for z, w in zip(nodes, weights):
+            sig = mid + half * z
+            mult += (w * half) * x * np.exp(-x * sig)
+        hi = lo
+    return mult
 
 
 class SpectralTransform:
@@ -74,6 +102,13 @@ class SpectralTransform:
         # numpy divides a complex array by a real one as a product with the
         # reciprocal; multiplying by it here rounds real spectra the same way
         self._inv_sinh = 1.0 / self.sinh_r
+        # read-only multiplier tables: the P_m symbols over M_SAMPLES, one
+        # row per scale, and the symbol of the P_m reconstruction integral
+        x = self.x_symbol()
+        self.pm_symbols = np.stack([pm_symbol(x, m) for m in M_SAMPLES])
+        self.reconstruction_multiplier = _reconstruction_multiplier(x)
+        self.pm_symbols.flags.writeable = False
+        self.reconstruction_multiplier.flags.writeable = False
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         return self._fwd_scale * dst(self.sinh_r * values, type=4)
@@ -97,97 +132,58 @@ def get_transform(grid: RadialGrid) -> SpectralTransform:
     return tr
 
 
-def parseval_residual(u: RadialField) -> float:
-    tr = get_transform(u.grid)
-    vhat = tr.forward(u.values)
-    spec_mass = float(np.sum(np.abs(vhat) ** 2 * tr.density) * tr.dlam)
-    m = float(quadrature(np.abs(u.values) ** 2, u.grid))
-    return abs(m - spec_mass) / m
+class FieldSpectrum:
+    """Every spectral quantity of one field, from one forward transform.
 
-
-def pm_symbol(x: np.ndarray, m: float) -> np.ndarray:
-    return (x / m**2) * np.exp(-x / m**2)
-
-
-def hs_norm(u: RadialField, s: float) -> float:
-    """Spectral Sobolev norm: (int (lambda^2+rho^2)^s |uhat|^2 density)^(1/2)."""
-    tr = get_transform(u.grid)
-    vhat = tr.forward(u.values)
-    val = np.sum(tr.x_symbol() ** s * np.abs(vhat) ** 2 * tr.density) * tr.dlam
-    return math.sqrt(float(val))
-
-
-def pm_sup_profile(u: RadialField, m_samples) -> np.ndarray:
-    """sup_r |P_m u| for each sampled scale m, batched over the scales."""
-    m_arr = np.asarray(m_samples, dtype=float)
-    tr = get_transform(u.grid)
-    vhat = tr.forward(u.values)
-    x = tr.x_symbol()
-    symbols = np.stack([pm_symbol(x, m) for m in m_arr])
-    pm_u = tr.inverse(symbols * vhat)
-    return np.max(np.abs(pm_u), axis=1)
-
-
-def besov_norm(u: RadialField, s: float) -> float:
-    """max over the scales M_SAMPLES of m^{s-3/2} sup_r |P_m u| (a lower
-    bound for the sup over all m >= 1)."""
-    if not 0 < s <= 1.5:
-        raise ValueError("regularity s must lie in (0, 3/2]")
-    sups = pm_sup_profile(u, M_SAMPLES)
-    return float(np.max(M_SAMPLES ** (s - 1.5) * sups))
-
-
-def reconstruction_residual(u: RadialField) -> float:
-    """Relative L^2 gap in 2 int_1^inf (1/m) P_m u dm = u - e^Delta u.
-
-    The m-integral is evaluated in the substituted variable sigma = 1/m^2
-    (where the integrand is X e^{-X sigma}) by composite Gauss-Legendre on
-    dyadic panels, so the full infinite range is covered.
+    Formed once: the spectrum uhat and |uhat|^2, the mass int |u|^2 dmu, and
+    sups, sup_r |P_m u| at each scale m of M_SAMPLES (one batched inverse).
     """
-    tr = get_transform(u.grid)
-    x = tr.x_symbol()
-    vhat = tr.forward(u.values)
-    recon = tr.inverse(_reconstruction_multiplier(tr) * vhat)
-    target = u.values - tr.inverse(np.exp(-x) * vhat)
-    num = float(quadrature(np.abs(recon - target) ** 2, u.grid))
-    den = float(quadrature(np.abs(u.values) ** 2, u.grid))
-    return math.sqrt(num / den)
 
+    def __init__(self, u: RadialField):
+        self.field = u
+        self.transform = tr = get_transform(u.grid)
+        self.vhat = tr.forward(u.values)
+        self.power = np.abs(self.vhat) ** 2
+        self.mass = float(quadrature(np.abs(u.values) ** 2, u.grid))
+        self.sups = np.max(np.abs(tr.inverse(tr.pm_symbols * self.vhat)), axis=1)
 
-def _reconstruction_multiplier(tr: SpectralTransform) -> np.ndarray:
-    # the m-integral's symbol, memoized on the transform (read-only)
-    mult = getattr(tr, "_reconstruction_mult", None)
-    if mult is not None:
-        return mult
-    x = tr.x_symbol()
-    nodes, weights = np.polynomial.legendre.leggauss(8)
-    mult = np.zeros_like(x)
-    hi = 1.0
-    floor = 2.0**-30
-    # dyadic panels [hi/2, hi] down to the floor, then the closing panel
-    # [0, floor], where the integrand ~ X is exactly integrable
-    while hi > 0.0:
-        lo = hi / 2.0 if hi > floor else 0.0
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        for z, w in zip(nodes, weights):
-            sig = mid + half * z
-            mult += (w * half) * x * np.exp(-x * sig)
-        hi = lo
-    mult.flags.writeable = False
-    tr._reconstruction_mult = mult
-    return mult
+    def parseval_residual(self) -> float:
+        tr = self.transform
+        spec_mass = float(np.sum(self.power * tr.density) * tr.dlam)
+        return abs(self.mass - spec_mass) / self.mass
 
+    def hs_norm(self, s: float) -> float:
+        """Spectral Sobolev norm: (int (lambda^2+rho^2)^s |uhat|^2 density)^(1/2)."""
+        tr = self.transform
+        val = np.sum(tr.x_symbol() ** s * self.power * tr.density) * tr.dlam
+        return math.sqrt(float(val))
 
-def refined_sobolev_ratio(u: RadialField, s: float) -> float:
-    """|u|_{L^alpha} / (|u|_{H^s}^{2/alpha} |u|_{B^s}^{1-2/alpha}),
-    1/alpha = 1/2 - s/3."""
-    if not 0 < s < 1.5:
-        raise ValueError("regularity s must lie in (0, 3/2)")
-    alpha = 6.0 / (3.0 - 2.0 * s)
-    lal = float(quadrature(np.abs(u.values) ** alpha, u.grid)) ** (1.0 / alpha)
-    hs = hs_norm(u, s)
-    bs = besov_norm(u, s)
-    return lal / (hs ** (2.0 / alpha) * bs ** (1.0 - 2.0 / alpha))
+    def besov_norm(self, s: float) -> float:
+        """max over the scales M_SAMPLES of m^{s-3/2} sup_r |P_m u| (a lower
+        bound for the sup over all m >= 1)."""
+        if not 0 < s <= 1.5:
+            raise ValueError("regularity s must lie in (0, 3/2]")
+        return float(np.max(M_SAMPLES ** (s - 1.5) * self.sups))
+
+    def reconstruction_residual(self) -> float:
+        """Relative L^2 gap in 2 int_1^inf (1/m) P_m u dm = u - e^Delta u."""
+        tr, u = self.transform, self.field
+        recon = tr.inverse(tr.reconstruction_multiplier * self.vhat)
+        target = u.values - tr.inverse(np.exp(-tr.x_symbol()) * self.vhat)
+        num = float(quadrature(np.abs(recon - target) ** 2, u.grid))
+        return math.sqrt(num / self.mass)
+
+    def refined_sobolev_ratio(self, s: float) -> float:
+        """|u|_{L^alpha} / (|u|_{H^s}^{2/alpha} |u|_{B^s}^{1-2/alpha}),
+        1/alpha = 1/2 - s/3."""
+        if not 0 < s < 1.5:
+            raise ValueError("regularity s must lie in (0, 3/2)")
+        alpha = 6.0 / (3.0 - 2.0 * s)
+        u = self.field
+        lal = float(quadrature(np.abs(u.values) ** alpha, u.grid)) ** (1.0 / alpha)
+        hs = self.hs_norm(s)
+        bs = self.besov_norm(s)
+        return lal / (hs ** (2.0 / alpha) * bs ** (1.0 - 2.0 / alpha))
 
 
 def bump_family(grid: RadialGrid):

@@ -262,23 +262,23 @@ def test_criterion_7_mass_curve(grid3):
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_spectral(grid3):
-    family = sp.bump_family(grid3)
-    parseval_max = max(sp.parseval_residual(u) for u in family)
-    recon_max = max(sp.reconstruction_residual(u) for u in family)
+    spectra = [sp.FieldSpectrum(u) for u in sp.bump_family(grid3)]
+    parseval_max = max(spec.parseval_residual() for spec in spectra)
+    recon_max = max(spec.reconstruction_residual() for spec in spectra)
 
-    m_arr = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+    # the lemma's scales m = 1, 2, 4, 8, 16 are every fourth of M_SAMPLES
+    m_arr = sp.M_SAMPLES[0:17:4]
     fitted_c = 0.0
     spreads = {}
     for s in (0.5, 1.0):
-        for u in family:
-            sups = sp.pm_sup_profile(u, m_arr)
+        for spec in spectra:
             bounds = (
                 (1.0 / m_arr**2 + m_arr ** (1.5 - s))
                 * np.exp(-(sp.RHO**2) / m_arr**2)
-                * sp.hs_norm(u, s)
+                * spec.hs_norm(s)
             )
-            fitted_c = max(fitted_c, float(np.max(sups / bounds)))
-        ratios = [sp.refined_sobolev_ratio(u, s) for u in family]
+            fitted_c = max(fitted_c, float(np.max(spec.sups[0:17:4] / bounds)))
+        ratios = [spec.refined_sobolev_ratio(s) for spec in spectra]
         spreads[s] = max(ratios) / min(ratios)
 
     ok = (
@@ -327,9 +327,7 @@ def test_criterion_9_convergence_orders(gs3_half, gs_half_prod, gs3_zero):
         u0 = fn.RadialField(grid=gs.grid, values=1.2 * gs.profile.astype(complex))
         # the threshold sits before the collapse cascade so that the stop
         # time is a smooth functional of the discretization
-        cfg = ev.IntegratorConfig(
-            dt=dt, blowup_h1_factor=1.5, blowup_dt_min=dt / 4096.0
-        )
+        cfg = ev.IntegratorConfig(dt=dt, blowup_h1_factor=1.5)
         out = ev.evolve_run(u0, 3.0, cfg, P_CUBIC, 0.0, gs)
         assert out.status == "blowup"
         tstars.append(out.t_star)

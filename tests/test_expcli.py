@@ -17,6 +17,7 @@ import hypnls.evolve as ev
 import hypnls.expcli as cli
 import hypnls.functionals as fn
 import hypnls.groundstate as gsmod
+import hypnls.spectral as sp
 from hypnls.hypgeom import build_grid
 
 
@@ -320,6 +321,22 @@ def test_spectral_check_passes(tmp_path):
     assert len(rows) == payload["params"]["points"]
 
 
+def test_spectral_check_transforms_each_field_once(tmp_path, monkeypatch):
+    # one forward per field of the family plus the reference spectrum; three
+    # inverses per field: the P_m sweep, the reconstruction and e^Delta u
+    calls = {"forward": 0, "inverse": 0}
+    for name in calls:
+        method = getattr(sp.SpectralTransform, name)
+
+        def counted(self, values, method=method, name=name):
+            calls[name] += 1
+            return method(self, values)
+
+        monkeypatch.setattr(sp.SpectralTransform, name, counted)
+    assert cli.main(["spectral-check", "--out", str(tmp_path)]) == 0
+    assert calls == {"forward": 31, "inverse": 90}
+
+
 def test_dichotomy_single_alpha(tmp_path):
     out = str(tmp_path)
     code = cli.main(["dichotomy", "--alpha", "1.5", "--out", out])
@@ -409,6 +426,22 @@ def test_virial_check_needs_completed_run(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "evolve_run", stub)
     assert cli.main(["virial-check", "--out", str(tmp_path)]) == 1
     assert "completed run" in stderr_payload(capsys)["error"]
+
+
+def test_virial_check_incomplete_run_still_writes_series(tmp_path, monkeypatch, capsys):
+    # every step counts as strained, so the run halves dt to the floor and
+    # stops as a blow-up before the horizon
+    monkeypatch.setattr(ev, "STRAIN_ITERS", 0)
+    assert cli.main(["virial-check", "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "code": 1, "error": "virial check requires completed run"
+    }
+    _, header, rows = cli.read_csv(str(tmp_path / "virial_diag.csv"))
+    assert header == list(fn.DIAGNOSTICS_COLUMNS)
+    assert len(rows) == 2 and 0.0 < float(rows[-1][0]) < 1.0
+    assert not (tmp_path / "virial_report.json").exists()
 
 
 def test_virial_check_failure_writes_report(tmp_path, monkeypatch):

@@ -53,6 +53,10 @@ def test_frequency_nodes_and_symbols(grid3):
     assert np.array_equal(tr.lambda_nodes, (np.arange(n_pts) + 0.5) * tr.dlam)
     assert np.array_equal(tr.x_symbol(), tr.lambda_nodes**2 + 1.0)
     assert np.allclose(tr.density, tr.lambda_nodes**2 / (2 * math.pi**2), rtol=1e-15)
+    for row, m in zip(tr.pm_symbols, sp.M_SAMPLES):
+        assert np.array_equal(row, sp.pm_symbol(tr.x_symbol(), m))
+    for table in (tr.pm_symbols, tr.reconstruction_multiplier):
+        assert not table.flags.writeable
 
 
 def test_heat_kernel_forward_oracle(grid3):
@@ -83,7 +87,7 @@ def test_semigroup_reproduces_explicit_kernel(grid3):
 
 def test_parseval_and_round_trip(grid3):
     u = offcenter_bump(grid3)
-    assert sp.parseval_residual(u) < 1e-10
+    assert sp.FieldSpectrum(u).parseval_residual() < 1e-10
     tr = sp.get_transform(grid3)
     back = tr.inverse(tr.forward(u.values))
     gap = hg.quadrature(np.abs(back - u.values) ** 2, grid3)
@@ -93,11 +97,13 @@ def test_parseval_and_round_trip(grid3):
 
 def test_hs_norm_endpoints(grid3):
     u = offcenter_bump(grid3)
+    spec = sp.FieldSpectrum(u)
     mass = hg.quadrature(np.abs(u.values) ** 2, grid3)
     grad = hg.dirichlet_energy(u.values.real, grid3)
-    assert abs(sp.hs_norm(u, 0.0) ** 2 - mass) / mass < 1e-10
+    assert spec.mass == mass
+    assert abs(spec.hs_norm(0.0) ** 2 - mass) / mass < 1e-10
     # spectral symbol vs finite-volume stencil differ at O(dr^2)
-    assert abs(sp.hs_norm(u, 1.0) ** 2 - grad) / grad < 1e-4
+    assert abs(spec.hs_norm(1.0) ** 2 - grad) / grad < 1e-4
 
 
 def test_projector_scales(grid3):
@@ -111,8 +117,9 @@ def test_projector_scales(grid3):
 
     # smooth data has no content at frequency ~32
     assert sup_pm(32.0) < sup_pm(1.0) / 10.0
-    sups = sp.pm_sup_profile(u, [1.0, 2.0, 4.0])
-    direct = np.array([sup_pm(m) for m in (1.0, 2.0, 4.0)])
+    sups = sp.FieldSpectrum(u).sups
+    assert sups.shape == sp.M_SAMPLES.shape
+    direct = np.array([sup_pm(m) for m in sp.M_SAMPLES])
     assert np.max(np.abs(sups - direct) / direct) < 1e-12
 
 
@@ -124,26 +131,25 @@ def test_default_m_samples_quarter_octave():
 
 
 def test_besov_norm_guards_and_monotonicity(grid3):
-    u = offcenter_bump(grid3)
+    spec = sp.FieldSpectrum(offcenter_bump(grid3))
     with pytest.raises(ValueError):
-        sp.besov_norm(u, 0.0)
+        spec.besov_norm(0.0)
     with pytest.raises(ValueError):
-        sp.besov_norm(u, 1.6)
+        spec.besov_norm(1.6)
     # m^{s-3/2} is increasing in s for every sampled m >= 1
-    assert sp.besov_norm(u, 1.0) >= sp.besov_norm(u, 0.5) - 1e-15
+    assert spec.besov_norm(1.0) >= spec.besov_norm(0.5) - 1e-15
 
 
 def test_reconstruction_residual(grid3):
-    u = offcenter_bump(grid3)
-    assert sp.reconstruction_residual(u) < 1e-5
+    assert sp.FieldSpectrum(offcenter_bump(grid3)).reconstruction_residual() < 1e-5
 
 
 def test_refined_sobolev_ratio(grid3):
-    u = offcenter_bump(grid3)
+    spec = sp.FieldSpectrum(offcenter_bump(grid3))
     with pytest.raises(ValueError):
-        sp.refined_sobolev_ratio(u, 1.5)
+        spec.refined_sobolev_ratio(1.5)
     for s in (0.5, 1.0):
-        ratio = sp.refined_sobolev_ratio(u, s)
+        ratio = spec.refined_sobolev_ratio(s)
         assert math.isfinite(ratio) and 0.1 < ratio < 10.0
 
 
@@ -179,7 +185,7 @@ def test_real_fields_transform_as_the_real_part_of_complex(grid3):
 def test_parseval_and_round_trip_to_roundoff_on_bump_family(grid3):
     tr = sp.get_transform(grid3)
     for u in sp.bump_family(grid3):
-        assert sp.parseval_residual(u) < 1e-12
+        assert sp.FieldSpectrum(u).parseval_residual() < 1e-12
         back = tr.inverse(tr.forward(u.values))
         gap = hg.quadrature(np.abs(back - u.values) ** 2, grid3)
         ref = hg.quadrature(np.abs(u.values) ** 2, grid3)
@@ -187,7 +193,8 @@ def test_parseval_and_round_trip_to_roundoff_on_bump_family(grid3):
 
 
 def test_transform_holds_no_dense_kernel(grid3):
+    # per-node vectors plus the P_m table's one row per scale: linear in N
     tr = sp.get_transform(grid3)
     held = sum(v.nbytes for v in vars(tr).values() if isinstance(v, np.ndarray))
-    assert held < 8 * 8 * grid3.num_points
+    assert held < 8 * (8 + len(sp.M_SAMPLES)) * grid3.num_points
 
