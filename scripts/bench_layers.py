@@ -76,7 +76,7 @@ def measure(num_points):
 
     grid = hypgeom.build_grid(3, 20.0, num_points)
     u = (0.5 * np.exp(-grid.nodes**2)).astype(complex)
-    stepper = evolve._make_stepper(grid, 3.0, evolve.IntegratorConfig(dt=DT))
+    stepper = evolve._CNStepper(grid, 3.0)
     h1_and_norms = evolve._h1_sq_and_norms
     # steady state: the step after one step, with its relaxation predictor
     u, phi_half, _ = stepper.step(u, DT, None, h1_and_norms(u, grid)[1])

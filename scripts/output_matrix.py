@@ -4,8 +4,10 @@
 
 Each entry of MATRIX runs as `python -m hypnls.expcli ARGV --out
 OUTDIR/NAME` in a fresh process that imports the package from SRC
-(default: this tree's src). The entry's directory then holds the files
-the subcommand wrote, plus its stdout.txt, stderr.txt and exit_code.txt.
+(default: this tree's src); `{outdir}` in ARGV stands for OUTDIR, so an
+entry can read what an earlier one wrote. The entry's directory then holds
+the files the subcommand wrote, plus its stdout.txt, stderr.txt and
+exit_code.txt.
 The outputs are deterministic for a fixed source tree, so
 
     python scripts/output_matrix.py /tmp/before --src PARENT/src
@@ -52,6 +54,13 @@ MATRIX = (
     ("inequalities", ("inequalities",)),
     ("spectral", ("spectral-check",)),
     ("spectral_csv", ("spectral-check", "--format", "csv")),
+    # plotdata, one entry per --kind, on files of the entries above
+    ("plot_profile", ("plotdata", "{outdir}/gs_n3_lam0/groundstate_n3_p3_lam0.csv",
+                      "--kind", "profile")),
+    ("plot_diagnostics", ("plotdata", "{outdir}/virial_n3/virial_diag.csv",
+                          "--kind", "diagnostics")),
+    ("plot_spectrum", ("plotdata", "{outdir}/spectral/spectral_reference.csv",
+                       "--kind", "spectrum")),
     # usage errors: each exits 2 with one JSON line on stderr
     ("err_gs_lam1", ("groundstate", "--lambda", "1.0")),
     ("err_mass_curve_p4", ("mass-curve", "--p", "4")),
@@ -64,6 +73,7 @@ def run_entry(outdir: Path, name: str, argv, src: str) -> int:
     target.mkdir(parents=True, exist_ok=False)
     env = {k: v for k, v in os.environ.items() if k != "HYPNLS_OUT"}
     env["PYTHONPATH"] = src
+    argv = [arg.replace("{outdir}", str(outdir)) for arg in argv]
     proc = subprocess.run(
         [sys.executable, "-m", "hypnls.expcli", *argv, "--out", str(target)],
         env=env, capture_output=True, text=True,

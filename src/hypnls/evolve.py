@@ -59,7 +59,6 @@ from scipy.fft import dst, idst
 from .hypgeom import apply_laplacian, dirichlet_energy, laplacian_bands, solve_banded
 from . import functionals as fn
 
-SCHEMES = ("crank_nicolson_relaxation", "strang_splitting")
 STRAIN_ITERS = 12  # Cayley solves in one step counted as "straining" -> halve dt
 FIXEDPOINT_TOL = 1e-10  # certified move of the next solve, relative to |u|
 FIXEDPOINT_MAXITER = 50  # Cayley solves per step at most
@@ -84,8 +83,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; options: {SCHEMES}")
+        if self.scheme not in STEPPERS:
+            raise ValueError(f"unknown scheme {self.scheme!r}; options: {list(STEPPERS)}")
         if self.blowup_h1_factor <= 1:
             raise ValueError("blowup_h1_factor must exceed 1")
         if self.diag_stride <= 0:
@@ -196,10 +195,8 @@ class _StrangStepper:
         return g / self.sinh_r, None, 0
 
 
-def _make_stepper(grid, p, cfg: IntegratorConfig, shift=0.0):
-    if cfg.scheme == "strang_splitting":
-        return _StrangStepper(grid, p, shift=shift)
-    return _CNStepper(grid, p, shift=shift)
+# IntegratorConfig.scheme -> stepper class
+STEPPERS = {"crank_nicolson_relaxation": _CNStepper, "strang_splitting": _StrangStepper}
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +249,7 @@ def evolve_run(
             "(boundary amplitude above 1e-6 of the field maximum)"
         )
 
-    stepper = _make_stepper(grid, p, cfg, shift=lam)
+    stepper = STEPPERS[cfg.scheme](grid, p, shift=lam)
     u = np.asarray(u0.values, dtype=complex).copy()
     t = 0.0
     dt = cfg.dt

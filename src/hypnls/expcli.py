@@ -1,11 +1,11 @@
 """Experiment command line: recipes, persistence, plot-data emission.
 
-Subcommands: groundstate, dichotomy, virial-check, inequalities, mass-curve,
-spectral-check, plotdata. The parameters are the rows of PARAMS; each
-resolves in order: flag > config file (flat key=value lines) > subcommand
-default (COMMAND_DEFAULTS) > resolution tier (TIERS) > built-in default.
-Every output embeds a sha256 digest of the resolved configuration. Outputs
-are deterministic for a fixed config: floats are serialized with repr
+Subcommands: plotdata, and the rows of COMMANDS, which run on a resolved
+configuration: the rows of PARAMS, each resolved in order: flag > config
+file (flat key=value lines) > subcommand default (COMMAND_DEFAULTS) >
+resolution tier (TIERS) > built-in default. Every output embeds a sha256
+digest of that configuration (_write_table, _write_payload). Outputs are
+deterministic for a fixed config: floats are serialized with repr
 (shortest round trip), JSON keys sorted, line endings LF, files written via
 temp + rename.
 
@@ -221,10 +221,6 @@ def write_csv(path: str, digest: str, header: Sequence[str], rows) -> None:
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def write_json(path: str, payload: dict) -> None:
-    write_text_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 def read_csv(path: str):
     """Returns (digest, header, rows-as-strings). Raises UsageError."""
     try:
@@ -239,6 +235,9 @@ def read_csv(path: str):
         raise UsageError(f"{path}: missing header row")
     header = lines[1].split(",")
     rows = [line.split(",") for line in lines[2:] if line]
+    ragged = [k for k, row in enumerate(rows, 1) if len(row) != len(header)]
+    if ragged:
+        raise UsageError(f"{path}: data row {ragged[0]} does not match the header")
     return digest, header, rows
 
 
@@ -255,17 +254,39 @@ def _outpath(out: Optional[str], name: str) -> str:
     return os.path.join(out_dir, name)
 
 
+# the layouts plotdata reshapes, as the subcommands write them
+PLOT_HEADERS = {
+    "diagnostics": list(fn.DIAGNOSTICS_COLUMNS),
+    "profile": ["r", "Q"],
+    "spectrum": ["lambda", "re", "im", "density"],
+}
+
+
+def _write_table(cfg: ExperimentConfig, name: str, header: Sequence[str], rows) -> None:
+    """The CSV file `name`: the digest line of cfg, the header, the rows."""
+    write_csv(_outpath(cfg.out_dir, name), cfg.digest(), header, rows)
+
+
+def _write_payload(cfg: ExperimentConfig, name: str, payload: dict) -> None:
+    """The JSON file `name`: the digest and params of cfg, and the payload."""
+    envelope = {"config_digest": cfg.digest(), "params": cfg.params_dict(), **payload}
+    text = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    write_text_atomic(_outpath(cfg.out_dir, name), text)
+
+
 def _write_report(cfg: ExperimentConfig, stem: str, payload: dict, rows,
                   header: Sequence[str] = ("quantity", "value")) -> None:
-    """The report `stem`: in csv format the rows under header, in json the
-    digest, the params and the payload."""
+    """The report `stem`: the rows under header in csv format, the payload in json."""
     if cfg.fmt == "csv":
-        write_csv(_outpath(cfg.out_dir, stem + ".csv"), cfg.digest(), header, rows)
+        _write_table(cfg, stem + ".csv", header, rows)
     else:
-        write_json(
-            _outpath(cfg.out_dir, stem + ".json"),
-            {"config_digest": cfg.digest(), "params": cfg.params_dict(), **payload},
-        )
+        _write_payload(cfg, stem + ".json", payload)
+
+
+def _write_series(cfg: ExperimentConfig, name: str, outcome) -> None:
+    """The diagnostics records of one run, one row each."""
+    _write_table(cfg, name, PLOT_HEADERS["diagnostics"],
+                 (rec.row() for rec in outcome.series))
 
 
 def _numtag(x: float) -> str:
@@ -280,15 +301,12 @@ def cmd_groundstate(cfg: ExperimentConfig) -> int:
     grid = build_grid(cfg.n, cfg.rmax, cfg.points)
     gs = gsmod.solve_ground_state(cfg.n, cfg.p, cfg.lam, grid)
     ids = gsmod.verify_identities(gs)
-    digest = cfg.digest()
     tag = f"n{cfg.n}_p{_numtag(cfg.p)}_lam{_numtag(cfg.lam)}"
 
     # uniqueness window of the sub-threshold theory
     uniqueness = cfg.lam <= 2.0 * (cfg.p + 1.0) / (cfg.p + 3.0) ** 2
 
     payload = {
-        "config_digest": digest,
-        "params": cfg.params_dict(),
         "q0": gs.q0,
         "hlam_sq": gs.hlam_sq,
         "lp1": gs.lp1,
@@ -299,13 +317,9 @@ def cmd_groundstate(cfg: ExperimentConfig) -> int:
         "logslope_dev": float(ids["logslope_dev"]),
         "uniqueness_regime": bool(uniqueness),
     }
-    write_json(_outpath(cfg.out_dir, f"groundstate_{tag}.json"), payload)
-    write_csv(
-        _outpath(cfg.out_dir, f"groundstate_{tag}.csv"),
-        digest,
-        ("r", "Q"),
-        zip(grid.nodes, gs.profile),
-    )
+    _write_payload(cfg, f"groundstate_{tag}.json", payload)
+    _write_table(cfg, f"groundstate_{tag}.csv", PLOT_HEADERS["profile"],
+                 zip(grid.nodes, gs.profile))
     ok = (
         gs.residuals["pohozaev"] < 1e-5
         and gs.residuals["energy_ratio"] < 1e-5
@@ -331,7 +345,6 @@ def cmd_dichotomy(cfg: ExperimentConfig) -> int:
     grid = build_grid(cfg.n, cfg.rmax, cfg.points)
     gs = gsmod.solve_ground_state(cfg.n, cfg.p, cfg.lam, grid)
 
-    digest = cfg.digest()
     alphas = sorted(cfg.alphas or DEFAULT_ALPHAS)
     icfg = IntegratorConfig(
         dt=cfg.dt, blowup_h1_factor=DICHOTOMY_H1_FACTOR, diag_stride=10.0
@@ -363,12 +376,7 @@ def cmd_dichotomy(cfg: ExperimentConfig) -> int:
         elif out.status == "completed":
             row["proxy"] = scattering_proxy(out)
         fname = f"dichotomy_alpha{_numtag(alpha)}_fwd.csv"
-        write_csv(
-            _outpath(cfg.out_dir, fname),
-            digest,
-            fn.DIAGNOSTICS_COLUMNS,
-            (rec.row() for rec in out.series),
-        )
+        _write_series(cfg, fname, out)
         row_files.append(fname)
         rows.append(row)
 
@@ -402,7 +410,6 @@ def cmd_virial_check(cfg: ExperimentConfig) -> int:
         grid=grid, values=(0.5 * np.exp(-grid.nodes**2)).astype(complex)
     )
     icfg = IntegratorConfig(dt=cfg.dt, diag_stride=100.0)
-    digest = cfg.digest()
 
     sweep_radii = (4.0, fn.LOC_VIRIAL_RADIUS, 16.0)
     # each record's loc_virial is the localized virial at LOC_VIRIAL_RADIUS
@@ -416,12 +423,7 @@ def cmd_virial_check(cfg: ExperimentConfig) -> int:
         })
 
     out = evolve_run(u0, cfg.horizon, icfg, cfg.p, cfg.lam, None, monitor=monitor)
-    write_csv(
-        _outpath(cfg.out_dir, "virial_diag.csv"),
-        digest,
-        fn.DIAGNOSTICS_COLUMNS,
-        (rec.row() for rec in out.series),
-    )
+    _write_series(cfg, "virial_diag.csv", out)
     if out.status == "inner_solve_failure":
         raise InnerSolveFailure("inner solve failure in the virial run")
     if out.status != "completed":
@@ -522,12 +524,9 @@ def cmd_mass_curve(cfg: ExperimentConfig) -> int:
             (alpha, pt.e_alpha, pt.lagrange_lambda, pt.el_residual, pt.iterations)
         )
 
-    write_csv(
-        _outpath(cfg.out_dir, "mass_curve.csv"),
-        cfg.digest(),
-        ("alpha", "e_alpha", "lagrange_lambda", "el_residual", "iterations"),
-        rows,
-    )
+    _write_table(cfg, "mass_curve.csv",
+                 ("alpha", "e_alpha", "lagrange_lambda", "el_residual", "iterations"),
+                 rows)
     negative = sum(1 for r in rows if r[1] < 0)
     _write_report(
         cfg,
@@ -545,7 +544,6 @@ def cmd_mass_curve(cfg: ExperimentConfig) -> int:
 def cmd_spectral_check(cfg: ExperimentConfig) -> int:
     grid = build_grid(cfg.n, cfg.rmax, cfg.points)
     family = sp.bump_family(grid)
-    digest = cfg.digest()
 
     # the lemma's scales m = 1, 2, 4, 8, 16 are every fourth of M_SAMPLES
     lemma_rows = slice(0, 17, 4)
@@ -573,12 +571,8 @@ def cmd_spectral_check(cfg: ExperimentConfig) -> int:
 
     tr = sp.get_transform(grid)
     vhat = tr.forward(np.exp(-grid.nodes**2))
-    write_csv(
-        _outpath(cfg.out_dir, "spectral_reference.csv"),
-        digest,
-        ("lambda", "re", "im", "density"),
-        zip(tr.lambda_nodes, vhat.real, vhat.imag, tr.density),
-    )
+    _write_table(cfg, "spectral_reference.csv", PLOT_HEADERS["spectrum"],
+                 zip(tr.lambda_nodes, vhat.real, vhat.imag, tr.density))
 
     passed = (
         parseval_max < 1e-4
@@ -614,13 +608,6 @@ def cmd_spectral_check(cfg: ExperimentConfig) -> int:
 # plot data
 # ---------------------------------------------------------------------------
 
-PLOT_HEADERS = {
-    "diagnostics": list(fn.DIAGNOSTICS_COLUMNS),
-    "profile": ["r", "Q"],
-    "spectrum": ["lambda", "re", "im", "density"],
-}
-
-
 def cmd_plotdata(args) -> int:
     digest, header, rows = read_csv(args.input)
     if header != PLOT_HEADERS[args.kind]:
@@ -651,6 +638,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# the subcommands that run on a resolved configuration: name -> (runner, help)
+COMMANDS = {
+    "groundstate": (cmd_groundstate, "solve and certify Q"),
+    "dichotomy": (cmd_dichotomy, "alpha-sweep of alpha*Q data"),
+    "virial-check": (cmd_virial_check, "second-moment vs G"),
+    "inequalities": (cmd_inequalities, "weight scans"),
+    "mass-curve": (cmd_mass_curve, "constrained minimization"),
+    "spectral-check": (cmd_spectral_check, "transform checks"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     for param in PARAMS:
@@ -669,12 +667,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Experiments for the focusing NLS on hyperbolic space.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("groundstate", parents=[common], help="solve and certify Q")
-    sub.add_parser("dichotomy", parents=[common], help="alpha-sweep of alpha*Q data")
-    sub.add_parser("virial-check", parents=[common], help="second-moment vs G")
-    sub.add_parser("inequalities", parents=[common], help="weight scans")
-    sub.add_parser("mass-curve", parents=[common], help="constrained minimization")
-    sub.add_parser("spectral-check", parents=[common], help="transform checks")
+    for name, (_, help_text) in COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
     plot = sub.add_parser("plotdata", help="reshape an output file for plotting")
     plot.add_argument("input", help="CSV produced by another subcommand")
     plot.add_argument("--kind", required=True, choices=tuple(PLOT_HEADERS),
@@ -683,23 +677,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-COMMANDS = {
-    "groundstate": cmd_groundstate,
-    "dichotomy": cmd_dichotomy,
-    "virial-check": cmd_virial_check,
-    "inequalities": cmd_inequalities,
-    "mass-curve": cmd_mass_curve,
-    "spectral-check": cmd_spectral_check,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one subcommand; the only place an exception becomes an exit code."""
     try:
         args = build_parser().parse_args(argv)
         if args.command == "plotdata":
             return cmd_plotdata(args)
-        return COMMANDS[args.command](resolve_config(args))
+        return COMMANDS[args.command][0](resolve_config(args))
     except SystemExit as exc:  # --help; every other parser exit is a UsageError
         return exc.code
     except CheckFailure as exc:
@@ -709,6 +693,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _err(EXIT_SOLVER, str(exc))
     except ValueError as exc:  # UsageError, NoGroundState, ParameterMismatch, ...
         return _err(EXIT_USAGE, str(exc))
+    except OSError as exc:  # inputs are read as UsageErrors: an output failed
+        return _err(EXIT_USAGE, f"cannot write output: {exc}")
 
 
 if __name__ == "__main__":

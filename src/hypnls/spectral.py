@@ -166,7 +166,9 @@ class FieldSpectrum:
         return float(np.max(M_SAMPLES ** (s - 1.5) * self.sups))
 
     def reconstruction_residual(self) -> float:
-        """Relative L^2 gap in 2 int_1^inf (1/m) P_m u dm = u - e^Delta u."""
+        """Relative L^2 gap in 2 int_1^inf (1/m) P_m u dm = u - e^Delta u: how
+        well the panel rule of reconstruction_multiplier gives its closed form
+        1 - e^{-X}, plus transform roundoff; not a property of the P_m."""
         tr, u = self.transform, self.field
         recon = tr.inverse(tr.reconstruction_multiplier * self.vhat)
         target = u.values - tr.inverse(np.exp(-tr.x_symbol()) * self.vhat)

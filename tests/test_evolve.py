@@ -308,7 +308,7 @@ def _odd_gaussian_pair(grid, t, amp=1e-7, a=0.5, k=0.0, x0=3.0):
     return amp * np.exp(-1j * t) * (psi(r - x0) - psi(-r - x0)) / np.sinh(r)
 
 
-@pytest.mark.parametrize("scheme", ev.SCHEMES)
+@pytest.mark.parametrize("scheme", ev.STEPPERS)
 def test_exact_reference_solution_h3(scheme):
     # at amplitude 1e-7 the cubic flow is the linear one to ~1e-14, so the
     # error against the closed form is the (dr, dt) discretization error

@@ -215,6 +215,26 @@ def test_config_digest_is_pinned(tmp_path):
     assert read_json(out / "spectral_report.json")["params"]["points"] == 2000
 
 
+@pytest.mark.parametrize("argv, files", (
+    (["groundstate"], ("groundstate_n3_p3_lam0.csv", "groundstate_n3_p3_lam0.json")),
+    (["spectral-check"], ("spectral_reference.csv", "spectral_report.json")),
+    (["spectral-check", "--format", "csv"],
+     ("spectral_reference.csv", "spectral_report.csv")),
+))
+def test_every_output_carries_the_envelope(tmp_path, argv, files):
+    argv = [*argv, "--out", str(tmp_path)]
+    cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
+    assert cli.main(argv) == 0
+    assert tuple(sorted(os.listdir(tmp_path))) == files
+    for name in files:
+        if name.endswith(".json"):
+            payload = read_json(tmp_path / name)
+            assert payload["config_digest"] == cfg.digest()
+            assert payload["params"] == cfg.params_dict()
+        else:
+            assert cli.read_csv(str(tmp_path / name))[0] == cfg.digest()
+
+
 def test_env_out_dir_overrides_flag(tmp_path, monkeypatch):
     env_dir = tmp_path / "from_env"
     flag_dir = tmp_path / "from_flag"
@@ -222,6 +242,18 @@ def test_env_out_dir_overrides_flag(tmp_path, monkeypatch):
     assert cli.main(["inequalities", "--out", str(flag_dir)]) == 0
     assert (env_dir / "inequalities_report.json").exists()
     assert not flag_dir.exists()
+
+
+def test_output_dir_that_is_a_file_is_usage_error(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    assert cli.main(["inequalities", "--out", str(blocker)]) == 2
+    assert stderr_payload(capsys)["code"] == 2
+    monkeypatch.setenv("HYPNLS_OUT", str(blocker / "sub"))
+    assert cli.main(["inequalities"]) == 2
+    payload = stderr_payload(capsys)
+    assert payload["code"] == 2 and payload["error"].startswith("cannot write output")
+    assert blocker.read_text() == "a file, not a directory\n"
 
 
 def test_unknown_format_is_usage_error(tmp_path, capsys):
@@ -509,6 +541,13 @@ def test_plotdata_kinds_and_errors(tmp_path, capsys):
     naked.write_text("r,Q\n1.0,2.0\n")
     assert cli.main(["plotdata", str(naked), "--kind", "profile"]) == 2
     assert "missing config digest" in stderr_payload(capsys)["error"]
+
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("# config_digest=abc\nr,Q\n1.0,2.0\n3.0\n")
+    assert cli.main(["plotdata", str(ragged), "--kind", "profile"]) == 2
+    assert stderr_payload(capsys) == {
+        "code": 2, "error": f"{ragged}: data row 2 does not match the header",
+    }
 
 
 def test_plotdata_diagnostics_yields_twelve_series(tmp_path):

@@ -15,5 +15,10 @@ def test_output_matrix_entries_parse():
     names = [name for name, _ in matrix.MATRIX]
     assert len(set(names)) == len(names)
     parser = cli.build_parser()
-    for _, argv in matrix.MATRIX:
-        cli.resolve_config(parser.parse_args([*argv, "--out", "unused"]))
+    for k, (_, argv) in enumerate(matrix.MATRIX):
+        args = parser.parse_args([*argv, "--out", "unused"])
+        if args.command == "plotdata":
+            # the input is a file that an earlier entry writes
+            assert args.input.split("/")[1] in names[:k]
+        else:
+            cli.resolve_config(args)
