@@ -241,8 +241,6 @@ def evolve_run(
     if not T > 0:
         raise ValueError("horizon must be positive")
     grid = u0.grid
-    if gs is not None and (gs.n != grid.n or not gs.grid.same_as(grid)):
-        raise fn.ParameterMismatch("ground state does not match the run grid")
     if u0.boundary_deviation() > 1e-6:
         raise ValueError(
             "initial datum is not Dirichlet-admissible on this grid "

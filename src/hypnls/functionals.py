@@ -36,6 +36,7 @@ from .hypgeom import (
     cached_weights,
     coth,
     dirichlet_energy,
+    per_grid,
     quadrature,
     spectrum_bottom,
 )
@@ -58,9 +59,6 @@ class RadialField:
             raise ValueError("values length does not match grid")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
-
-    def copy(self) -> "RadialField":
-        return RadialField(grid=self.grid, values=self.values.copy())
 
     def boundary_deviation(self) -> float:
         """|u| at the last node relative to max |u| (Dirichlet diagnostic)."""
@@ -120,6 +118,7 @@ def _bridge(order: int):
     return np.polynomial.Polynomial(_BRIDGE_COEFFS).deriv(order)
 
 
+@per_grid
 def localized_weights(grid: RadialGrid, R: float):
     """(Lap h_R, Lap^2 h_R) at the nodes and phi''(edges / R), h_R = R^2 phi(r/R).
 
@@ -127,16 +126,10 @@ def localized_weights(grid: RadialGrid, R: float):
     weights are used (series-protected near 0); on the bridge R < r < 2R the
     chain-rule expressions in phi derivatives and coth are evaluated
     directly (safe: r >= R >= 1 there); beyond 2R every weight vanishes.
-    Memoized on the grid object per R; the returned arrays are read-only.
+    Memoized per grid and R; the returned arrays are read-only.
     """
     if R < 1.0:
         raise ValueError("cutoff radius R must be >= 1")
-    tables = getattr(grid, "_localized_weights", None)
-    if tables is None:
-        tables = grid._localized_weights = {}
-    table = tables.get(float(R))
-    if table is not None:
-        return table
     n = grid.n
     r = grid.nodes
     s = r / R
@@ -165,7 +158,6 @@ def localized_weights(grid: RadialGrid, R: float):
     table = (lap_h, bilap_h, cutoff_derivative(grid.edges / R, 2))
     for arr in table:
         arr.flags.writeable = False
-    tables[float(R)] = table
     return table
 
 
@@ -237,13 +229,15 @@ def compute_diagnostics(
     |u|^2, |u|^{p+1} and the Dirichlet form are computed once and shared by
     every column. The shift of h_sq and of G is the spectral bottom whatever
     lam is. delta_lambda is hlam_sq - gs.hlam_sq, NaN without gs; a gs on
-    another grid raises ParameterMismatch. loc_virial is localized_virial_rhs
-    at R = LOC_VIRIAL_RADIUS, with the weights of localized_weights built
-    once per grid and radius.
+    another grid or of another p or lam raises ParameterMismatch.
+    loc_virial is localized_virial_rhs at R = LOC_VIRIAL_RADIUS, with the
+    weights of localized_weights built once per grid and radius.
     """
     grid = u.grid
     if gs is not None and not grid.same_as(gs.grid):
         raise ParameterMismatch("field grid does not match")
+    if gs is not None and (gs.p, gs.lam) != (p, lam):
+        raise ParameterMismatch("ground state is for another p or lambda")
     n = grid.n
     usq = np.abs(u.values) ** 2
     up1 = np.abs(u.values) ** (p + 1.0)

@@ -27,6 +27,7 @@ from .hypgeom import (
     coth,
     dirichlet_energy,
     laplacian_bands,
+    per_grid,
     shifted_bands,
     solve_banded,
     spectrum_bottom,
@@ -84,7 +85,7 @@ def _series_start(n: int, p: float, lam: float, a: float, r0: float):
     return q, dq
 
 
-def _integrate(n, p, lam, a, grid: RadialGrid, coth_half, record=False):
+def _integrate(n, p, lam, a, grid: RadialGrid, record=False):
     """March the (Q, Q') system across the cell centers with fixed-step RK4.
 
     Returns (event, stop_index, profile) where event is one of 'crossed'
@@ -95,6 +96,7 @@ def _integrate(n, p, lam, a, grid: RadialGrid, coth_half, record=False):
     h = grid.dr
     n_pts = grid.num_points
     cm1 = n - 1
+    coth_half = _coth_half_lattice(grid)
     q, dq = _series_start(n, p, lam, a, 0.5 * h)
     prof = np.empty(n_pts) if record else None
     if record:
@@ -141,16 +143,16 @@ def _integrate(n, p, lam, a, grid: RadialGrid, coth_half, record=False):
     return "none", n_pts - 1, prof
 
 
+@per_grid
 def _coth_half_lattice(grid: RadialGrid):
+    # coth at the half-cell radii k dr / 2 (k >= 1), a shared tuple of floats
     radii = 0.5 * grid.dr * np.arange(1, 2 * grid.num_points + 2)
-    return coth(radii).tolist()
+    return tuple(coth(radii).tolist())
 
 
-def shooting_classifier(n, p, lam, a, grid, coth_half=None) -> int:
+def shooting_classifier(n, p, lam, a, grid) -> int:
     """-1 when the trajectory crosses zero (amplitude too large), +1 else."""
-    if coth_half is None:
-        coth_half = _coth_half_lattice(grid)
-    event = _integrate(n, p, lam, a, grid, coth_half)[0]
+    event = _integrate(n, p, lam, a, grid)[0]
     return -1 if event == "crossed" else +1
 
 
@@ -223,19 +225,18 @@ def solve_ground_state(n: int, p: float, lam: float, grid: RadialGrid) -> Ground
             "no ground state (no positive decaying solution exists)"
         )
 
-    coth_half = _coth_half_lattice(grid)
     # geometric ladder for the initial bracket: the origin series (and the
     # ODE itself) is only meaningful while the crossing radius is resolved,
     # so walk up from small amplitudes instead of classifying the raw
     # endpoints of the search range
     a_min, a_max = AMPLITUDE_RANGE
-    if shooting_classifier(n, p, lam, a_min, grid, coth_half) != +1:
+    if shooting_classifier(n, p, lam, a_min, grid) != +1:
         raise ShootingFailure(f"amplitude {a_min} already crosses zero")
     lo = a_min
     hi = None
     a = max(10.0 * a_min, 0.25)
     while a <= a_max:
-        if shooting_classifier(n, p, lam, a, grid, coth_half) == -1:
+        if shooting_classifier(n, p, lam, a, grid) == -1:
             hi = a
             break
         lo = a
@@ -248,13 +249,13 @@ def solve_ground_state(n: int, p: float, lam: float, grid: RadialGrid) -> Ground
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if shooting_classifier(n, p, lam, mid, grid, coth_half) == -1:
+        if shooting_classifier(n, p, lam, mid, grid) == -1:
             hi = mid
         else:
             lo = mid
     q0 = 0.5 * (lo + hi)
 
-    event, stop, prof = _integrate(n, p, lam, q0, grid, coth_half, record=True)
+    event, stop, prof = _integrate(n, p, lam, q0, grid, record=True)
     # matching index: where the trajectory is deep into the linear regime,
     # or just before the residual shooting error misbehaves
     candidates = np.nonzero(prof[: stop + 1] < MATCH_LEVEL * q0)[0]

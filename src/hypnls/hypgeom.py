@@ -11,6 +11,7 @@ quadratic form <-L u, u> equals the discrete Dirichlet energy to roundoff.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,24 @@ class RadialGrid:
             and self.num_points == other.num_points
             and self.r_max == other.r_max
         )
+
+
+def per_grid(build):
+    """Memoize build(grid, *args) on the grid: the one owner of every table
+    that depends only on the grid. Tables live in one dict on the grid,
+    keyed by (build, args), so a new grid gets its own."""
+
+    @functools.wraps(build)
+    def lookup(grid: RadialGrid, *args):
+        key = (build, args)
+        try:
+            return vars(grid)["_tables"][key]
+        except KeyError:
+            table = build(grid, *args)
+        vars(grid).setdefault("_tables", {})[key] = table
+        return table
+
+    return lookup
 
 
 def build_grid(n: int, r_max: float, num_points: int) -> RadialGrid:
@@ -152,21 +171,18 @@ class WeightTable:
     bilap_r2: np.ndarray
 
 
-def cached_weights(grid: RadialGrid) -> "WeightTable":
-    """Weight table memoized on the grid object (hot path of diagnostics)."""
-    table = getattr(grid, "_weight_table", None)
-    if table is None:
-        r = grid.nodes
-        n = grid.n
-        w1 = w1_weight(r)
-        rc = r_coth_r(r)
-        table = grid._weight_table = WeightTable(
-            w1=w1,
-            w2=1.0 + (n - 1) * rc,
-            lap_r2=2.0 + 2.0 * (n - 1) * rc,
-            bilap_r2=2.0 * (n - 1) ** 2 - 2.0 * (n - 1) * (n - 3) * w1,
-        )
-    return table
+@per_grid
+def cached_weights(grid: RadialGrid) -> WeightTable:
+    """The grid's weight table (hot path of diagnostics)."""
+    n = grid.n
+    w1 = w1_weight(grid.nodes)
+    rc = r_coth_r(grid.nodes)
+    return WeightTable(
+        w1=w1,
+        w2=1.0 + (n - 1) * rc,
+        lap_r2=2.0 + 2.0 * (n - 1) * rc,
+        bilap_r2=2.0 * (n - 1) ** 2 - 2.0 * (n - 1) * (n - 3) * w1,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +197,7 @@ def quadrature(field_values, grid: RadialGrid):
     return np.dot(values, grid.vol_weights)
 
 
+@per_grid
 def laplacian_bands(grid: RadialGrid):
     """Sub-, main, and super-diagonal of the divergence-form Laplacian.
 
@@ -189,11 +206,8 @@ def laplacian_bands(grid: RadialGrid):
     A_0 = 0 encodes the zero-flux symmetry at the origin, and the Dirichlet
     condition at r_max enters through the half-cell flux -2 u_{N-1} / dr.
     L is self-adjoint with respect to the vol_weights inner product.
-    Memoized on the grid object; the returned arrays are read-only.
+    Memoized per grid; the returned arrays are read-only.
     """
-    bands = getattr(grid, "_laplacian_bands", None)
-    if bands is not None:
-        return bands
     h = grid.dr
     w = grid.node_density
     a = grid.edge_density
@@ -208,8 +222,7 @@ def laplacian_bands(grid: RadialGrid):
     diag[-1] = -(a[n_pts - 1] + 2.0 * a[n_pts]) * inv[-1]
     for band in (lower, diag, upper):
         band.flags.writeable = False
-    grid._laplacian_bands = (lower, diag, upper)
-    return grid._laplacian_bands
+    return lower, diag, upper
 
 
 def apply_laplacian(values, grid: RadialGrid, shift: float = 0.0):

@@ -38,7 +38,7 @@ import math
 import numpy as np
 from scipy.fft import dst
 
-from .hypgeom import RadialGrid, quadrature
+from .hypgeom import RadialGrid, per_grid, quadrature
 from .functionals import RadialField
 
 RHO = 1.0                       # (n-1)/2 at n = 3
@@ -123,13 +123,10 @@ class SpectralTransform:
         return self.lambda_nodes**2 + RHO**2
 
 
+@per_grid
 def get_transform(grid: RadialGrid) -> SpectralTransform:
-    """The grid's transform, memoized on the grid object."""
-    tr = getattr(grid, "_spectral_transform", None)
-    if tr is None:
-        tr = SpectralTransform(grid)
-        grid._spectral_transform = tr
-    return tr
+    """The grid's transform, memoized per grid."""
+    return SpectralTransform(grid)
 
 
 class FieldSpectrum:

@@ -45,6 +45,8 @@ def test_run_guards(grid3, grid2, gs3_zero):
             ev.evolve_run(u, horizon, cfg, 3.0, 0.0, None)
     with pytest.raises(fn.ParameterMismatch):
         ev.evolve_run(small_gaussian(grid2), 1.0, cfg, 3.0, 0.0, gs3_zero)
+    with pytest.raises(fn.ParameterMismatch):
+        ev.evolve_run(u, 1.0, cfg, 3.0, 0.5, gs3_zero)
     flat = fn.RadialField(grid=grid3, values=np.ones(grid3.num_points, dtype=complex))
     with pytest.raises(ValueError):
         ev.evolve_run(flat, 1.0, cfg, 3.0, 0.0, None)

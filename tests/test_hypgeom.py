@@ -5,6 +5,8 @@ Reference numbers were computed independently with mpmath at 40 digits
 frozen here with tolerances matched to the discretization order.
 """
 
+import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -16,7 +18,9 @@ import pytest
 import scipy.linalg
 
 import hypnls.functionals as fn
+import hypnls.groundstate as gsm
 import hypnls.hypgeom as hg
+import hypnls.spectral as sp
 
 # mpmath, 40 digits: mass of e^{-2r^2} on H^3 (u = e^{-r^2})
 GAUSS_MASS_3 = 2.55427674425510610721925509326
@@ -220,23 +224,39 @@ def test_solve_banded_failures():
         hg.solve_banded(dl, d, du, bad_rhs)
 
 
+def _fresh_python(code: str) -> str:
+    # stdout of code run by a new interpreter that imports this source tree
+    src = str(Path(hg.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return out.stdout
+
+
 def test_lapack_loads_on_first_solve():
     # importing the command line leaves scipy.linalg unloaded; the first
     # banded solve loads it
-    src = str(Path(hg.__file__).resolve().parent.parent)
-    code = (
+    out = _fresh_python(
         "import sys; import numpy as np; import hypnls.expcli; "
         "import hypnls.hypgeom as hg; "
         "print('scipy.linalg' in sys.modules); "
         "hg.solve_banded(np.ones(1), np.full(2, 3.0), np.ones(1), np.ones(2)); "
         "print('scipy.linalg' in sys.modules)"
     )
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, PYTHONPATH=path)
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    assert out.split() == ["False", "True"]
+
+
+def test_submodule_imports_alone():
+    # the package re-exports nothing, so one submodule loads neither its
+    # siblings nor scipy
+    out = _fresh_python(
+        "import json, sys; import hypnls.hypgeom; "
+        "print(json.dumps(sorted(m for m in sys.modules "
+        "if m.partition('.')[0] in ('hypnls', 'scipy'))))"
     )
-    assert out.stdout.split() == ["False", "True"]
+    assert json.loads(out) == ["hypnls", "hypnls.hypgeom"]
 
 
 def test_dirichlet_energy_gaussian_refinement():
@@ -302,5 +322,32 @@ def test_cached_weights_memoized(grid3):
     loc = fn.localized_weights(grid3, 8.0)
     assert loc is fn.localized_weights(grid3, 8.0)
     for arr in bands + loc:
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    # every table built from a fresh grid lives in the grid's one memo dict
+    grid = hg.build_grid(3, 20.0, 64)
+    builders = (
+        hg.laplacian_bands,
+        hg.cached_weights,
+        lambda g: fn.localized_weights(g, 4.0),
+        lambda g: fn.localized_weights(g, 8.0),
+        sp.get_transform,
+        gsm._coth_half_lattice,
+    )
+    tables = [build(grid) for build in builders]
+    gsm.shooting_classifier(3, 3.0, 0.0, 1.0, grid)
+    field_names = {f.name for f in dataclasses.fields(grid)}
+    assert set(vars(grid)) - field_names == {"_tables"}
+    assert fn.localized_weights(grid, 8) is fn.localized_weights(grid, 8.0)
+    # a second grid with equal parameters gets its own tables
+    twin = hg.build_grid(3, 20.0, 64)
+    for build, table in zip(builders, tables):
+        assert build(grid) is table
+        assert build(twin) is not table
+    transform = tables[4]
+    read_only = tables[0] + tables[2] + tables[3] + (
+        transform.pm_symbols, transform.reconstruction_multiplier,
+    )
+    for arr in read_only:
         with pytest.raises(ValueError):
             arr[0] = 1.0
