@@ -336,6 +336,32 @@ def _theorem_range(n: int, p: float) -> bool:
     return (n == 2 and p >= 3) or (n == 3 and 7.0 / 3.0 <= p < 5)
 
 
+def dichotomy_row(gs, alpha: float, dt: float, horizon: float):
+    """The forward run of alpha * Q and its report row: (row, RunOutcome)."""
+    icfg = IntegratorConfig(
+        dt=dt, blowup_h1_factor=DICHOTOMY_H1_FACTOR, diag_stride=10.0
+    )
+    u0 = gs.field_on_grid()
+    u0.values = alpha * u0.values
+    # alpha * Q is real, so the backward-time run is the conjugate of this
+    # one and classifies the datum the same way
+    out = evolve_run(u0, horizon, icfg, gs.p, gs.lam, gs)
+    # the t = 0 record holds the functionals of the datum itself
+    delta0 = out.series[0].delta_lambda
+    elam_ratio = out.series[0].energy_lambda / gs.elam
+    row = {
+        "alpha": alpha,
+        "delta_sign": "+" if delta0 > 0 else ("-" if delta0 < 0 else "0"),
+        "elam_ratio": elam_ratio,
+        "trapped": bool(elam_ratio <= 1.0 + 1e-12),
+        "status": out.status,
+        "t_star": out.t_star,
+        "blowup_reason": out.blowup_reason,
+        "proxy": scattering_proxy(out) if out.status == "completed" else "",
+    }
+    return row, out
+
+
 def cmd_dichotomy(cfg: ExperimentConfig) -> int:
     if not _theorem_range(cfg.n, cfg.p):
         sys.stderr.write(
@@ -345,36 +371,10 @@ def cmd_dichotomy(cfg: ExperimentConfig) -> int:
     grid = build_grid(cfg.n, cfg.rmax, cfg.points)
     gs = gsmod.solve_ground_state(cfg.n, cfg.p, cfg.lam, grid)
 
-    alphas = sorted(cfg.alphas or DEFAULT_ALPHAS)
-    icfg = IntegratorConfig(
-        dt=cfg.dt, blowup_h1_factor=DICHOTOMY_H1_FACTOR, diag_stride=10.0
-    )
     rows = []
     row_files = []
-    for alpha in alphas:
-        u0 = gs.field_on_grid()
-        u0.values = alpha * u0.values
-        # alpha * Q is real, so the backward-time run is the conjugate of
-        # this one and classifies the datum the same way
-        out = evolve_run(u0, cfg.horizon, icfg, cfg.p, cfg.lam, gs)
-        # the t = 0 record holds the functionals of the datum itself
-        delta0 = out.series[0].delta_lambda
-        elam_ratio = out.series[0].energy_lambda / gs.elam
-        row = {
-            "alpha": alpha,
-            "delta_sign": "+" if delta0 > 0 else ("-" if delta0 < 0 else "0"),
-            "elam_ratio": elam_ratio,
-            "trapped": bool(elam_ratio <= 1.0 + 1e-12),
-            "status": out.status,
-            "t_star": None,
-            "blowup_reason": None,
-            "proxy": "",
-        }
-        if out.status == "blowup":
-            row["t_star"] = out.t_star
-            row["blowup_reason"] = out.blowup_reason
-        elif out.status == "completed":
-            row["proxy"] = scattering_proxy(out)
+    for alpha in sorted(cfg.alphas or DEFAULT_ALPHAS):
+        row, out = dichotomy_row(gs, alpha, cfg.dt, cfg.horizon)
         fname = f"dichotomy_alpha{_numtag(alpha)}_fwd.csv"
         _write_series(cfg, fname, out)
         row_files.append(fname)
@@ -404,12 +404,16 @@ def cmd_dichotomy(cfg: ExperimentConfig) -> int:
 # virial check
 # ---------------------------------------------------------------------------
 
-def cmd_virial_check(cfg: ExperimentConfig) -> int:
-    grid = build_grid(cfg.n, cfg.rmax, cfg.points)
+def virial_sweep(grid, p: float, lam: float, dt: float, horizon: float):
+    """The run of 0.5 e^{-r^2} with 100 records per unit time: (RunOutcome,
+    mismatch, gaps). mismatch is virial_consistency of the run; gaps maps
+    each radius of the R sweep to the max over the records of the localized
+    virial's distance from G, relative to |G|. Both are None unless the run
+    completed."""
     u0 = fn.RadialField(
         grid=grid, values=(0.5 * np.exp(-grid.nodes**2)).astype(complex)
     )
-    icfg = IntegratorConfig(dt=cfg.dt, diag_stride=100.0)
+    icfg = IntegratorConfig(dt=dt, diag_stride=100.0)
 
     sweep_radii = (4.0, fn.LOC_VIRIAL_RADIUS, 16.0)
     # each record's loc_virial is the localized virial at LOC_VIRIAL_RADIUS
@@ -418,16 +422,13 @@ def cmd_virial_check(cfg: ExperimentConfig) -> int:
 
     def monitor(t, field):
         localized.append({
-            radius: fn.localized_virial_rhs(field, radius, p=cfg.p)
+            radius: fn.localized_virial_rhs(field, radius, p=p)
             for radius in sweep_radii if radius != fn.LOC_VIRIAL_RADIUS
         })
 
-    out = evolve_run(u0, cfg.horizon, icfg, cfg.p, cfg.lam, None, monitor=monitor)
-    _write_series(cfg, "virial_diag.csv", out)
-    if out.status == "inner_solve_failure":
-        raise InnerSolveFailure("inner solve failure in the virial run")
+    out = evolve_run(u0, horizon, icfg, p, lam, None, monitor=monitor)
     if out.status != "completed":
-        raise CheckFailure("virial check requires completed run")
+        return out, None, None
 
     gaps = {radius: 0.0 for radius in sweep_radii}
     for rec, values in zip(out.series, localized):
@@ -435,13 +436,20 @@ def cmd_virial_check(cfg: ExperimentConfig) -> int:
         scale = max(abs(rec.G_value), 1e-12)
         for radius in sweep_radii:
             gaps[radius] = max(gaps[radius], abs(values[radius] - rec.G_value) / scale)
+    return out, virial_consistency(out), gaps
 
-    mismatch = virial_consistency(out)
-    sweep_rows = [(radius, gaps[radius]) for radius in sweep_radii]
-    monotone = all(
-        gaps[sweep_radii[i]] >= gaps[sweep_radii[i + 1]] - 1e-12
-        for i in range(len(sweep_radii) - 1)
-    )
+
+def cmd_virial_check(cfg: ExperimentConfig) -> int:
+    grid = build_grid(cfg.n, cfg.rmax, cfg.points)
+    out, mismatch, gaps = virial_sweep(grid, cfg.p, cfg.lam, cfg.dt, cfg.horizon)
+    _write_series(cfg, "virial_diag.csv", out)
+    if out.status == "inner_solve_failure":
+        raise InnerSolveFailure("inner solve failure in the virial run")
+    if out.status != "completed":
+        raise CheckFailure("virial check requires completed run")
+
+    sweep = list(gaps.values())
+    monotone = all(a >= b - 1e-12 for a, b in zip(sweep, sweep[1:]))
     passed = bool(mismatch < 0.02 and monotone)
 
     _write_report(
@@ -449,12 +457,12 @@ def cmd_virial_check(cfg: ExperimentConfig) -> int:
         "virial_report",
         {
             "mismatch": mismatch,
-            "r_sweep": {str(int(radius)): gap for radius, gap in sweep_rows},
+            "r_sweep": {str(int(radius)): gap for radius, gap in gaps.items()},
             "sweep_monotone": monotone,
             "passed": passed,
         },
         [("mismatch", mismatch), ("sweep_monotone", int(monotone))]
-        + [(f"gap_R{int(radius)}", gap) for radius, gap in sweep_rows],
+        + [(f"gap_R{int(radius)}", gap) for radius, gap in gaps.items()],
     )
     return EXIT_PASS if passed else EXIT_SCIENCE
 
@@ -463,38 +471,37 @@ def cmd_virial_check(cfg: ExperimentConfig) -> int:
 # inequality scans
 # ---------------------------------------------------------------------------
 
-def cmd_inequalities(cfg: ExperimentConfig) -> int:
+def inequality_scan(n: int, p: float, r_max: float) -> dict:
+    """The pointwise weight scans, by name in report order: the quartic F on
+    (0, 20], the P_m coefficients at the critical power 1 + 4/n and at p,
+    and W1 on a 1e-4 lattice over [1e-6, r_max] and at r_max."""
     r_grid = np.linspace(20.0 / 100000, 20.0, 100000)
-    quartic_min, quartic_argmin = fn.quartic_inequality_scan(cfg.n, r_grid)
+    quartic_min, quartic_argmin = fn.quartic_inequality_scan(n, r_grid)
+    w1_vals = w1_weight(np.linspace(1e-6, r_max, round(r_max / 1e-4) + 1))
+    return {
+        "quartic_min": quartic_min,
+        "quartic_argmin": quartic_argmin,
+        "pm_min_at_critical_p": fn.pm_coefficient_positivity(n, 1.0 + 4.0 / n),
+        "pm_min_at_p": fn.pm_coefficient_positivity(n, p),
+        "w1_max": float(np.max(w1_vals)),
+        "w1_tail": float(w1_weight(np.array([r_max]))[0]),
+    }
 
-    p_crit = 1.0 + 4.0 / cfg.n
-    pm_min_crit = fn.pm_coefficient_positivity(cfg.n, p_crit)
-    pm_min_at_p = fn.pm_coefficient_positivity(cfg.n, cfg.p)
 
-    w1_vals = w1_weight(np.linspace(1e-6, cfg.rmax, 200001))
-    w1_max = float(np.max(w1_vals))
-    w1_tail = float(w1_weight(np.array([cfg.rmax]))[0])
-
+def cmd_inequalities(cfg: ExperimentConfig) -> int:
+    results = inequality_scan(cfg.n, cfg.p, cfg.rmax)
     floor = -1e-12
     passed = (
-        quartic_min >= floor
-        and pm_min_crit >= floor
-        and abs(w1_max - 1.0 / 3.0) < 1e-6
-        and w1_tail < 1e-12
+        results["quartic_min"] >= floor
+        and results["pm_min_at_critical_p"] >= floor
+        and abs(results["w1_max"] - 1.0 / 3.0) < 1e-6
+        and results["w1_tail"] < 1e-12
     )
-    rows = [
-        ("quartic_min", quartic_min),
-        ("quartic_argmin", quartic_argmin),
-        ("pm_min_at_critical_p", pm_min_crit),
-        ("pm_min_at_p", pm_min_at_p),
-        ("w1_max", w1_max),
-        ("w1_tail", w1_tail),
-    ]
     _write_report(
         cfg,
         "inequalities_report",
-        {"critical_p": p_crit, "results": dict(rows), "passed": passed},
-        rows,
+        {"critical_p": 1.0 + 4.0 / cfg.n, "results": results, "passed": passed},
+        results.items(),
     )
     return EXIT_PASS if passed else EXIT_SCIENCE
 
@@ -503,26 +510,33 @@ def cmd_inequalities(cfg: ExperimentConfig) -> int:
 # mass curve
 # ---------------------------------------------------------------------------
 
+def mass_curve_sweep(grid, p: float, alphas) -> list:
+    """One MassCurvePoint per mass in alphas, in order; each minimization
+    starts from the last minimizer found."""
+    points = []
+    warm = None
+    for alpha in alphas:
+        pt = gsmod.mass_constrained_minimize(alpha, grid.n, p, grid, start=warm)
+        if pt.minimizer is not None:
+            warm = pt.minimizer.values.real
+        points.append(pt)
+    return points
+
+
 def cmd_mass_curve(cfg: ExperimentConfig) -> int:
     grid = build_grid(cfg.n, cfg.rmax, cfg.points)
     alphas = sorted(cfg.alphas) if cfg.alphas else list(np.geomspace(0.1, 20.0, 13))
+    points = mass_curve_sweep(grid, cfg.p, alphas)
     bottom = spectrum_bottom(cfg.n)
-
-    rows = []
-    alpha0 = None
-    warm = None
-    ok = True
-    for alpha in alphas:
-        pt = gsmod.mass_constrained_minimize(alpha, cfg.n, cfg.p, grid, start=warm)
-        if pt.minimizer is not None:
-            warm = pt.minimizer.values.real
-            if alpha0 is None:
-                alpha0 = alpha
-            if pt.el_residual >= 1e-4 or pt.lagrange_lambda >= bottom:
-                ok = False
-        rows.append(
-            (alpha, pt.e_alpha, pt.lagrange_lambda, pt.el_residual, pt.iterations)
-        )
+    minimizers = [pt for pt in points if pt.minimizer is not None]
+    alpha0 = minimizers[0].alpha if minimizers else None
+    ok = not any(
+        pt.el_residual >= 1e-4 or pt.lagrange_lambda >= bottom for pt in minimizers
+    )
+    rows = [
+        (pt.alpha, pt.e_alpha, pt.lagrange_lambda, pt.el_residual, pt.iterations)
+        for pt in points
+    ]
 
     _write_table(cfg, "mass_curve.csv",
                  ("alpha", "e_alpha", "lagrange_lambda", "el_residual", "iterations"),
@@ -541,16 +555,16 @@ def cmd_mass_curve(cfg: ExperimentConfig) -> int:
 # spectral checks
 # ---------------------------------------------------------------------------
 
-def cmd_spectral_check(cfg: ExperimentConfig) -> int:
-    grid = build_grid(cfg.n, cfg.rmax, cfg.points)
-    family = sp.bump_family(grid)
-
+def spectral_family(grid) -> dict:
+    """Every spectral-check quantity of the bump family on grid: the maxima
+    of the Parseval and reconstruction residuals, the lemma constants
+    {s: {m: C}} and the refined Sobolev ratios {s: {min, max, spread}}."""
     # the lemma's scales m = 1, 2, 4, 8, 16 are every fourth of M_SAMPLES
     lemma_rows = slice(0, 17, 4)
     m_arr = sp.M_SAMPLES[lemma_rows]
     lemma = {s: {m: 0.0 for m in m_arr} for s in (0.5, 1.0)}
     parseval, recon, ratios = [], [], {0.5: [], 1.0: []}
-    for u in family:
+    for u in sp.bump_family(grid):
         spec = sp.FieldSpectrum(u)
         parseval.append(spec.parseval_residual())
         recon.append(spec.reconstruction_residual())
@@ -562,12 +576,22 @@ def cmd_spectral_check(cfg: ExperimentConfig) -> int:
             for m, ratio in zip(m_arr, sups / bounds):
                 lemma[s][m] = max(lemma[s][m], float(ratio))
             ratios[s].append(spec.refined_sobolev_ratio(s))
-    parseval_max = max(parseval)
-    recon_max = max(recon)
-    refined = {
-        s: {"min": min(vals), "max": max(vals), "spread": max(vals) / min(vals)}
-        for s, vals in ratios.items()
+    return {
+        "parseval_max": max(parseval),
+        "reconstruction_max": max(recon),
+        "lemma_constants": lemma,
+        "refined_ratio": {
+            s: {"min": min(vals), "max": max(vals), "spread": max(vals) / min(vals)}
+            for s, vals in ratios.items()
+        },
     }
+
+
+def cmd_spectral_check(cfg: ExperimentConfig) -> int:
+    grid = build_grid(cfg.n, cfg.rmax, cfg.points)
+    family = spectral_family(grid)
+    lemma = family["lemma_constants"]
+    refined = family["refined_ratio"]
 
     tr = sp.get_transform(grid)
     vhat = tr.forward(np.exp(-grid.nodes**2))
@@ -575,12 +599,13 @@ def cmd_spectral_check(cfg: ExperimentConfig) -> int:
                  zip(tr.lambda_nodes, vhat.real, vhat.imag, tr.density))
 
     passed = (
-        parseval_max < 1e-4
-        and recon_max < 1e-3
+        family["parseval_max"] < 1e-4
+        and family["reconstruction_max"] < 1e-3
         and all(np.isfinite(v) for per in lemma.values() for v in per.values())
         and all(r["spread"] < 10.0 for r in refined.values())
     )
-    rows = [("parseval_max", parseval_max), ("reconstruction_max", recon_max)]
+    rows = [("parseval_max", family["parseval_max"]),
+            ("reconstruction_max", family["reconstruction_max"])]
     for s, per in sorted(lemma.items()):
         for m, c in sorted(per.items()):
             rows.append((f"lemma_C_s{_numtag(s)}_m{_numtag(m)}", c))
@@ -590,13 +615,12 @@ def cmd_spectral_check(cfg: ExperimentConfig) -> int:
         cfg,
         "spectral_report",
         {
-            "parseval_max": parseval_max,
-            "reconstruction_max": recon_max,
+            **family,
             "lemma_constants": {
-                _numtag(s): {_numtag(m): per[m] for m in m_arr}
+                _numtag(s): {_numtag(m): c for m, c in per.items()}
                 for s, per in lemma.items()
             },
-            "refined_ratio": {_numtag(s): refined[s] for s in refined},
+            "refined_ratio": {_numtag(s): r for s, r in refined.items()},
             "passed": passed,
         },
         rows,

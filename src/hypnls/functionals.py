@@ -155,10 +155,7 @@ def localized_weights(grid: RadialGrid, R: float):
         )
         lap_h = np.where(bridge, lap_b, lap_h)
         bilap_h = np.where(bridge, bilap_b, bilap_h)
-    table = (lap_h, bilap_h, cutoff_derivative(grid.edges / R, 2))
-    for arr in table:
-        arr.flags.writeable = False
-    return table
+    return lap_h, bilap_h, cutoff_derivative(grid.edges / R, 2)
 
 
 def localized_virial_rhs(u: RadialField, R: float, *, p: float) -> float:

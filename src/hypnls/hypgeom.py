@@ -65,7 +65,9 @@ class RadialGrid:
 def per_grid(build):
     """Memoize build(grid, *args) on the grid: the one owner of every table
     that depends only on the grid. Tables live in one dict on the grid,
-    keyed by (build, args), so a new grid gets its own."""
+    keyed by (build, args), so a new grid gets its own. Every caller shares
+    a table, so each ndarray it holds (a tuple's items, or an object's
+    attributes) is made read-only in place."""
 
     @functools.wraps(build)
     def lookup(grid: RadialGrid, *args):
@@ -74,6 +76,10 @@ def per_grid(build):
             return vars(grid)["_tables"][key]
         except KeyError:
             table = build(grid, *args)
+        parts = table if isinstance(table, tuple) else vars(table).values()
+        for part in parts:
+            if isinstance(part, np.ndarray):
+                part.flags.writeable = False
         vars(grid).setdefault("_tables", {})[key] = table
         return table
 
@@ -220,8 +226,6 @@ def laplacian_bands(grid: RadialGrid):
     upper[:-1] = a[1:n_pts] * inv[:-1]
     diag[:-1] = -(a[:n_pts - 1] + a[1:n_pts]) * inv[:-1]
     diag[-1] = -(a[n_pts - 1] + 2.0 * a[n_pts]) * inv[-1]
-    for band in (lower, diag, upper):
-        band.flags.writeable = False
     return lower, diag, upper
 
 

@@ -102,13 +102,11 @@ class SpectralTransform:
         # numpy divides a complex array by a real one as a product with the
         # reciprocal; multiplying by it here rounds real spectra the same way
         self._inv_sinh = 1.0 / self.sinh_r
-        # read-only multiplier tables: the P_m symbols over M_SAMPLES, one
-        # row per scale, and the symbol of the P_m reconstruction integral
+        # multiplier tables: the P_m symbols over M_SAMPLES, one row per
+        # scale, and the symbol of the P_m reconstruction integral
         x = self.x_symbol()
         self.pm_symbols = np.stack([pm_symbol(x, m) for m in M_SAMPLES])
         self.reconstruction_multiplier = _reconstruction_multiplier(x)
-        self.pm_symbols.flags.writeable = False
-        self.reconstruction_multiplier.flags.writeable = False
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         return self._fwd_scale * dst(self.sinh_r * values, type=4)

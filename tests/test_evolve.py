@@ -434,9 +434,9 @@ def test_virial_consistency_needs_records(grid3):
 
 
 def test_scattering_proxy_verdicts(dichotomy_runs, gs3_half):
-    assert ev.scattering_proxy(dichotomy_runs[(3, 0.5)]) == "consistent"
+    assert ev.scattering_proxy(dichotomy_runs[(3, 0.5)][1]) == "consistent"
     # blow-up runs never earn the dispersive label
-    assert ev.scattering_proxy(dichotomy_runs[(3, 1.5)]) == "inconclusive"
+    assert ev.scattering_proxy(dichotomy_runs[(3, 1.5)][1]) == "inconclusive"
     # a stationary orbit keeps its potential term pinned at the maximum
     q = gs3_half.field_on_grid()
     out = ev.evolve_run(q, 1.0, ev.IntegratorConfig(dt=2e-3), 3.0, 0.5, gs3_half)

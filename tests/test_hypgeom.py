@@ -344,10 +344,15 @@ def test_cached_weights_memoized(grid3):
     for build, table in zip(builders, tables):
         assert build(grid) is table
         assert build(twin) is not table
-    transform = tables[4]
-    read_only = tables[0] + tables[2] + tables[3] + (
-        transform.pm_symbols, transform.reconstruction_multiplier,
-    )
-    for arr in read_only:
+    # every ndarray of every shared table is read-only: the bands (3), the
+    # weight table (4), two localized tables (3 each) and the transform (7)
+    arrays = [
+        part
+        for table in tables
+        for part in (table if isinstance(table, tuple) else vars(table).values())
+        if isinstance(part, np.ndarray)
+    ]
+    assert len(arrays) == 20
+    for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 1.0

@@ -1,4 +1,5 @@
-"""The invocation list of scripts/output_matrix.py stays valid CLI input."""
+"""The invocation list of scripts/output_matrix.py stays valid CLI input,
+and its committed manifest covers the same entries."""
 
 import importlib.util
 from pathlib import Path
@@ -6,12 +7,18 @@ from pathlib import Path
 import hypnls.expcli as cli
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "output_matrix.py"
+MANIFEST = SCRIPT.with_name("output_manifest.txt")
 
 
-def test_output_matrix_entries_parse():
+def _matrix():
     spec = importlib.util.spec_from_file_location("output_matrix", SCRIPT)
     matrix = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(matrix)
+    return matrix
+
+
+def test_output_matrix_entries_parse():
+    matrix = _matrix()
     names = [name for name, _ in matrix.MATRIX]
     assert len(set(names)) == len(names)
     parser = cli.build_parser()
@@ -22,3 +29,15 @@ def test_output_matrix_entries_parse():
             assert args.input.split("/")[1] in names[:k]
         else:
             cli.resolve_config(args)
+
+
+def test_manifest_covers_the_matrix():
+    stamp, *lines = MANIFEST.read_text().splitlines()
+    assert stamp.startswith("# numpy=")
+    files = {line.split("  ", 1)[1] for line in lines}
+    assert len(files) == len(lines)
+    names = {name for name, _ in _matrix().MATRIX}
+    assert {f.split("/")[0] for f in files} == names
+    for name in names:
+        for kept in ("stdout.txt", "stderr.txt", "exit_code.txt"):
+            assert f"{name}/{kept}" in files

@@ -16,8 +16,16 @@ TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 # still listed by the tracer, but the method is gone: the transform metrics
 # read forward and inverse
 STALE = {"hypnls.spectral:SpectralTransform.inverse_many"}
-# not wrapped yet, kept under its name for the tracer
-PREREGISTERED = (("hypnls.hypgeom", "solve_banded"),)
+# not wrapped yet, kept under its name for the tracer; the experiment
+# functions are what the subcommands and the acceptance gates share
+PREREGISTERED = (
+    ("hypnls.hypgeom", "solve_banded"),
+    ("hypnls.expcli", "dichotomy_row"),
+    ("hypnls.expcli", "virial_sweep"),
+    ("hypnls.expcli", "inequality_scan"),
+    ("hypnls.expcli", "mass_curve_sweep"),
+    ("hypnls.expcli", "spectral_family"),
+)
 
 
 def _tracer_targets():
