@@ -1,5 +1,6 @@
 """Layer timings: one solve, one CN step, its H^1 check and one diagnostics
-record of the evolution, and one gradient-flow step of the mass curve.
+record of the evolution, one gradient-flow step of the mass curve, and one
+Newton polish of a ground state.
 
 Times, on the H^3 quick-tier grid (r_max = 20) with N = 2000 and 8000
 points, a Gaussian datum 0.5 e^{-r^2} and dt = 2e-3:
@@ -16,7 +17,10 @@ points, a Gaussian datum 0.5 e^{-r^2} and dt = 2e-3:
 - flow_trial_us: one trial of the mass curve's gradient flow
   (`groundstate._flow_trial`: the implicit solve, the renormalization and
   the flow energy) at p = 2, mass alpha = 12.86 (criterion 7's cold start)
-  and the flow's initial step, from the normalized Gaussian start.
+  and the flow's initial step, from the normalized Gaussian start;
+- newton_polish_us: one Newton polish of the ground-state equation at
+  fixed lambda (`groundstate._newton_polish`, run to its stop rule) from
+  1.001 times the p = 3, lambda = 0.5 ground state.
 
 Each figure is the median, with quartiles, of 1000 single-call timings
 after 20 warm-up calls, on one BLAS thread. The results are merged into the JSON file
@@ -50,6 +54,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = (2000, 8000)
 DT = 2e-3
 FLOW_ALPHA = float(np.geomspace(0.1, 20.0, 13)[11])
+POLISH_LAMBDA = 0.5
 REPEATS = 1000
 WARMUP = 20
 
@@ -90,6 +95,8 @@ def measure(num_points):
     q *= FLOW_ALPHA / np.sqrt(np.dot(q * q, grid.vol_weights))
     flow_args = (q, groundstate.FLOW_TAU, FLOW_ALPHA, grid, 2.0,
                  hypgeom.spectrum_bottom(3))
+    gs = groundstate.solve_ground_state(3, 3.0, POLISH_LAMBDA, grid)
+    polish_args = (1.001 * gs.profile, POLISH_LAMBDA, grid, 3.0)
 
     solve = _time_calls(lambda: stepper._cayley(rhs, phi, DT))
     solves = stepper.step(*step_args)[2]
@@ -97,6 +104,7 @@ def measure(num_points):
     h1 = _time_calls(h1_monitor)
     record = _time_calls(lambda: functionals.compute_diagnostics(0.0, field, 3.0, 0.0))
     flow = _time_calls(lambda: groundstate._flow_trial(*flow_args))
+    polish = _time_calls(lambda: groundstate._newton_polish(*polish_args))
     return {
         "tridiag_solve_us": _quartiles(solve),
         "cn_step_us": _quartiles(step),
@@ -104,6 +112,7 @@ def measure(num_points):
         "h1_monitor_us": _quartiles(h1),
         "diagnostics_record_us": _quartiles(record),
         "flow_trial_us": _quartiles(flow),
+        "newton_polish_us": _quartiles(polish),
     }
 
 

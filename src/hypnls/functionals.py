@@ -374,7 +374,13 @@ def pm_coefficient_positivity(n: int, p: float, r_grid=None) -> float:
     coefficient(r) = (n-1) (r/sinh r)^2 ((p-1)(n-1) cosh^2 r + 2)
                      + 2 (n-1)(p-4) r coth r + p - 5
 
-    Nonnegative exactly when p >= 1 + 4/n.
+    Nonnegative exactly when p >= 1 + 4/n. Its value at the origin is
+    n (n (p-1) - 4), so at the border the minimum is an O(r^4) zero there.
+    At n = 3 the float 1 + 4/3 rounds to 7/3 - 2.96e-16, where that value
+    is -2.66e-15: the scan's -2.6e-15 at r = 1e-4 is the true coefficient of
+    the rounded exponent (to about 1e-18), not cancellation error, and no
+    series branch can make it nonnegative. Callers absorb the rounded
+    exponent with a -1e-12 floor.
     """
     if r_grid is None:
         r_grid = np.linspace(1e-4, 20.0, 100001)

@@ -40,7 +40,8 @@ class NoGroundState(ValueError):
 
 
 class ShootingFailure(RuntimeError):
-    """No undershoot/overshoot bracket inside the amplitude search range."""
+    """No undershoot/overshoot bracket inside the amplitude search range,
+    or a Newton polish of the shot profile that does not converge."""
 
 
 AMPLITUDE_RANGE = (1e-6, 1e6)
@@ -164,18 +165,50 @@ def _odd_pow(values: np.ndarray, p: float) -> np.ndarray:
     return np.sign(values) * np.abs(values) ** p
 
 
-def _newton_polish(profile, n, p, lam, grid):
-    """Newton iteration on L q + lambda q + q^p = 0 with Dirichlet far end."""
-    q = profile.copy()
-    qmax = float(np.max(q))
-    scale = abs(lam) * qmax + qmax**p + qmax
-    for _ in range(40):
-        res = apply_laplacian(q, grid) + lam * q + _odd_pow(q, p)
-        if float(np.max(np.abs(res))) < 1e-12 * scale:
-            break
-        bands = shifted_bands(grid, 0.0, 1.0, p * np.abs(q) ** (p - 1.0), shift=lam)
-        q = q + solve_banded(*bands, -res)
-    return q
+def _newton_polish(q, lam, grid, p, alpha=None):
+    """Newton on F(q) = -L q - lam q - |q|^{p-1} q = 0 at fixed lam or,
+    given a mass alpha, on (F(q), mass - alpha^2) in (q, lam) via a
+    bordered tridiagonal solve.
+
+    Returns (q, lam) once max|F| meets 1e-13 of its scale plus the rounding
+    error of L q, eps |L|_inf |q|_inf (1/dr^2 makes that the larger term:
+    6e-13 of the scale at alpha = 12.86 on the 2000-point n = 3 grid, 1.8e-11
+    for the lambda = 0.5 ground state on the 8000-point one), and the mass
+    1e-13 of alpha^2.
+    Returns None when a step is rejected or 30 steps do not get there.
+    """
+    w = grid.vol_weights
+    lap_norm = float(np.max(sum(np.abs(band) for band in laplacian_bands(grid))))
+    for it in range(31):
+        f1 = -apply_laplacian(q, grid) - lam * q - _odd_pow(q, p)
+        f2 = 0.0 if alpha is None else 0.5 * (float(np.dot(q * q, w)) - alpha**2)
+        qmax = np.max(np.abs(q))
+        scale = qmax**p + abs(lam) * qmax + 1e-300
+        floor = 1e-13 * scale + np.finfo(float).eps * lap_norm * qmax
+        if np.max(np.abs(f1)) < floor and (alpha is None or abs(f2) < 1e-13 * alpha**2):
+            return q, lam
+        if it == 30:
+            return None
+        bands = shifted_bands(grid, 0.0, -1.0, p * np.abs(q) ** (p - 1.0), shift=lam)
+        try:
+            dq = solve_banded(*bands, -f1)
+            dlam = 0.0
+            if alpha is not None:
+                b = solve_banded(*bands, q)
+                wq = w * q
+                denom = float(np.dot(wq, b))
+                if denom == 0.0 or not np.isfinite(denom):
+                    return None
+                dlam = (-f2 - float(np.dot(wq, dq))) / denom
+                dq = dq + dlam * b
+        except ValueError:  # LinAlgError: a zero pivot or a non-finite solve
+            return None
+        if it == 0 and np.max(np.abs(dq)) > 0.5 * qmax:
+            return None  # the start is too far out for a safe polish
+        q = q + dq
+        lam = lam + dlam
+        if not np.all(np.isfinite(q)):
+            return None
 
 
 def _far_field_extension(profile, j_start, n, lam, grid: RadialGrid):
@@ -267,7 +300,12 @@ def solve_ground_state(n: int, p: float, lam: float, grid: RadialGrid) -> Ground
     else:
         profile = _far_field_extension(prof, max(stop - 1, 1), n, lam, grid)
 
-    profile = _newton_polish(profile, n, p, lam, grid)
+    polished = _newton_polish(profile, lam, grid, p)
+    if polished is None:
+        raise ShootingFailure(
+            f"Newton polish of the shot profile did not converge (lambda={lam})"
+        )
+    profile = polished[0]
     # keep the strictly-decreasing analytic tail where the polished values
     # drop below roundoff significance
     deep = np.nonzero(profile < TAIL_SPLICE_LEVEL * q0)[0]
@@ -349,48 +387,6 @@ def _flow_trial(q, tau, alpha, grid, p, rho2):
     return trial, _flow_energy(trial, grid, p, rho2)
 
 
-def _newton_polish_constrained(q, lam, alpha, grid, p):
-    """Newton on (-L q - lam q - |q|^{p-1}q, mass - alpha^2) via a bordered
-    tridiagonal solve.
-
-    Returns (q, lam) once the mass meets 1e-13 of alpha^2 and the residual
-    1e-13 of its scale plus the rounding error of L q, eps |L|_inf |q|_inf
-    (1/dr^2 makes that the larger term on moderate profiles: 6e-13 of the
-    scale at alpha = 12.86 on the 2000-point n = 3 grid). Returns None when
-    a step is rejected or 30 steps do not get there.
-    """
-    w = grid.vol_weights
-    lap_norm = float(np.max(sum(np.abs(band) for band in laplacian_bands(grid))))
-    for it in range(31):
-        f1 = -apply_laplacian(q, grid) - lam * q - _odd_pow(q, p)
-        f2 = 0.5 * (float(np.dot(q * q, w)) - alpha**2)
-        qmax = np.max(np.abs(q))
-        scale = qmax**p + abs(lam) * qmax + 1e-300
-        floor = 1e-13 * scale + np.finfo(float).eps * lap_norm * qmax
-        if np.max(np.abs(f1)) < floor and abs(f2) < 1e-13 * alpha**2:
-            return q, lam
-        if it == 30:
-            return None
-        bands = shifted_bands(grid, 0.0, -1.0, p * np.abs(q) ** (p - 1.0), shift=lam)
-        try:
-            a = solve_banded(*bands, -f1)
-            b = solve_banded(*bands, q)
-        except ValueError:  # LinAlgError: a zero pivot or a non-finite solve
-            return None
-        wq = w * q
-        denom = float(np.dot(wq, b))
-        if denom == 0.0 or not np.isfinite(denom):
-            return None
-        dlam = (-f2 - float(np.dot(wq, a))) / denom
-        dq = a + dlam * b
-        if it == 0 and np.max(np.abs(dq)) > 0.5 * np.max(np.abs(q)):
-            return None  # flow ended too far out for a safe polish
-        q = q + dq
-        lam = lam + dlam
-        if not np.all(np.isfinite(q)):
-            return None
-
-
 def _lagrange_fit(q, grid, p):
     """(L q, lambda) with lambda the Rayleigh quotient of the EL equation."""
     lap_q = apply_laplacian(q, grid)
@@ -406,7 +402,7 @@ def _polish_minimizer(q, alpha, grid, p, rho2):
     """
     q = np.abs(q)
     lam = _lagrange_fit(q, grid, p)[1]
-    polished = _newton_polish_constrained(q, lam, alpha, grid, p)
+    polished = _newton_polish(q, lam, grid, p, alpha)
     if polished is None:
         return None
     q = polished[0]

@@ -267,7 +267,8 @@ def test_pm_coefficient_pointwise():
 
 
 def test_pm_coefficient_critical_exponent():
-    # p = 1 + 4/n is the positivity border: nonnegative there ...
+    # p = 1 + 4/n is the positivity border: nonnegative there, up to the
+    # floor that absorbs the rounded exponent 1 + 4/3 ...
     assert fn.pm_coefficient_positivity(3, 1.0 + 4.0 / 3.0) >= -1e-12
     assert fn.pm_coefficient_positivity(2, 3.0) >= -1e-12
     # ... and genuinely negative below it
@@ -276,3 +277,15 @@ def test_pm_coefficient_critical_exponent():
     assert abs(got - PM_32_MIN_VALUE) < 1e-12
     # supercritical p on the default grid stays positive
     assert fn.pm_coefficient_positivity(3, 3.0) > 0.0
+
+
+def test_pm_coefficient_border_is_the_rounded_exponent():
+    # 1 + 4/3 rounds to 7/3 - 2.96e-16; the coefficient there is its Taylor
+    # constant n (n (p-1) - 4) = -2.66e-15 (exact in floats) plus
+    # (104/135) r^4, so the scan's negative minimum is the true value
+    n, p, r0 = 3, 1.0 + 4.0 / 3.0, 1e-4
+    taylor = n * (n * (p - 1.0) - 4.0)
+    assert taylor < 0.0
+    got = fn.pm_coefficient_positivity(n, p, r_grid=np.array([r0]))
+    assert abs(got - (taylor + 104.0 / 135.0 * r0**4)) < 1e-17
+    assert fn.pm_coefficient_positivity(n, p) == got

@@ -6,11 +6,13 @@ serve as cross-solver oracles; the n = 2, p = 3, lambda = 0 case also has
 the closed form Q = sqrt(2)/cosh r.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+import hypnls.expcli as cli
 import hypnls.functionals as fn
 import hypnls.groundstate as gsm
 import hypnls.hypgeom as hg
@@ -262,7 +264,7 @@ def test_constrained_polish_returns_only_converged_states(alpha, grid3):
     for q in _cold_flow_iterates(alpha, 3, 2.0, grid3, 8):
         q = np.abs(q)
         lam = gsm._lagrange_fit(q, grid3, 2.0)[1]
-        out = gsm._newton_polish_constrained(q, lam, alpha, grid3, 2.0)
+        out = gsm._newton_polish(q, lam, grid3, 2.0, alpha)
         if out is not None:
             assert _polish_converged(*out, alpha, grid3, 2.0)
 
@@ -272,16 +274,10 @@ def cold_point_12(grid3):
     return gsm.mass_constrained_minimize(ALPHA_12, 3, 2.0, grid3)
 
 
-def test_constrained_polish_gives_up_without_convergence(
-    cold_point_12, grid3, monkeypatch
-):
+def _flip_laplacian(monkeypatch):
     # an operator that flips between L + c and L - c from one evaluation to
-    # the next moves the fitted lambda by 2c each step, so the residual
-    # never meets the test while every step stays small: the 30th iterate
-    # must not be returned as a solution
-    q = cold_point_12.minimizer.values.real
-    lam = cold_point_12.lagrange_lambda
-    assert gsm._newton_polish_constrained(q, lam, ALPHA_12, grid3, 2.0) is not None
+    # the next: the residual never meets the stop rule while every Newton
+    # step stays small
     sign = [1.0]
 
     def noisy_laplacian(values, grid):
@@ -289,7 +285,45 @@ def test_constrained_polish_gives_up_without_convergence(
         return hg.apply_laplacian(values, grid) + sign[0] * 1e-9 * values
 
     monkeypatch.setattr(gsm, "apply_laplacian", noisy_laplacian)
-    assert gsm._newton_polish_constrained(q, lam, ALPHA_12, grid3, 2.0) is None
+
+
+@pytest.mark.parametrize("alpha", [None, ALPHA_12])
+def test_constrained_polish_gives_up_without_convergence(
+    alpha, cold_point_12, grid3, monkeypatch
+):
+    # at fixed lambda and with the mass row (where the flip moves the fitted
+    # lambda by 2c each step) alike, the 30th iterate must not be returned
+    # as a solution
+    q = cold_point_12.minimizer.values.real
+    lam = cold_point_12.lagrange_lambda
+    assert gsm._newton_polish(q, lam, grid3, 2.0, alpha) is not None
+    _flip_laplacian(monkeypatch)
+    assert gsm._newton_polish(q, lam, grid3, 2.0, alpha) is None
+
+
+def test_ground_state_polish_converges_in_few_steps(grid2, monkeypatch):
+    # gs2_zero's grid: the stop rule allows for the rounding error of L q,
+    # so the polish stops after 3 Newton steps of one solve each
+    calls = [0]
+    solve = gsm.solve_banded
+
+    def counting(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(gsm, "solve_banded", counting)
+    gsm.solve_ground_state(2, 3.0, 0.0, grid2)
+    assert calls[0] <= 4
+
+
+def test_unconverged_polish_is_a_solver_failure(grid3, monkeypatch, tmp_path, capsys):
+    _flip_laplacian(monkeypatch)
+    with pytest.raises(gsm.ShootingFailure, match="did not converge"):
+        gsm.solve_ground_state(3, 3.0, 0.5, grid3)
+    assert cli.main(["groundstate", "--lambda", "0.5", "--out", str(tmp_path)]) == 3
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line)["code"] == 3
+    assert not any(tmp_path.iterdir())
 
 
 def test_mass_curve_hands_off_to_newton(cold_point_12, grid2, grid3):
