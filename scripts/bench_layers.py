@@ -1,6 +1,6 @@
 """Layer timings: one solve, one CN step, its H^1 check and one diagnostics
-record of the evolution, one gradient-flow step of the mass curve, and one
-Newton polish of a ground state.
+record of the evolution, one gradient-flow step of the mass curve, one
+Newton polish of a ground state, and one spectral transform.
 
 Times, on the H^3 quick-tier grid (r_max = 20) with N = 2000 and 8000
 points, a Gaussian datum 0.5 e^{-r^2} and dt = 2e-3:
@@ -20,7 +20,11 @@ points, a Gaussian datum 0.5 e^{-r^2} and dt = 2e-3:
   and the flow's initial step, from the normalized Gaussian start;
 - newton_polish_us: one Newton polish of the ground-state equation at
   fixed lambda (`groundstate._newton_polish`, run to its stop rule) from
-  1.001 times the p = 3, lambda = 0.5 ground state.
+  1.001 times the p = 3, lambda = 0.5 ground state;
+- transform_setup_us: one `spectral.SpectralTransform(grid)` build, the
+  set-up every new grid pays;
+- field_spectrum_us: one `spectral.FieldSpectrum(u).reconstruction_residual()`
+  on the grid's warm transform, with u the real bump e^{-(r-2)^2}.
 
 Each figure is the median, with quartiles, of 1000 single-call timings
 after 20 warm-up calls, on one BLAS thread. The results are merged into the JSON file
@@ -77,7 +81,7 @@ def _time_calls(call):
 
 
 def measure(num_points):
-    from hypnls import evolve, functionals, groundstate, hypgeom
+    from hypnls import evolve, functionals, groundstate, hypgeom, spectral
 
     grid = hypgeom.build_grid(3, 20.0, num_points)
     u = (0.5 * np.exp(-grid.nodes**2)).astype(complex)
@@ -97,6 +101,7 @@ def measure(num_points):
                  hypgeom.spectrum_bottom(3))
     gs = groundstate.solve_ground_state(3, 3.0, POLISH_LAMBDA, grid)
     polish_args = (1.001 * gs.profile, POLISH_LAMBDA, grid, 3.0)
+    bump = functionals.RadialField(grid=grid, values=np.exp(-(grid.nodes - 2.0) ** 2))
 
     solve = _time_calls(lambda: stepper._cayley(rhs, phi, DT))
     solves = stepper.step(*step_args)[2]
@@ -105,6 +110,8 @@ def measure(num_points):
     record = _time_calls(lambda: functionals.compute_diagnostics(0.0, field, 3.0, 0.0))
     flow = _time_calls(lambda: groundstate._flow_trial(*flow_args))
     polish = _time_calls(lambda: groundstate._newton_polish(*polish_args))
+    setup = _time_calls(lambda: spectral.SpectralTransform(grid))
+    recon = _time_calls(lambda: spectral.FieldSpectrum(bump).reconstruction_residual())
     return {
         "tridiag_solve_us": _quartiles(solve),
         "cn_step_us": _quartiles(step),
@@ -113,6 +120,8 @@ def measure(num_points):
         "diagnostics_record_us": _quartiles(record),
         "flow_trial_us": _quartiles(flow),
         "newton_polish_us": _quartiles(polish),
+        "transform_setup_us": _quartiles(setup),
+        "field_spectrum_us": _quartiles(recon),
     }
 
 

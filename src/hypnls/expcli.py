@@ -373,7 +373,7 @@ def cmd_dichotomy(cfg: ExperimentConfig) -> int:
 
     rows = []
     row_files = []
-    for alpha in sorted(cfg.alphas or DEFAULT_ALPHAS):
+    for alpha in sorted(set(cfg.alphas or DEFAULT_ALPHAS)):
         row, out = dichotomy_row(gs, alpha, cfg.dt, cfg.horizon)
         fname = f"dichotomy_alpha{_numtag(alpha)}_fwd.csv"
         _write_series(cfg, fname, out)
@@ -475,6 +475,8 @@ def inequality_scan(n: int, p: float, r_max: float) -> dict:
     """The pointwise weight scans, by name in report order: the quartic F on
     (0, 20], the P_m coefficients at the critical power 1 + 4/n and at p,
     and W1 on a 1e-4 lattice over [1e-6, r_max] and at r_max."""
+    if not r_max > 0:
+        raise ValueError(f"r_max must be positive, got {r_max}")
     r_grid = np.linspace(20.0 / 100000, 20.0, 100000)
     quartic_min, quartic_argmin = fn.quartic_inequality_scan(n, r_grid)
     w1_vals = w1_weight(np.linspace(1e-6, r_max, round(r_max / 1e-4) + 1))
@@ -525,7 +527,7 @@ def mass_curve_sweep(grid, p: float, alphas) -> list:
 
 def cmd_mass_curve(cfg: ExperimentConfig) -> int:
     grid = build_grid(cfg.n, cfg.rmax, cfg.points)
-    alphas = sorted(cfg.alphas) if cfg.alphas else list(np.geomspace(0.1, 20.0, 13))
+    alphas = sorted(set(cfg.alphas)) if cfg.alphas else list(np.geomspace(0.1, 20.0, 13))
     points = mass_curve_sweep(grid, cfg.p, alphas)
     bottom = spectrum_bottom(cfg.n)
     minimizers = [pt for pt in points if pt.minimizer is not None]

@@ -293,6 +293,13 @@ def test_inequalities_csv_format(tmp_path):
     assert {r[0] for r in rows} >= {"quartic_min", "w1_max", "w1_tail"}
 
 
+@pytest.mark.parametrize("rmax", ["0", "-1"])
+def test_inequalities_nonpositive_rmax_is_usage_error(tmp_path, capsys, rmax):
+    argv = ["inequalities", "--rmax", rmax, "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert "r_max must be positive" in stderr_payload(capsys)["error"]
+
+
 def test_mass_curve_supercritical_gate(tmp_path, capsys):
     assert cli.main(["mass-curve", "--p", "4", "--out", str(tmp_path)]) == 2
     assert "mass-supercritical" in stderr_payload(capsys)["error"]
@@ -354,8 +361,8 @@ def test_spectral_check_passes(tmp_path):
 
 
 def test_spectral_check_transforms_each_field_once(tmp_path, monkeypatch):
-    # one forward per field of the family plus the reference spectrum; three
-    # inverses per field: the P_m sweep, the reconstruction and e^Delta u
+    # one forward per field of the family plus the reference spectrum; two
+    # inverses per field: the P_m sweep and the reconstruction's target
     calls = {"forward": 0, "inverse": 0}
     for name in calls:
         method = getattr(sp.SpectralTransform, name)
@@ -366,7 +373,7 @@ def test_spectral_check_transforms_each_field_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(sp.SpectralTransform, name, counted)
     assert cli.main(["spectral-check", "--out", str(tmp_path)]) == 0
-    assert calls == {"forward": 31, "inverse": 90}
+    assert calls == {"forward": 31, "inverse": 60}
 
 
 def test_dichotomy_single_alpha(tmp_path):
@@ -392,6 +399,21 @@ def test_dichotomy_single_alpha(tmp_path):
     _, header, (csv_row,) = cli.read_csv(str(csv_dir / "dichotomy_report.csv"))
     assert header[header.index("t_star") + 1] == "blowup_reason"
     assert csv_row[header.index("blowup_reason")] == "h1_threshold"
+
+
+def test_repeated_alpha_runs_once(tmp_path):
+    out = tmp_path / "dichotomy"
+    argv = ["dichotomy", "--alpha", "1.5", "--alpha", "1.5", "--horizon", "0.05",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    payload = read_json(out / "dichotomy_report.json")
+    assert [row["alpha"] for row in payload["rows"]] == [1.5]
+    assert payload["row_files"] == ["dichotomy_alpha1.5_fwd.csv"]
+    out = tmp_path / "mass"
+    argv = ["mass-curve", "--p", "2", "--alpha", "1", "--alpha", "1", "--out", str(out)]
+    assert cli.main(argv) == 0
+    _, _, rows = cli.read_csv(str(out / "mass_curve.csv"))
+    assert [float(row[0]) for row in rows] == [1.0]
 
 
 def _reject_constant(name):

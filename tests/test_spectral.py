@@ -55,8 +55,7 @@ def test_frequency_nodes_and_symbols(grid3):
     assert np.allclose(tr.density, tr.lambda_nodes**2 / (2 * math.pi**2), rtol=1e-15)
     for row, m in zip(tr.pm_symbols, sp.M_SAMPLES):
         assert np.array_equal(row, sp.pm_symbol(tr.x_symbol(), m))
-    for table in (tr.pm_symbols, tr.reconstruction_multiplier):
-        assert not table.flags.writeable
+    assert not tr.pm_symbols.flags.writeable
 
 
 def test_heat_kernel_forward_oracle(grid3):
@@ -142,6 +141,17 @@ def test_besov_norm_guards_and_monotonicity(grid3):
 
 def test_reconstruction_residual(grid3):
     assert sp.FieldSpectrum(offcenter_bump(grid3)).reconstruction_residual() < 1e-5
+
+
+@pytest.mark.parametrize("m, wrong_m", [(4.0, 4.2), (1.0, 1.05)])
+def test_reconstruction_reads_the_pm_rows(grid3, monkeypatch, m, wrong_m):
+    # a P_m row tabulated at the wrong scale fails the family's 1e-3 gate
+    tr = sp.get_transform(grid3)
+    bad = tr.pm_symbols.copy()
+    bad[list(sp.M_SAMPLES).index(m)] = sp.pm_symbol(tr.x_symbol(), wrong_m)
+    monkeypatch.setattr(tr, "pm_symbols", bad)
+    family = sp.bump_family(grid3)
+    assert max(sp.FieldSpectrum(u).reconstruction_residual() for u in family) > 1e-3
 
 
 def test_refined_sobolev_ratio(grid3):
