@@ -40,11 +40,6 @@ A Strang splitting path (n = 3 only) cross-validates the default: the
 substitution g = u sinh r turns the radial H^3 Laplacian into (g'' - g)/
 sinh r, diagonal in a discrete sine basis, so the kinetic half steps are
 exact in that basis and the nonlinear step is an exact phase rotation.
-
-Runs monitor the H^1 norm: growth beyond blowup_h1_factor times the initial
-value (or the adaptive dt dropping below its floor) stops the run with a
-blow-up classification; the threshold crossing time is interpolated inside
-the offending step on the log of the H^1 norm.
 """
 
 from __future__ import annotations
@@ -81,14 +76,14 @@ class IntegratorConfig:
     diag_stride: float = 10.0  # records per unit time
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if self.scheme not in STEPPERS:
             raise ValueError(f"unknown scheme {self.scheme!r}; options: {list(STEPPERS)}")
-        if self.blowup_h1_factor <= 1:
-            raise ValueError("blowup_h1_factor must exceed 1")
-        if self.diag_stride <= 0:
-            raise ValueError("diag_stride must be positive")
+        if not 1 < self.blowup_h1_factor < math.inf:
+            raise ValueError("blowup_h1_factor must be finite and exceed 1")
+        if not 0 < self.diag_stride < math.inf:
+            raise ValueError("diag_stride must be positive and finite")
 
 
 @dataclass
@@ -185,14 +180,14 @@ class _StrangStepper:
         eta = -4.0 / grid.dr**2 * np.sin(k * np.pi / (2.0 * grid.num_points)) ** 2
         self.symbol = eta - 1.0 + shift
 
+    def _kinetic_half_step(self, u, dt):
+        g = dst(u * self.sinh_r, type=2) * np.exp(0.5j * dt * self.symbol)
+        return idst(g, type=2) / self.sinh_r
+
     def step(self, u, dt, phi_half_prev, modulus_mass):
-        g = u * self.sinh_r
-        g = idst(dst(g, type=2) * np.exp(0.5j * dt * self.symbol), type=2)
-        u = g / self.sinh_r
+        u = self._kinetic_half_step(u, dt)
         u = u * np.exp(1j * dt * np.abs(u) ** (self.p - 1.0))
-        g = u * self.sinh_r
-        g = idst(dst(g, type=2) * np.exp(0.5j * dt * self.symbol), type=2)
-        return g / self.sinh_r, None, 0
+        return self._kinetic_half_step(u, dt), None, 0
 
 
 # IntegratorConfig.scheme -> stepper class
@@ -222,24 +217,34 @@ def evolve_run(
 
     Records are emitted at t = 0, at every multiple of 1/diag_stride (steps
     are shortened to land on record times exactly, which keeps the record
-    grid uniform for finite differencing), and at the stop time. dt halves
-    (never re-raises) when a step is not certified within FIXEDPOINT_MAXITER
-    solves (the step is then retried), takes more than STRAIN_ITERS solves,
-    or grows the H^1 norm more than 10%. Blow-up is declared when the H^1
-    norm exceeds blowup_h1_factor times its initial value (threshold crossing
-    time interpolated inside the step) or when the halving cascade drives
-    dt below cfg.dt / DT_FLOOR_DIVISOR. monitor(t, field), when given, is
-    called at every record emission.
+    grid uniform for finite differencing), and at the stop time t_stop. dt
+    halves (never re-raises) when a step is not certified within
+    FIXEDPOINT_MAXITER solves (the step is then retried), takes more than
+    STRAIN_ITERS solves, or grows the H^1 norm more than 10%. monitor(t,
+    field), when given, is called at every record emission.
 
-    Internally the integration runs in the rotating frame v = e^{i lam t} u
-    (the linear operator picks up the constant shift lam), where stationary
-    profiles are genuine fixed points of the stepper instead of rotating
-    orbits; the e^{-i lam t} phase is restored on every emitted field, so
-    records, monitor callbacks, and final_state are all in the original
-    frame. For lam = 0 the two frames coincide.
+    The four stop kinds, as (status, blowup_reason):
+    - ("completed", None): t_stop = T.
+    - ("blowup", "h1_threshold"): a step took the H^1 norm above
+      blowup_h1_factor times its initial value; t_stop is the crossing,
+      interpolated inside that step on the log of the H^1 norm.
+    - ("blowup", "dt_floor"): halving took dt below cfg.dt / DT_FLOOR_DIVISOR.
+    - ("inner_solve_failure", None): a solve hit a zero pivot or a
+      non-finite state.
+    In each, final_state is the last accepted state at the loop's time t,
+    h1_at_stop is its H^1 norm, and the final record holds it at t_stop
+    (a record already there is not repeated). t_stop = t except after a
+    threshold crossing, where t_stop falls inside the last step.
+
+    The run steps in the rotating frame v = e^{i lam t} u (the operator
+    picks up the shift lam), where stationary profiles are fixed points.
+    One frame map restores e^{-i lam t} at each record's time and at t for
+    final_state: every field a caller sees is in the original frame.
     """
     if not T > 0:
         raise ValueError("horizon must be positive")
+    if not math.isfinite(T):
+        raise ValueError("horizon must be finite")
     grid = u0.grid
     if u0.boundary_deviation() > 1e-6:
         raise ValueError(
@@ -255,24 +260,24 @@ def evolve_run(
     next_rec = interval
     phi_half = None
 
-    # norms: |u| and the mass of the current state, for the next step
-    h1_0, norms = _h1_sq_and_norms(u, grid)
-    threshold = cfg.blowup_h1_factor**2 * h1_0
-    h1_prev = h1_0
+    # squared H^1 norm of the current state, with its (|u|, mass) for the next step
+    h1_prev, norms = _h1_sq_and_norms(u, grid)
+    threshold = cfg.blowup_h1_factor**2 * h1_prev
 
     series: List[fn.DiagnosticsRecord] = []
 
-    def emit(t_now, values):
-        if lam != 0.0:
-            values = values * np.exp(-1j * lam * t_now)
+    def frame(t_now):
+        # the current state in the original frame at time t_now
+        return u * np.exp(-1j * lam * t_now) if lam != 0.0 else u
+
+    def emit(t_now):
+        values = frame(t_now)
         field = fn.RadialField(grid=grid, values=values)
         series.append(fn.compute_diagnostics(t_now, field, p, lam, gs=gs))
         if monitor is not None:
             monitor(t_now, fn.RadialField(grid=grid, values=values.copy()))
 
-    emit(0.0, u)
-    status = "completed"
-    reason = None
+    emit(0.0)
     eps = 1e-12 * max(T, 1.0)
 
     while t < T - eps:
@@ -282,7 +287,7 @@ def evolve_run(
             u_new, phi_half, solves = stepper.step(u, step_dt, phi_half, norms)
         except InnerSolveFailure as exc:
             if exc.fatal:
-                status, t_stop, h1_stop = "inner_solve_failure", t, h1_prev
+                status, t_stop, reason = "inner_solve_failure", t, None
                 break
             phi_half, halve = None, True
         else:
@@ -293,13 +298,12 @@ def evolve_run(
             if h1_new > threshold:
                 # threshold crossing interpolated inside the step, on log H^1
                 frac = math.log(threshold / h1_prev) / math.log(h1_new / h1_prev)
-                status = "blowup"
-                t_stop = t - step_dt + frac * step_dt
-                h1_stop = h1_new
-                reason = "h1_threshold"
+                status, t_stop, reason = (
+                    "blowup", t - step_dt + frac * step_dt, "h1_threshold")
+                h1_prev = h1_new
                 break
             if t >= next_rec - 1e-9 * interval and t < T - eps:
-                emit(t, u)
+                emit(t)
                 while next_rec <= t + 1e-9 * interval:
                     next_rec += interval
             halve = solves > STRAIN_ITERS or h1_new > 1.21 * h1_prev
@@ -307,26 +311,20 @@ def evolve_run(
         if halve:
             dt *= 0.5
             if dt < cfg.dt / DT_FLOOR_DIVISOR:
-                status, t_stop, h1_stop = "blowup", t, h1_prev
-                reason = "dt_floor"
+                status, t_stop, reason = "blowup", t, "dt_floor"
                 break
+    else:  # no break: the run reached T
+        status, t_stop, reason = "completed", T, None
 
-    if status == "completed":
-        t_stop, h1_stop = T, h1_prev
-        emit(T, u)
-    elif series[-1].t < t_stop - eps:
-        # the final record carries the declared stop time; its state is the
-        # first post-threshold field
-        emit(t_stop, u)
-
-    if lam != 0.0:
-        u = u * np.exp(-1j * lam * t)
+    # records inside the loop stop short of T - eps: T always gets one
+    if status == "completed" or series[-1].t < t_stop - eps:
+        emit(t_stop)
     return RunOutcome(
         status=status,
         t_stop=t_stop,
-        h1_at_stop=math.sqrt(h1_stop),
+        h1_at_stop=math.sqrt(h1_prev),
         series=series,
-        final_state=fn.RadialField(grid=grid, values=u),
+        final_state=fn.RadialField(grid=grid, values=frame(t)),
         blowup_reason=reason,
     )
 

@@ -169,6 +169,9 @@ def resolve_config(args) -> ExperimentConfig:
                 raise UsageError(f"config key {param.key!r}: {exc}") from exc
         if value is None:
             value = defaults.get(param.key, param.default)
+        elif param.many:
+            # one canonical list, so the same work has one digest
+            value = sorted(set(value))
         if param.choices and value not in param.choices:
             raise UsageError(
                 f"unknown {param.key} {value!r}; options: {', '.join(param.choices)}"
@@ -373,7 +376,7 @@ def cmd_dichotomy(cfg: ExperimentConfig) -> int:
 
     rows = []
     row_files = []
-    for alpha in sorted(set(cfg.alphas or DEFAULT_ALPHAS)):
+    for alpha in cfg.alphas or DEFAULT_ALPHAS:
         row, out = dichotomy_row(gs, alpha, cfg.dt, cfg.horizon)
         fname = f"dichotomy_alpha{_numtag(alpha)}_fwd.csv"
         _write_series(cfg, fname, out)
@@ -527,7 +530,7 @@ def mass_curve_sweep(grid, p: float, alphas) -> list:
 
 def cmd_mass_curve(cfg: ExperimentConfig) -> int:
     grid = build_grid(cfg.n, cfg.rmax, cfg.points)
-    alphas = sorted(set(cfg.alphas)) if cfg.alphas else list(np.geomspace(0.1, 20.0, 13))
+    alphas = cfg.alphas or list(np.geomspace(0.1, 20.0, 13))
     points = mass_curve_sweep(grid, cfg.p, alphas)
     bottom = spectrum_bottom(cfg.n)
     minimizers = [pt for pt in points if pt.minimizer is not None]

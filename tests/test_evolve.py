@@ -25,22 +25,23 @@ def small_gaussian(grid, amp=0.01):
 # ---------------------------------------------------------------------------
 
 def test_integrator_config_validation():
-    with pytest.raises(ValueError):
-        ev.IntegratorConfig(dt=0.0)
-    with pytest.raises(ValueError):
-        ev.IntegratorConfig(dt=float("nan"))
-    with pytest.raises(ValueError):
-        ev.IntegratorConfig(scheme="leapfrog")
-    with pytest.raises(ValueError):
-        ev.IntegratorConfig(blowup_h1_factor=1.0)
-    with pytest.raises(ValueError):
-        ev.IntegratorConfig(diag_stride=0.0)
+    for kwargs in (
+        {"dt": 0.0}, {"dt": math.nan}, {"dt": math.inf},
+        {"scheme": "leapfrog"},
+        {"blowup_h1_factor": 1.0}, {"blowup_h1_factor": math.nan},
+        {"blowup_h1_factor": math.inf},
+        # an infinite stride makes the record interval 0, a NaN one drops
+        # every interior record
+        {"diag_stride": 0.0}, {"diag_stride": math.nan}, {"diag_stride": math.inf},
+    ):
+        with pytest.raises(ValueError):
+            ev.IntegratorConfig(**kwargs)
 
 
 def test_run_guards(grid3, grid2, gs3_zero):
     u = small_gaussian(grid3)
     cfg = ev.IntegratorConfig(dt=2e-3)
-    for horizon in (-1.0, float("nan")):
+    for horizon in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             ev.evolve_run(u, horizon, cfg, 3.0, 0.0, None)
     with pytest.raises(fn.ParameterMismatch):
@@ -401,6 +402,67 @@ def test_non_finite_solve_stops_the_run(grid3, monkeypatch):
     assert out.t_stop == 0.0
     assert out.t_star is None
     assert len(out.series) == 1
+
+
+@pytest.mark.parametrize("kind, lam", [
+    ("completed", 0.0),
+    ("h1_threshold", 0.0),
+    ("h1_threshold", 0.3),
+    ("dt_floor", 0.0),
+    ("inner_solve_failure", 0.0),
+])
+def test_stop_bookkeeping(gs3_zero, monkeypatch, kind, lam):
+    # every stop kind: the last record carries t_stop, h1_at_stop is the H^1
+    # of that record's state, and final_state is the state at the loop's t
+    # in the original frame
+    grid = gs3_zero.grid
+    datum = small_gaussian(grid, amp=0.5)
+    if kind == "h1_threshold":
+        datum = fn.RadialField(grid=grid, values=1.3 * gs3_zero.profile.astype(complex))
+    elif kind == "dt_floor":
+        monkeypatch.setattr(ev, "STRAIN_ITERS", 0)
+    elif kind == "inner_solve_failure":
+        nan_solve = lambda *args: np.full_like(args[-1], np.nan)
+        monkeypatch.setattr(ev, "solve_banded", nan_solve)
+    taken = []  # (dt, u_new) of every step the run accepted
+    step = ev._CNStepper.step
+
+    def recording(self, u, dt, phi_half_prev, modulus_mass):
+        result = step(self, u, dt, phi_half_prev, modulus_mass)
+        taken.append((dt, result[0]))
+        return result
+
+    monkeypatch.setattr(ev._CNStepper, "step", recording)
+    records = []
+    cfg = ev.IntegratorConfig(dt=2e-3, blowup_h1_factor=10.0)
+    out = ev.evolve_run(datum, 0.3, cfg, 3.0, lam, None,
+                        monitor=lambda t, field: records.append((t, field.values)))
+    assert (out.status, out.blowup_reason) == {
+        "completed": ("completed", None),
+        "h1_threshold": ("blowup", "h1_threshold"),
+        "dt_floor": ("blowup", "dt_floor"),
+        "inner_solve_failure": ("inner_solve_failure", None),
+    }[kind]
+    t, state = 0.0, datum.values
+    for dt, u_new in taken:
+        t, state = t + dt, u_new
+    assert out.series[-1].t == out.t_stop == records[-1][0]
+    if kind == "completed":
+        assert out.t_stop == 0.3
+    elif kind == "h1_threshold":
+        assert t - taken[-1][0] < out.t_stop <= t
+    else:
+        assert out.t_stop == t
+
+    def original_frame(at):
+        return state * np.exp(-1j * lam * at) if lam != 0.0 else state
+
+    assert np.array_equal(records[-1][1], original_frame(out.t_stop))
+    assert np.array_equal(out.final_state.values, original_frame(t))
+    # at lam = 0 the record's state is the loop's, to the bit
+    h1_record = math.sqrt(out.series[-1].h1_sq)
+    expected = h1_record if lam == 0.0 else pytest.approx(h1_record, rel=1e-12)
+    assert out.h1_at_stop == expected
 
 
 def test_overflowing_solve_is_fatal(grid3):

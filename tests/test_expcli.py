@@ -412,8 +412,12 @@ def test_repeated_alpha_runs_once(tmp_path):
     out = tmp_path / "mass"
     argv = ["mass-curve", "--p", "2", "--alpha", "1", "--alpha", "1", "--out", str(out)]
     assert cli.main(argv) == 0
-    _, _, rows = cli.read_csv(str(out / "mass_curve.csv"))
+    repeated, _, rows = cli.read_csv(str(out / "mass_curve.csv"))
     assert [float(row[0]) for row in rows] == [1.0]
+    # the same work has the same digest
+    once = tmp_path / "once"
+    assert cli.main(["mass-curve", "--p", "2", "--alpha", "1", "--out", str(once)]) == 0
+    assert cli.read_csv(str(once / "mass_curve.csv"))[0] == repeated
 
 
 def _reject_constant(name):
