@@ -58,7 +58,6 @@ MATRIX = (
                     "--rmax", "20.0", "--points", "4000")),
     ("gs_n2_lam0.2", ("groundstate", "--n", "2", "--lambda", "0.2",
                       "--rmax", "40.0", "--points", "8000")),
-    ("gs_csv", ("groundstate", "--lambda", "0.5", "--format", "csv")),
     ("dichotomy_n3", ("dichotomy", "--n", "3")),
     ("dichotomy_n2_csv", ("dichotomy", "--n", "2", "--format", "csv")),
     ("dichotomy_lam0.3", ("dichotomy", "--n", "3", "--lambda", "0.3")),
@@ -78,6 +77,7 @@ MATRIX = (
                        "--kind", "spectrum")),
     # usage errors: each exits 2 with one JSON line on stderr
     ("err_gs_lam1", ("groundstate", "--lambda", "1.0")),
+    ("err_gs_format", ("groundstate", "--lambda", "0.5", "--format", "csv")),
     ("err_mass_curve_p4", ("mass-curve", "--p", "4")),
     ("err_spectral_n2", ("spectral-check", "--n", "2")),
 )

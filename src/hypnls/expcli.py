@@ -1,13 +1,13 @@
 """Experiment command line: recipes, persistence, plot-data emission.
 
 Subcommands: plotdata, and the rows of COMMANDS, which run on a resolved
-configuration: the rows of PARAMS, each resolved in order: flag > config
-file (flat key=value lines) > subcommand default (COMMAND_DEFAULTS) >
-resolution tier (TIERS) > built-in default. Every output embeds a sha256
-digest of that configuration (_write_table, _write_payload). Outputs are
-deterministic for a fixed config: floats are serialized with repr
-(shortest round trip), JSON keys sorted, line endings LF, files written via
-temp + rename.
+configuration: the PARAMS whose keys the row lists, its only flags, each
+resolved in order: flag > config file (key=value lines) > subcommand
+default (COMMAND_DEFAULTS) > resolution tier (TIERS) > built-in default.
+Every output embeds these parameters but `out` and their sha256 digest
+(_write_table, _write_payload). Outputs are deterministic for a fixed
+config: floats are serialized with repr (shortest round trip), JSON keys
+sorted, line endings LF, files written via temp + rename.
 
 Exit codes: 0 all gates passed, 1 a scientific check failed, 2 usage or
 configuration error, 3 solver failure. Subcommands raise; main maps each
@@ -33,7 +33,7 @@ from . import groundstate as gsmod
 from . import spectral as sp
 from .evolve import (InnerSolveFailure, IntegratorConfig, evolve_run,
                      scattering_proxy, virial_consistency)
-from .hypgeom import build_grid, spectrum_bottom, w1_weight
+from .hypgeom import SUPPORTED_DIMENSIONS, build_grid, spectrum_bottom, w1_weight
 
 TIERS = {
     "quick": {"rmax": 20.0, "points": 2000, "dt": 2e-3, "horizon": 3.0},
@@ -45,8 +45,9 @@ COMMAND_DEFAULTS = {
     # the bump family's spectral quantities are grid-converged at 2000
     # points, well below production size, so both tiers use 2000
     "spectral-check": {"points": 2000},
+    "dichotomy": {"alpha": [0.5, 0.9, 1.1, 1.5]},
+    "mass-curve": {"alpha": list(np.geomspace(0.1, 20.0, 13))},
 }
-DEFAULT_ALPHAS = (0.5, 0.9, 1.1, 1.5)
 # threshold used by the dichotomy recipe: low enough that the crossing
 # happens while the collapse profile is still resolved on every tier
 DICHOTOMY_H1_FACTOR = 10.0
@@ -82,58 +83,53 @@ class Param(NamedTuple):
     cast: Callable[[str], Any]
     default: Any  # built-in default, below the tier's and the subcommand's
     help: str
-    digest: Optional[str]  # digest key; None leaves it out of the digest
-    params: bool = True  # listed under "params" in the JSON reports
     choices: Optional[Tuple[str, ...]] = None
     many: bool = False  # repeatable flag; comma-separated in a config file
 
 
 PARAMS = (
     # tier is the first row: the defaults of the rows below depend on it
-    Param("tier", "tier", str, "quick", "resolution tier", "tier",
-          choices=tuple(TIERS)),
-    Param("n", "n", int, 3, "dimension of H^n (2 or 3)", "n"),
-    Param("p", "p", finite_float, 3.0, "nonlinearity power", "p"),
-    Param("lam", "lambda", finite_float, 0.0, "frequency shift", "lambda"),
+    Param("tier", "tier", str, "quick", "resolution tier", choices=tuple(TIERS)),
+    Param("n", "n", int, 3, "dimension of H^n (2 or 3)"),
+    Param("p", "p", finite_float, 3.0, "nonlinearity power"),
+    Param("lam", "lambda", finite_float, 0.0, "frequency shift"),
     Param("alphas", "alpha", finite_float, None,
           "datum amplitude or mass (repeatable; comma-separated in a config file)",
-          "alphas", params=False, many=True),
-    Param("rmax", "rmax", finite_float, None, "domain radius", "rmax"),
-    Param("points", "points", int, None, "grid points", "points"),
-    Param("dt", "dt", finite_float, None, "base time step", "dt"),
-    Param("horizon", "horizon", finite_float, None, "integration horizon", "horizon"),
-    Param("out_dir", "out", str, None, "output directory (HYPNLS_OUT overrides)",
-          None, params=False),
-    Param("fmt", "format", str.lower, "json", "report format", "format",
-          params=False, choices=("csv", "json")),
+          many=True),
+    Param("rmax", "rmax", finite_float, None, "domain radius"),
+    Param("points", "points", int, None, "grid points"),
+    Param("dt", "dt", finite_float, None, "base time step"),
+    Param("horizon", "horizon", finite_float, None, "integration horizon"),
+    Param("out_dir", "out", str, None, "output directory (HYPNLS_OUT overrides)"),
+    Param("fmt", "format", str.lower, "json", "report format", choices=("csv", "json")),
 )
 
 
 class ExperimentConfig(SimpleNamespace):
     """A resolved configuration: `command` and one attribute per row of
-    PARAMS."""
+    PARAMS that the command reads."""
+
+    def params_dict(self) -> dict:
+        """The command and each parameter it reads but `out`: the reports'
+        "params", and what the digest hashes."""
+        out = {"command": self.command}
+        out.update((p.key, getattr(self, p.attr)) for p in PARAMS
+                   if p.key in COMMANDS[self.command][2] and p.key != "out")
+        return out
 
     def digest(self) -> str:
         # str of a float is its repr, the shortest round trip
-        items = {"command": self.command}
-        for param in PARAMS:
-            if param.digest:
-                value = getattr(self, param.attr)
-                items[param.digest] = (
-                    ",".join(map(str, value or [])) if param.many else str(value)
-                )
+        items = {k: ",".join(map(str, v)) if isinstance(v, list) else str(v)
+                 for k, v in self.params_dict().items()}
         text = "\n".join(f"{k}={items[k]}" for k in sorted(items))
         return hashlib.sha256(text.encode()).hexdigest()
 
-    def params_dict(self) -> dict:
-        out = {"command": self.command}
-        out.update((p.key, getattr(self, p.attr)) for p in PARAMS if p.params)
-        return out
 
-
-def parse_config_file(path: str) -> Dict[str, str]:
-    known = {param.key for param in PARAMS}
-    vals: Dict[str, str] = {}
+def parse_config_file(path: str) -> Dict[str, Any]:
+    """The values of a flat key=value file by key, each cast and checked like
+    its flag whatever the subcommand; an empty list (`alpha=`) is None."""
+    params = {param.key: param for param in PARAMS}
+    vals: Dict[str, Any] = {}
     try:
         with open(path) as handle:
             for lineno, raw in enumerate(handle, 1):
@@ -142,11 +138,20 @@ def parse_config_file(path: str) -> Dict[str, str]:
                     continue
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected key=value")
-                key, value = line.split("=", 1)
-                key = key.strip()
-                if key not in known:
+                key, text = (part.strip() for part in line.split("=", 1))
+                if key not in params:
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-                vals[key] = value.strip()
+                param = params[key]
+                try:
+                    value = ([param.cast(a) for a in text.split(",") if a.strip()] or None
+                             if param.many else param.cast(text))
+                except ValueError as exc:
+                    raise UsageError(f"config key {key!r}: {exc}") from exc
+                if param.choices and value not in param.choices:
+                    raise UsageError(
+                        f"unknown {key} {value!r}; options: {', '.join(param.choices)}"
+                    )
+                vals[key] = value
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
     return vals
@@ -156,26 +161,15 @@ def resolve_config(args) -> ExperimentConfig:
     file_vals = parse_config_file(args.config) if args.config else {}
     defaults = COMMAND_DEFAULTS.get(args.command, {})
     values: Dict[str, Any] = {}
-    for param in PARAMS:
+    for param in (p for p in PARAMS if p.key in COMMANDS[args.command][2]):
         value = getattr(args, param.attr)
-        if value is None and param.key in file_vals:
-            text = file_vals[param.key]
-            try:
-                if param.many:
-                    value = [param.cast(a) for a in text.split(",") if a.strip()]
-                else:
-                    value = param.cast(text)
-            except ValueError as exc:
-                raise UsageError(f"config key {param.key!r}: {exc}") from exc
+        if value is None:
+            value = file_vals.get(param.key)
         if value is None:
             value = defaults.get(param.key, param.default)
-        elif param.many:
+        if param.many:
             # one canonical list, so the same work has one digest
             value = sorted(set(value))
-        if param.choices and value not in param.choices:
-            raise UsageError(
-                f"unknown {param.key} {value!r}; options: {', '.join(param.choices)}"
-            )
         values[param.attr] = value
         if param.attr == "tier":
             defaults = {**TIERS[value], **defaults}
@@ -376,7 +370,7 @@ def cmd_dichotomy(cfg: ExperimentConfig) -> int:
 
     rows = []
     row_files = []
-    for alpha in cfg.alphas or DEFAULT_ALPHAS:
+    for alpha in cfg.alphas:
         row, out = dichotomy_row(gs, alpha, cfg.dt, cfg.horizon)
         fname = f"dichotomy_alpha{_numtag(alpha)}_fwd.csv"
         _write_series(cfg, fname, out)
@@ -478,6 +472,8 @@ def inequality_scan(n: int, p: float, r_max: float) -> dict:
     """The pointwise weight scans, by name in report order: the quartic F on
     (0, 20], the P_m coefficients at the critical power 1 + 4/n and at p,
     and W1 on a 1e-4 lattice over [1e-6, r_max] and at r_max."""
+    if n not in SUPPORTED_DIMENSIONS:
+        raise ValueError(f"unsupported dimension n={n}; supported: {SUPPORTED_DIMENSIONS}")
     if not r_max > 0:
         raise ValueError(f"r_max must be positive, got {r_max}")
     r_grid = np.linspace(20.0 / 100000, 20.0, 100000)
@@ -530,8 +526,7 @@ def mass_curve_sweep(grid, p: float, alphas) -> list:
 
 def cmd_mass_curve(cfg: ExperimentConfig) -> int:
     grid = build_grid(cfg.n, cfg.rmax, cfg.points)
-    alphas = cfg.alphas or list(np.geomspace(0.1, 20.0, 13))
-    points = mass_curve_sweep(grid, cfg.p, alphas)
+    points = mass_curve_sweep(grid, cfg.p, cfg.alphas)
     bottom = spectrum_bottom(cfg.n)
     minimizers = [pt for pt in points if pt.minimizer is not None]
     alpha0 = minimizers[0].alpha if minimizers else None
@@ -667,37 +662,41 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# the subcommands that run on a resolved configuration: name -> (runner, help)
+# the subcommands that run on a resolved configuration: name -> (runner,
+# help, the keys of the PARAMS it reads and takes as flags)
 COMMANDS = {
-    "groundstate": (cmd_groundstate, "solve and certify Q"),
-    "dichotomy": (cmd_dichotomy, "alpha-sweep of alpha*Q data"),
-    "virial-check": (cmd_virial_check, "second-moment vs G"),
-    "inequalities": (cmd_inequalities, "weight scans"),
-    "mass-curve": (cmd_mass_curve, "constrained minimization"),
-    "spectral-check": (cmd_spectral_check, "transform checks"),
+    "groundstate": (cmd_groundstate, "solve and certify Q",
+                    "tier n p lambda rmax points out".split()),
+    "dichotomy": (cmd_dichotomy, "alpha-sweep of alpha*Q data",
+                  [param.key for param in PARAMS]),
+    "virial-check": (cmd_virial_check, "second-moment vs G",
+                     "tier n p lambda rmax points dt horizon out format".split()),
+    "inequalities": (cmd_inequalities, "weight scans", "tier n p rmax out format".split()),
+    "mass-curve": (cmd_mass_curve, "constrained minimization",
+                   "tier n p alpha rmax points out format".split()),
+    "spectral-check": (cmd_spectral_check, "transform checks",
+                       "tier n rmax points out format".split()),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    for param in PARAMS:
-        common.add_argument(
-            "--" + param.key,
-            dest=param.attr,
-            type=param.cast,
-            choices=param.choices,
-            action="append" if param.many else "store",
-            help=param.help,
-        )
-    common.add_argument("--config", help="flat key=value config file")
-
     parser = _Parser(
         prog="hypnls",
         description="Experiments for the focusing NLS on hyperbolic space.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=help_text)
+    for name, (_, help_text, keys) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for param in (p for p in PARAMS if p.key in keys):
+            command.add_argument(
+                "--" + param.key,
+                dest=param.attr,
+                type=param.cast,
+                choices=param.choices,
+                action="append" if param.many else "store",
+                help=param.help,
+            )
+        command.add_argument("--config", help="flat key=value config file")
     plot = sub.add_parser("plotdata", help="reshape an output file for plotting")
     plot.add_argument("input", help="CSV produced by another subcommand")
     plot.add_argument("--kind", required=True, choices=tuple(PLOT_HEADERS),

@@ -2,9 +2,11 @@
 
 Everything runs in-process through main(argv) against tmp_path; the
 inequalities subcommand (no solver work) carries the config-plumbing
-tests so the suite stays fast.
+tests, and resolve() checks the parameters of a subcommand that would
+solve, so the suite stays fast.
 """
 
+import hashlib
 import json
 import os
 import stat
@@ -29,6 +31,10 @@ def read_json(path):
 def stderr_payload(capsys):
     err = capsys.readouterr().err.strip().splitlines()[-1]
     return json.loads(err)
+
+
+def resolve(argv):
+    return cli.resolve_config(cli.build_parser().parse_args(argv))
 
 
 def test_exit_code_table():
@@ -99,19 +105,50 @@ def test_groundstate_above_bottom_is_usage_error(tmp_path, capsys):
 def test_config_file_and_flag_precedence(tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text("# comment line\n\nlambda=0.25\n")
-    out = str(tmp_path / "o1")
-    assert cli.main(["inequalities", "--config", str(conf), "--out", out]) == 0
-    payload = read_json(os.path.join(out, "inequalities_report.json"))
-    assert payload["params"]["lambda"] == 0.25
+    from_file = resolve(["groundstate", "--config", str(conf)])
+    assert from_file.params_dict()["lambda"] == 0.25
     # explicit flag beats the file
-    out2 = str(tmp_path / "o2")
-    assert cli.main(
-        ["inequalities", "--config", str(conf), "--lambda", "0", "--out", out2]
-    ) == 0
-    payload2 = read_json(os.path.join(out2, "inequalities_report.json"))
-    assert payload2["params"]["lambda"] == 0.0
+    from_flag = resolve(["groundstate", "--config", str(conf), "--lambda", "0"])
+    assert from_flag.params_dict()["lambda"] == 0.0
     # the digest tracks the resolved config
-    assert payload2["config_digest"] != payload["config_digest"]
+    assert from_flag.digest() != from_file.digest()
+
+
+def test_config_file_keys_a_subcommand_does_not_read(tmp_path, capsys):
+    # one file serves several subcommands: a key that inequalities does not
+    # read is neither hashed nor reported, and the scan runs as by default
+    conf = tmp_path / "shared.conf"
+    conf.write_text("lambda=0.7\ndt=9\npoints=17\nalpha=0.5, 1.5\n")
+    for argv, out in ((["--config", str(conf)], "shared"), ([], "default")):
+        assert cli.main(["inequalities", *argv, "--out", str(tmp_path / out)]) == 0
+    shared, default = (read_json(tmp_path / out / "inequalities_report.json")
+                       for out in ("shared", "default"))
+    assert shared == default
+    # its values are still checked, whichever subcommand reads the file
+    conf.write_text("dt=abc\n")
+    assert cli.main(["inequalities", "--config", str(conf)]) == 2
+    assert stderr_payload(capsys)["error"] == (
+        "config key 'dt': could not convert string to float: 'abc'"
+    )
+    # an empty list is unset: the subcommand default
+    conf.write_text("alpha=\n")
+    assert resolve(["dichotomy", "--config", str(conf)]).alphas == [0.5, 0.9, 1.1, 1.5]
+
+
+@pytest.mark.parametrize("argv", (
+    ["inequalities", "--dt", "0.1"],
+    ["groundstate", "--format", "csv"],
+    ["spectral-check", "--lambda", "0.2"],
+    ["virial-check", "--alpha", "1"],
+))
+def test_flag_a_subcommand_does_not_read_is_usage_error(tmp_path, capsys, argv):
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": f"unrecognized arguments: {' '.join(argv[1:])}", "code": 2,
+    }
+    assert os.listdir(tmp_path) == []
 
 
 def test_config_file_errors(tmp_path, capsys):
@@ -166,46 +203,49 @@ def test_flags_and_config_file_resolve_alike(tmp_path):
     )
     flags = [f"--{k}={v}" for k, v in settings.items()]
     flags += ["--alpha", "0.7", "--alpha", "1.2"]
-    parser = cli.build_parser()
     from_file, from_flags = (
-        cli.resolve_config(parser.parse_args(["dichotomy"] + argv))
-        for argv in (["--config", str(conf)], flags)
+        resolve(["dichotomy"] + argv) for argv in (["--config", str(conf)], flags)
     )
     assert from_file.params_dict() == from_flags.params_dict() == {
         "command": "dichotomy", "n": 2, "p": 3.5, "lambda": 0.1, "rmax": 18.0,
         "points": 1500, "dt": 0.004, "horizon": 0.5, "tier": "production",
+        "alpha": [0.7, 1.2], "format": "csv",
     }
     assert from_file.digest() == from_flags.digest()
     for cfg in (from_file, from_flags):
-        assert cfg.alphas == [0.7, 1.2]
-        assert (cfg.fmt, cfg.out_dir) == ("csv", settings["out"])
+        assert cfg.out_dir == settings["out"]
 
 
 def test_tier_from_config_file(tmp_path):
     conf = tmp_path / "prod.conf"
     conf.write_text("tier=production\n")
-    out = str(tmp_path)
-    assert cli.main(["inequalities", "--config", str(conf), "--out", out]) == 0
-    payload = read_json(tmp_path / "inequalities_report.json")
-    assert payload["params"]["tier"] == "production"
-    assert payload["params"]["points"] == 8000
+    params = resolve(["groundstate", "--config", str(conf)]).params_dict()
+    assert params["tier"] == "production"
+    assert params["points"] == 8000
 
 
 def test_config_digest_is_pinned(tmp_path):
     # golden digests: the digest text (items, order, number format) must not
-    # drift, or every stored output stops matching its configuration
-    args = cli.build_parser().parse_args(["groundstate"])
-    assert cli.resolve_config(args).digest() == (
-        "0a20e704968ec678045fc2cefc0f88237256f58c39f61ffd1387456861225e0f"
-    )
-    for argv, report, golden in (
+    # drift, or every stored output stops matching its configuration; each
+    # hashes the command and the parameters it reads, but not out
+    text = ("command=groundstate\nlambda=0.0\nn=3\np=3.0\npoints=2000\nrmax=20.0\n"
+            "tier=quick")
+    golden = "b33589964b9fde9bd2b3f68a6cc14c2545348619b11bd16e4cbb33580053ff98"
+    assert hashlib.sha256(text.encode()).hexdigest() == golden
+    assert resolve(["groundstate", "--out", "runs"]).digest() == golden
+    for argv, report, text, golden in (
         (["spectral-check", "--format", "csv", "--tier", "production"],
          "spectral_report.csv",
-         "31ff91c75724d16ec2441b33d48c4dd07981222c85567cc96f0de83c486ce9e1"),
+         "command=spectral-check\nformat=csv\nn=3\npoints=2000\nrmax=20.0\n"
+         "tier=production",
+         "6dab3bfa7029e3967ff4d52e1b852457a4105adb8484eeadf5e9e31e48458e7b"),
         (["virial-check", "--n", "2", "--format", "csv"],
          "virial_report.csv",
-         "5ef0e2f17efffda08126412d9c46da9f0d72aa0d43fc98c0b483f0059b283fac"),
+         "command=virial-check\ndt=0.002\nformat=csv\nhorizon=1.0\nlambda=0.0\n"
+         "n=2\np=3.0\npoints=2000\nrmax=20.0\ntier=quick",
+         "26891a985bb6343df502a46882204f886a9c92cefc2f0b4937cdada6e8a02dc7"),
     ):
+        assert hashlib.sha256(text.encode()).hexdigest() == golden
         out = tmp_path / argv[0]
         assert cli.main(argv + ["--out", str(out)]) == 0
         assert cli.read_csv(str(out / report))[0] == golden
@@ -215,15 +255,37 @@ def test_config_digest_is_pinned(tmp_path):
     assert read_json(out / "spectral_report.json")["params"]["points"] == 2000
 
 
+def test_default_alphas_hash_like_the_same_alphas_given():
+    # the default alphas are the subcommand's, so naming them changes nothing
+    text = ("alpha=0.5,0.9,1.1,1.5\ncommand=dichotomy\ndt=0.002\nformat=json\n"
+            "horizon=3.0\nlambda=0.0\nn=3\np=3.0\npoints=2000\nrmax=20.0\ntier=quick")
+    golden = "8a5eb063e61a9bf635dd54c43cadb108d3844fefd899360fb9063442667c83ae"
+    assert hashlib.sha256(text.encode()).hexdigest() == golden
+    given = ["--alpha", "1.5", "--alpha", "0.5", "--alpha", "1.1", "--alpha", "0.9"]
+    for argv in ([], given):
+        cfg = resolve(["dichotomy", *argv])
+        assert cfg.digest() == golden
+        assert cfg.params_dict()["alpha"] == [0.5, 0.9, 1.1, 1.5]
+
+
 @pytest.mark.parametrize("argv, files", (
     (["groundstate"], ("groundstate_n3_p3_lam0.csv", "groundstate_n3_p3_lam0.json")),
     (["spectral-check"], ("spectral_reference.csv", "spectral_report.json")),
     (["spectral-check", "--format", "csv"],
      ("spectral_reference.csv", "spectral_report.csv")),
+    (["dichotomy", "--alpha", "1.5", "--horizon", "0.05"],
+     ("dichotomy_alpha1.5_fwd.csv", "dichotomy_report.json")),
+    (["virial-check", "--horizon", "0.1"], ("virial_diag.csv", "virial_report.json")),
+    (["inequalities"], ("inequalities_report.json",)),
+    (["mass-curve", "--p", "2", "--alpha", "13"],
+     ("mass_curve.csv", "mass_curve_report.json")),
 ))
 def test_every_output_carries_the_envelope(tmp_path, argv, files):
     argv = [*argv, "--out", str(tmp_path)]
-    cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
+    cfg = resolve(argv)
+    # the reports list each parameter the subcommand reads, but not out
+    keys = set(cli.COMMANDS[argv[0]][2]) - {"out"}
+    assert set(cfg.params_dict()) == keys | {"command"}
     assert cli.main(argv) == 0
     assert tuple(sorted(os.listdir(tmp_path))) == files
     for name in files:
@@ -291,6 +353,16 @@ def test_inequalities_csv_format(tmp_path):
     digest, header, rows = cli.read_csv(str(tmp_path / "inequalities_report.csv"))
     assert header == ["quantity", "value"]
     assert {r[0] for r in rows} >= {"quartic_min", "w1_max", "w1_tail"}
+
+
+@pytest.mark.parametrize("n", ["0", "4"])
+def test_inequalities_unsupported_dimension_is_usage_error(tmp_path, capsys, n):
+    argv = ["inequalities", "--n", n, "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert stderr_payload(capsys)["error"] == (
+        f"unsupported dimension n={n}; supported: (2, 3)"
+    )
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("rmax", ["0", "-1"])
