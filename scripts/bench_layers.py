@@ -1,6 +1,6 @@
 """Layer timings: one solve, one CN step, its H^1 check and one diagnostics
-record of the evolution, one gradient-flow step of the mass curve, one
-Newton polish of a ground state, and one spectral transform.
+record of the evolution, one point of the mass curve, one Newton polish of
+a ground state, and one spectral transform.
 
 Times, on the H^3 quick-tier grid (r_max = 20) with N = 2000 and 8000
 points, a Gaussian datum 0.5 e^{-r^2} and dt = 2e-3:
@@ -14,10 +14,11 @@ points, a Gaussian datum 0.5 e^{-r^2} and dt = 2e-3:
 - h1_monitor_us: the H^1 check `evolve_run` makes on every accepted state;
 - diagnostics_record_us: one diagnostics record
   (`functionals.compute_diagnostics`), as `evolve_run` emits it;
-- flow_trial_us: one trial of the mass curve's gradient flow
-  (`groundstate._flow_trial`: the implicit solve, the renormalization and
-  the flow energy) at p = 2, mass alpha = 12.86 (criterion 7's cold start)
-  and the flow's initial step, from the normalized Gaussian start;
+- mass_point_us: one point of the mass curve
+  (`groundstate.mass_constrained_minimize`: the continuation from Q_0
+  along the ground-state branch, its bordered Newton solves and energy
+  records) at p = 2 and alpha = 12.86 (criterion 7's first minimizer),
+  with Q_0 already solved and memoized on the grid;
 - newton_polish_us: one Newton polish of the ground-state equation at
   fixed lambda (`groundstate._newton_polish`, run to its stop rule) from
   1.001 times the p = 3, lambda = 0.5 ground state;
@@ -57,7 +58,7 @@ import numpy as np  # noqa: E402  (after the thread settings)
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (2000, 8000)
 DT = 2e-3
-FLOW_ALPHA = float(np.geomspace(0.1, 20.0, 13)[11])
+MASS_ALPHA = float(np.geomspace(0.1, 20.0, 13)[11])
 POLISH_LAMBDA = 0.5
 REPEATS = 1000
 WARMUP = 20
@@ -95,10 +96,7 @@ def measure(num_points):
     step_args = (u, DT, phi_half, h1_and_norms(u, grid)[1])
     h1_monitor = functools.partial(h1_and_norms, u, grid)
     field = functionals.RadialField(grid=grid, values=u)
-    q = np.exp(-grid.nodes**2)
-    q *= FLOW_ALPHA / np.sqrt(np.dot(q * q, grid.vol_weights))
-    flow_args = (q, groundstate.FLOW_TAU, FLOW_ALPHA, grid, 2.0,
-                 hypgeom.spectrum_bottom(3))
+    mass_args = (MASS_ALPHA, 3, 2.0, grid)
     gs = groundstate.solve_ground_state(3, 3.0, POLISH_LAMBDA, grid)
     polish_args = (1.001 * gs.profile, POLISH_LAMBDA, grid, 3.0)
     bump = functionals.RadialField(grid=grid, values=np.exp(-(grid.nodes - 2.0) ** 2))
@@ -108,7 +106,7 @@ def measure(num_points):
     step = _time_calls(lambda: stepper.step(*step_args))
     h1 = _time_calls(h1_monitor)
     record = _time_calls(lambda: functionals.compute_diagnostics(0.0, field, 3.0, 0.0))
-    flow = _time_calls(lambda: groundstate._flow_trial(*flow_args))
+    mass_point = _time_calls(lambda: groundstate.mass_constrained_minimize(*mass_args))
     polish = _time_calls(lambda: groundstate._newton_polish(*polish_args))
     setup = _time_calls(lambda: spectral.SpectralTransform(grid))
     recon = _time_calls(lambda: spectral.FieldSpectrum(bump).reconstruction_residual())
@@ -118,7 +116,7 @@ def measure(num_points):
         "solves_per_step": solves,
         "h1_monitor_us": _quartiles(h1),
         "diagnostics_record_us": _quartiles(record),
-        "flow_trial_us": _quartiles(flow),
+        "mass_point_us": _quartiles(mass_point),
         "newton_polish_us": _quartiles(polish),
         "transform_setup_us": _quartiles(setup),
         "field_spectrum_us": _quartiles(recon),

@@ -65,6 +65,7 @@ MATRIX = (
     ("virial_n2", ("virial-check", "--n", "2", "--horizon", "2.0")),
     ("virial_lam0.4", ("virial-check", "--lambda", "0.4")),
     ("mass_curve_p2", ("mass-curve", "--p", "2")),
+    ("mass_curve_n2_p2.5", ("mass-curve", "--n", "2", "--p", "2.5")),
     ("inequalities", ("inequalities",)),
     ("spectral", ("spectral-check",)),
     ("spectral_csv", ("spectral-check", "--format", "csv")),
@@ -75,11 +76,12 @@ MATRIX = (
                           "--kind", "diagnostics")),
     ("plot_spectrum", ("plotdata", "{outdir}/spectral/spectral_reference.csv",
                        "--kind", "spectrum")),
-    # usage errors: each exits 2 with one JSON line on stderr
+    # errors: each exits 2 (usage) or 3 (solver) with one JSON line on stderr
     ("err_gs_lam1", ("groundstate", "--lambda", "1.0")),
     ("err_gs_format", ("groundstate", "--lambda", "0.5", "--format", "csv")),
     ("err_mass_curve_p4", ("mass-curve", "--p", "4")),
     ("err_spectral_n2", ("spectral-check", "--n", "2")),
+    ("err_mass_curve_n2_p2.9", ("mass-curve", "--n", "2", "--p", "2.9")),
 )
 
 

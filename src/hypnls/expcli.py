@@ -45,6 +45,8 @@ COMMAND_DEFAULTS = {
     # the bump family's spectral quantities are grid-converged at 2000
     # points, well below production size, so both tiers use 2000
     "spectral-check": {"points": 2000},
+    # the scans need no tier: both tiers set r_max 20
+    "inequalities": {"rmax": 20.0},
     "dichotomy": {"alpha": [0.5, 0.9, 1.1, 1.5]},
     "mass-curve": {"alpha": list(np.geomspace(0.1, 20.0, 13))},
 }
@@ -512,16 +514,8 @@ def cmd_inequalities(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def mass_curve_sweep(grid, p: float, alphas) -> list:
-    """One MassCurvePoint per mass in alphas, in order; each minimization
-    starts from the last minimizer found."""
-    points = []
-    warm = None
-    for alpha in alphas:
-        pt = gsmod.mass_constrained_minimize(alpha, grid.n, p, grid, start=warm)
-        if pt.minimizer is not None:
-            warm = pt.minimizer.values.real
-        points.append(pt)
-    return points
+    """One MassCurvePoint per mass in alphas, in order."""
+    return [gsmod.mass_constrained_minimize(alpha, grid.n, p, grid) for alpha in alphas]
 
 
 def cmd_mass_curve(cfg: ExperimentConfig) -> int:
@@ -671,7 +665,7 @@ COMMANDS = {
                   [param.key for param in PARAMS]),
     "virial-check": (cmd_virial_check, "second-moment vs G",
                      "tier n p lambda rmax points dt horizon out format".split()),
-    "inequalities": (cmd_inequalities, "weight scans", "tier n p rmax out format".split()),
+    "inequalities": (cmd_inequalities, "weight scans", "n p rmax out format".split()),
     "mass-curve": (cmd_mass_curve, "constrained minimization",
                    "tier n p alpha rmax points out format".split()),
     "spectral-check": (cmd_spectral_check, "transform checks",

@@ -1,5 +1,6 @@
 """Ground states Q of -(Laplacian)Q - lambda Q = Q^p on H^n, and the
-mass-constrained minimization curve e(alpha).
+mass-constrained minimization curve e(alpha), read off the branch
+lambda -> Q_lambda.
 
 The profile is found by shooting on the radial ODE
 
@@ -10,7 +11,9 @@ bisecting the initial amplitude between trajectories that cross zero
 small).  The sampled trajectory is then polished by Newton iteration on the
 *discrete* stationary system L Q + lambda Q + Q^p = 0 built from the
 divergence-form Laplacian, so the integral identities used as certificates
-hold at solver tolerance rather than discretization tolerance.
+hold at solver tolerance rather than discretization tolerance. The mass
+curve continues Q_0 along that branch in its mass by the same Newton solve
+with a mass row (see mass_constrained_minimize).
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .hypgeom import (
     RadialGrid,
     apply_laplacian,
     coth,
-    dirichlet_energy,
     laplacian_bands,
     per_grid,
     shifted_bands,
@@ -40,22 +42,18 @@ class NoGroundState(ValueError):
 
 
 class ShootingFailure(RuntimeError):
-    """No undershoot/overshoot bracket inside the amplitude search range,
-    or a Newton polish of the shot profile that does not converge."""
+    """No undershoot/overshoot bracket inside the amplitude search range, a
+    Newton polish of the shot profile that does not converge, or a mass-curve
+    continuation that starts off the minimizing branch or stalls on it."""
 
 
 AMPLITUDE_RANGE = (1e-6, 1e6)
 MATCH_LEVEL = 1e-9       # extend by the linear far field below this fraction of q0
 TAIL_SPLICE_LEVEL = 1e-13  # below this fraction of q0 keep the analytic tail
-POSITIVITY_ROUNDOFF = 1e-12  # dip below 0 allowed, as a fraction of the max
 
-# mass-curve flow: initial and largest step, step factors on a backtrack and
-# on an accepted step, the energy decrease per unit flow time (relative to
-# 1 + |e|) that ends a flow no Newton try has stopped, and its step cap
-FLOW_TAU, FLOW_TAU_MAX = 0.25, 2.0
-FLOW_BACKTRACK, FLOW_GROW = 0.5, 1.2
-FLOW_TOL, FLOW_MAX_STEPS = 1e-8, 50000
-ZERO_LEVEL = -1e-8  # flows whose energy stays above this report e(alpha) = 0
+# mass-curve continuation in log mass: the first step, and the step below
+# which a stalled continuation is a solver failure
+BRANCH_STEP, BRANCH_STEP_FLOOR = 0.2, 1e-3
 
 
 def _admissible(n: int, p: float):
@@ -168,7 +166,10 @@ def _odd_pow(values: np.ndarray, p: float) -> np.ndarray:
 def _newton_polish(q, lam, grid, p, alpha=None):
     """Newton on F(q) = -L q - lam q - |q|^{p-1} q = 0 at fixed lam or,
     given a mass alpha, on (F(q), mass - alpha^2) in (q, lam) via a
-    bordered tridiagonal solve.
+    bordered tridiagonal solve. The bordered row divides by
+    <L+^{-1} q, q>, L+ = -L - lam - p |q|^{p-1}, and refuses the step unless
+    that is negative, so the mass form converges only on the branch where
+    the mass falls as lam rises (the minimizing branch).
 
     Returns (q, lam) once max|F| meets 1e-13 of its scale plus the rounding
     error of L q, eps |L|_inf |q|_inf (1/dr^2 makes that the larger term:
@@ -197,7 +198,7 @@ def _newton_polish(q, lam, grid, p, alpha=None):
                 b = solve_banded(*bands, q)
                 wq = w * q
                 denom = float(np.dot(wq, b))
-                if denom == 0.0 or not np.isfinite(denom):
+                if not denom < 0.0:
                     return None
                 dlam = (-f2 - float(np.dot(wq, dq))) / denom
                 dq = dq + dlam * b
@@ -205,10 +206,9 @@ def _newton_polish(q, lam, grid, p, alpha=None):
             return None
         if it == 0 and np.max(np.abs(dq)) > 0.5 * qmax:
             return None  # the start is too far out for a safe polish
+        # a non-finite iterate fails the next step's solve
         q = q + dq
         lam = lam + dlam
-        if not np.all(np.isfinite(q)):
-            return None
 
 
 def _far_field_extension(profile, j_start, n, lam, grid: RadialGrid):
@@ -288,17 +288,12 @@ def solve_ground_state(n: int, p: float, lam: float, grid: RadialGrid) -> Ground
             lo = mid
     q0 = 0.5 * (lo + hi)
 
-    event, stop, prof = _integrate(n, p, lam, q0, grid, record=True)
+    _, stop, prof = _integrate(n, p, lam, q0, grid, record=True)
     # matching index: where the trajectory is deep into the linear regime,
-    # or just before the residual shooting error misbehaves
-    candidates = np.nonzero(prof[: stop + 1] < MATCH_LEVEL * q0)[0]
-    if candidates.size:
-        j_match = int(candidates[0])
-        profile = _far_field_extension(prof, j_match, n, lam, grid)
-    elif event == "none":
-        profile = prof.copy()
-    else:
-        profile = _far_field_extension(prof, max(stop - 1, 1), n, lam, grid)
+    # else the node before the shot stopped (it turned, or reached r_max)
+    below = np.nonzero(prof[: stop + 1] < MATCH_LEVEL * q0)[0]
+    j_match = int(below[0]) if below.size else max(stop - 1, 1)
+    profile = _far_field_extension(prof, j_match, n, lam, grid)
 
     polished = _newton_polish(profile, lam, grid, p)
     if polished is None:
@@ -371,73 +366,47 @@ class MassCurvePoint:
     iterations: int = 0
 
 
-def _flow_energy(q, grid, p, rho2):
-    m = np.dot(q * q, grid.vol_weights)
-    nl = np.dot(np.abs(q) ** (p + 1.0), grid.vol_weights)
-    return 0.5 * (dirichlet_energy(q, grid) - rho2 * m) - nl / (p + 1.0)
-
-
-def _flow_trial(q, tau, alpha, grid, p, rho2):
-    """One semi-implicit flow trial at step tau, renormalized to mass
-    alpha^2: (1 + tau A) trial = q + tau q^p with A = -(L + rho^2).
-    Returns (trial, its flow energy)."""
-    bands = shifted_bands(grid, 1.0, -tau, shift=rho2)
-    trial = solve_banded(*bands, q + tau * _odd_pow(q, p))
-    trial *= alpha / math.sqrt(np.dot(trial * trial, grid.vol_weights))
-    return trial, _flow_energy(trial, grid, p, rho2)
-
-
-def _lagrange_fit(q, grid, p):
-    """(L q, lambda) with lambda the Rayleigh quotient of the EL equation."""
-    lap_q = apply_laplacian(q, grid)
-    m = float(np.dot(q * q, grid.vol_weights))
-    return lap_q, float(np.dot((-lap_q - q**p) * grid.vol_weights, q)) / m
-
-
-def _polish_minimizer(q, alpha, grid, p, rho2):
-    """Bordered Newton from |q| and its fitted lambda.
-
-    Returns (|q*|, its flow energy, whether q* >= 0 up to roundoff) for the
-    converged state q*, or None when Newton does not converge.
-    """
-    q = np.abs(q)
-    lam = _lagrange_fit(q, grid, p)[1]
-    polished = _newton_polish(q, lam, grid, p, alpha)
-    if polished is None:
-        return None
-    q = polished[0]
-    positive = float(np.min(q)) >= -POSITIVITY_ROUNDOFF * float(np.max(q))
-    q = np.abs(q)
-    return q, _flow_energy(q, grid, p, rho2), positive
+@per_grid
+def _branch_start(grid: RadialGrid, p: float) -> GroundState:
+    """Q_0, where every mass-curve continuation on the grid at power p
+    starts. Raises ShootingFailure unless <L+^{-1} Q_0, Q_0> < 0, that is
+    unless Q_0 is on the minimizing branch."""
+    gs = solve_ground_state(grid.n, p, 0.0, grid)
+    q = gs.profile
+    l_plus = shifted_bands(grid, 0.0, -1.0, p * q ** (p - 1.0))
+    vk = float(np.dot(grid.vol_weights * q, solve_banded(*l_plus, q)))
+    if not vk < 0.0:
+        raise ShootingFailure(
+            f"Q_0 is off the minimizing branch: <L+^-1 Q_0, Q_0> = {vk:.3g} "
+            f"(n={grid.n}, p={p})"
+        )
+    return gs
 
 
 def mass_constrained_minimize(
-    alpha: float,
-    n: int,
-    p: float,
-    grid: RadialGrid,
-    start: Optional[np.ndarray] = None,
+    alpha: float, n: int, p: float, grid: RadialGrid
 ) -> MassCurvePoint:
-    """Projected gradient flow for inf{ J(u) : |u|_{L^2} = alpha }, handed
-    off to a bordered Newton solve.
+    """e(alpha) = inf{ J(u) : |u|_{L^2} = alpha } and its minimizer, read off
+    the ground-state branch lambda -> Q_lambda.
 
-    J(u) = 1/2 |u|_H^2 - 1/(p+1) |u|_{p+1}^{p+1}. The linear part of the
-    flow is treated implicitly (a tridiagonal solve per step) so the step
-    size is not pinned to dr^2; the nonlinearity stays explicit, with
-    backtracking on energy increase and mass renormalization after every
-    step. Deterministic Gaussian start unless a warm start is given (for
-    continuation sweeps in alpha); fixed points are the Euler-Lagrange
-    states of the constrained problem.
+    J(u) = 1/2 |u|_H^2 - 1/(p+1) |u|_{p+1}^{p+1}, with |u|_H^2 the Dirichlet
+    form less rho^2 |u|^2. A minimizer is positive and solves
+    -L q - lambda q = q^p, so by the uniqueness of the positive solution on
+    H^n (Mancini and Sandeep, Ann. Sc. Norm. Super. Pisa 2008) it is the
+    ground state Q_lambda whose mass is alpha^2, on the branch where
+    <L+^{-1} Q, Q> < 0 (Vakhitov-Kolokolov; Grillakis, Shatah and Strauss,
+    J. Funct. Anal. 74, 1987). Along that branch dJ/dM = (lambda - rho^2)/2
+    < 0, so e(alpha) = min(0, J) there.
 
-    Once the flow energy is below ZERO_LEVEL, the Newton solve of the EL
-    system is tried from the current iterate on a doubling schedule (at
-    the first such step, then once the step count has doubled, and so on),
-    so a flow makes at most about log2(steps) attempts. The flow stops at
-    the first attempt that converges to a state that is positive up to
-    roundoff and whose flow energy is not above the flow's; that state is
-    the minimizer. A flow that instead ends by FLOW_TOL or by backtracking is
-    polished once after the loop and keeps its own iterate if that fails.
-    `iterations` counts flow trials, backtracks included, up to the stop.
+    The continuation starts at Q_0 (`_branch_start`) and moves in log mass
+    toward alpha^2 by bordered Newton solves (`_newton_polish` with the mass
+    row), which refuse every state off that branch. The first step is
+    BRANCH_STEP; a refused step is halved and an accepted one doubled. Once
+    J >= 0 at a mass at or above alpha^2, e(alpha) = 0 and there is no
+    minimizer.
+    `iterations` counts the bordered Newton solves, refused ones included.
+    Raises ShootingFailure when Q_0 is off the branch or a step falls below
+    BRANCH_STEP_FLOOR.
     """
     _admissible(n, p)
     if alpha <= 0:
@@ -451,61 +420,40 @@ def mass_constrained_minimize(
         raise fn.ParameterMismatch("grid dimension differs from requested n")
     rho2 = spectrum_bottom(n)
 
-    if start is not None:
-        q = np.asarray(start, dtype=float).copy()
-        if q.shape != grid.nodes.shape:
-            raise fn.ParameterMismatch("warm start does not match the grid")
-    else:
-        q = np.exp(-grid.nodes**2)
-    q *= alpha / math.sqrt(np.dot(q * q, grid.vol_weights))
-    tau = FLOW_TAU
-    energy_now = _flow_energy(q, grid, p, rho2)
-    steps = 0
-    next_try = 1
-    polished = None
-    while steps < FLOW_MAX_STEPS:
-        steps += 1
-        trial, energy_trial = _flow_trial(q, tau, alpha, grid, p, rho2)
-        if energy_trial > energy_now:
-            tau *= FLOW_BACKTRACK
-            if tau < 1e-12:
-                break
+    q, lam = _branch_start(grid, p).profile, 0.0
+    rec = fn.compute_diagnostics(0.0, fn.RadialField(grid=grid, values=q), p, rho2)
+    a = math.sqrt(rec.mass)
+    step, solves = BRANCH_STEP, 0
+    while a != alpha and not (a > alpha and rec.energy_lambda >= 0.0):
+        gap = 2.0 * math.log(alpha / a)  # in log mass
+        a_next = alpha if abs(gap) <= step else a * math.exp(math.copysign(0.5 * step, gap))
+        polished = _newton_polish(q, lam, grid, p, a_next)
+        solves += 1
+        if polished is None:
+            step *= 0.5
+            if step < BRANCH_STEP_FLOOR:
+                raise ShootingFailure(
+                    f"the ground-state branch stalled at mass {a * a:.6g} on the way "
+                    f"to {alpha * alpha:.6g} (lambda={lam:.6g}, n={n}, p={p})"
+                )
             continue
-        drop_rate = (energy_now - energy_trial) / tau
-        q, energy_now = trial, energy_trial
-        tau = min(tau * FLOW_GROW, FLOW_TAU_MAX)
-        if energy_now < ZERO_LEVEL and steps >= next_try:
-            next_try = 2 * steps
-            polished = _polish_minimizer(q, alpha, grid, p, rho2)
-            if polished is not None and polished[2] and polished[1] <= energy_now:
-                break
-            polished = None
-        # the float noise floor of the energy difference scales with |e|
-        if drop_rate < FLOW_TOL * (1.0 + abs(energy_now)):
-            break
-
-    if polished is None:
-        if energy_now >= ZERO_LEVEL:
-            return MassCurvePoint(
-                alpha=alpha, e_alpha=0.0, minimizer=None, lagrange_lambda=None,
-                iterations=steps,
-            )
-        polished = _polish_minimizer(q, alpha, grid, p, rho2)
-    if polished is not None:
-        q, energy_now = polished[:2]
-    else:
-        q = np.abs(q)
-    lap_q, lam_fit = _lagrange_fit(q, grid, p)
-    el = -lap_q - lam_fit * q - q**p
+        (q, lam), a = polished, a_next
+        step *= 2.0
+        rec = fn.compute_diagnostics(0.0, fn.RadialField(grid=grid, values=q), p, rho2)
+    if rec.energy_lambda >= 0.0:
+        return MassCurvePoint(
+            alpha=alpha, e_alpha=0.0, minimizer=None, lagrange_lambda=None,
+            iterations=solves,
+        )
+    el = -apply_laplacian(q, grid) - lam * q - _odd_pow(q, p)
     # discrete H^{-1}-type norm: <el, (1 - L)^{-1} el> against the H^1 scale
-    w = solve_banded(*shifted_bands(grid, 1.0, -1.0), el)
-    h1 = float(dirichlet_energy(q, grid) + np.dot(q * q, grid.vol_weights))
-    residual = math.sqrt(abs(float(np.dot(el * grid.vol_weights, w)))) / math.sqrt(h1)
+    inv = solve_banded(*shifted_bands(grid, 1.0, -1.0), el)
+    residual = math.sqrt(abs(float(np.dot(el * grid.vol_weights, inv))) / rec.h1_sq)
     return MassCurvePoint(
         alpha=alpha,
-        e_alpha=float(energy_now),
+        e_alpha=rec.energy_lambda,
         minimizer=fn.RadialField(grid=grid, values=q.astype(complex)),
-        lagrange_lambda=lam_fit,
+        lagrange_lambda=lam,
         el_residual=residual,
-        iterations=steps,
+        iterations=solves,
     )

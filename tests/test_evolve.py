@@ -447,6 +447,10 @@ def test_stop_bookkeeping(gs3_zero, monkeypatch, kind, lam):
     for dt, u_new in taken:
         t, state = t + dt, u_new
     assert out.series[-1].t == out.t_stop == records[-1][0]
+    # the records land at strictly increasing times (virial_consistency
+    # divides by their differences)
+    times = [rec.t for rec in out.series]
+    assert all(t0 < t1 for t0, t1 in zip(times, times[1:]))
     if kind == "completed":
         assert out.t_stop == 0.3
     elif kind == "h1_threshold":

@@ -140,6 +140,7 @@ def test_config_file_keys_a_subcommand_does_not_read(tmp_path, capsys):
     ["groundstate", "--format", "csv"],
     ["spectral-check", "--lambda", "0.2"],
     ["virial-check", "--alpha", "1"],
+    ["inequalities", "--tier", "production"],
 ))
 def test_flag_a_subcommand_does_not_read_is_usage_error(tmp_path, capsys, argv):
     assert cli.main([*argv, "--out", str(tmp_path)]) == 2

@@ -110,6 +110,44 @@ def test_shooting_classifier_bracket(grid3):
     assert scan == [1, 1, -1, -1]
 
 
+# (n, lambda, r_max, points, event): shots at the bisected amplitude that
+# stop with no node below MATCH_LEVEL, on grids too short for the far field
+# (event "none") or at a lambda so negative that the shot turns first
+UNMATCHED_SHOTS = (
+    (2, -30.0, 3.0, 300, "none"),
+    (2, -100.0, 20.0, 2000, "turned"),
+)
+
+
+@pytest.mark.parametrize("n, lam, r_max, points, event", UNMATCHED_SHOTS)
+def test_unmatched_shot_is_extended_from_the_node_before_its_stop(
+    n, lam, r_max, points, event, monkeypatch
+):
+    grid = hg.build_grid(n, r_max, points)
+    shots = []
+    integrate = gsm._integrate
+
+    def recording(*args, **kwargs):
+        out = integrate(*args, **kwargs)
+        if kwargs.get("record"):
+            shots.append(out)
+        return out
+
+    monkeypatch.setattr(gsm, "_integrate", recording)
+    gs = gsm.solve_ground_state(n, 3.0, lam, grid)
+    ((got, stop, prof),) = shots
+    assert got == event
+    assert np.min(prof[: stop + 1]) >= gsm.MATCH_LEVEL * gs.q0
+    # the polish starts from the shot up to the node before the stop and the
+    # linear far field beyond it, and certifies a positive ground state
+    start = gsm._far_field_extension(prof, stop - 1, n, lam, grid)
+    polished = gsm._newton_polish(start, lam, grid, 3.0)[0]
+    assert np.max(np.abs(gs.profile - polished)) <= gsm.TAIL_SPLICE_LEVEL * gs.q0
+    assert np.all(gs.profile > 0.0)
+    assert gs.residuals["pohozaev"] < 1e-8
+    assert gs.residuals["energy_ratio"] < 1e-8
+
+
 def test_mass_curve_guards(grid3, grid2):
     with pytest.raises(ValueError):
         gsm.mass_constrained_minimize(1.0, 3, 3.0, grid3)  # p >= 1 + 4/n
@@ -118,10 +156,6 @@ def test_mass_curve_guards(grid3, grid2):
             gsm.mass_constrained_minimize(alpha, 3, 2.0, grid3)
     with pytest.raises(fn.ParameterMismatch):
         gsm.mass_constrained_minimize(1.0, 3, 2.0, grid2)
-    with pytest.raises(fn.ParameterMismatch):
-        gsm.mass_constrained_minimize(
-            1.0, 3, 2.0, grid3, start=np.ones(17)
-        )
 
 
 def test_mass_curve_small_mass_vanishes(grid3):
@@ -132,20 +166,39 @@ def test_mass_curve_small_mass_vanishes(grid3):
     assert pt.iterations > 0
 
 
-def test_mass_curve_negative_branch_and_warm_start(grid3):
-    cold = gsm.mass_constrained_minimize(13.0, 3, 2.0, grid3)
-    assert cold.e_alpha < 0.0
-    assert cold.minimizer is not None
-    assert cold.el_residual < 1e-4
-    assert cold.lagrange_lambda < 1.0
-    mass = fn.compute_diagnostics(0.0, cold.minimizer, 2.0, 0.0).mass
-    assert abs(mass - 13.0**2) < 1e-8 * 13.0**2
-    warm = gsm.mass_constrained_minimize(
-        16.0, 3, 2.0, grid3, start=cold.minimizer.values.real
-    )
-    assert warm.e_alpha < cold.e_alpha
-    assert warm.el_residual < 1e-4
-    assert warm.lagrange_lambda < 1.0
+def test_mass_curve_negative_branch(grid3):
+    points = [gsm.mass_constrained_minimize(alpha, 3, 2.0, grid3) for alpha in (13.0, 16.0)]
+    for alpha, pt in zip((13.0, 16.0), points):
+        assert pt.e_alpha < 0.0
+        assert pt.minimizer is not None
+        assert pt.el_residual < 1e-4
+        assert pt.lagrange_lambda < 1.0
+        mass = fn.compute_diagnostics(0.0, pt.minimizer, 2.0, 0.0).mass
+        assert abs(mass - alpha**2) < 1e-8 * alpha**2
+    assert points[1].e_alpha < points[0].e_alpha
+    # the minimizer is the shooting ground state at its own lambda: the
+    # positive solution is unique
+    q = points[0].minimizer.values.real
+    shot = gsm.solve_ground_state(3, 2.0, points[0].lagrange_lambda, grid3).profile
+    assert np.max(np.abs(shot - q)) < 1e-10 * np.max(q)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--n", "2", "--p", "2.9"], "Q_0 is off the minimizing branch"),
+    (["--p", "2.2", "--alpha", "20"], "the ground-state branch stalled"),
+], ids=("off_branch_start", "stalled_branch"))
+def test_unresolved_mass_curve_is_a_solver_failure(argv, error, tmp_path, capsys):
+    # (n, p) = (2, 2.9): <L+^-1 Q_0, Q_0> > 0 and J(Q_0) > 0, so reading e = 0
+    # at the masses below Q_0's would read the wrong branch. (3, 2.2) at
+    # alpha = 20: the branch narrows toward the grid scale (lambda = -3627,
+    # width 1/sqrt|lambda| = 0.017 against dr = 0.01, at mass 319 of 400)
+    # and the step falls below BRANCH_STEP_FLOOR.
+    assert cli.main(["mass-curve", *argv, "--out", str(tmp_path)]) == 3
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    payload = json.loads(line)
+    assert payload["code"] == 3
+    assert payload["error"].startswith(error)
+    assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -222,31 +275,15 @@ def test_integrate_bit_identical_to_reference_rk4(
 
 
 # ---------------------------------------------------------------------------
-# bordered Newton polish and the flow handoff
+# bordered Newton polish and the branch continuation
 # ---------------------------------------------------------------------------
 
 ALPHA_12 = float(np.geomspace(0.1, 20.0, 13)[11])  # criterion 7's alpha = 12.86
-E_ALPHA_12 = -23.358326087417367                   # flow run to tol = 1e-8, polished
+# e(alpha) of the projected gradient flow that the continuation replaced,
+# each flow run to tol = 1e-8 and polished
+E_ALPHA_12 = -23.358326087417367
 E_ALPHA_20 = -564.348026871694
-
-
-def _cold_flow_iterates(alpha, n, p, grid, count):
-    """The first `count` accepted iterates of the flow from the Gaussian."""
-    rho2 = hg.spectrum_bottom(n)
-    q = np.exp(-grid.nodes**2)
-    q *= alpha / math.sqrt(np.dot(q * q, grid.vol_weights))
-    energy = gsm._flow_energy(q, grid, p, rho2)
-    tau = gsm.FLOW_TAU
-    iterates = []
-    while len(iterates) < count:
-        trial, energy_trial = gsm._flow_trial(q, tau, alpha, grid, p, rho2)
-        if energy_trial > energy:
-            tau *= gsm.FLOW_BACKTRACK
-            continue
-        q, energy = trial, energy_trial
-        tau = min(tau * gsm.FLOW_GROW, gsm.FLOW_TAU_MAX)
-        iterates.append(q)
-    return iterates
+E_ALPHA_12_H2 = -17469.403119081442  # n = 2, p = 2.5
 
 
 def _polish_converged(q, lam, alpha, grid, p):
@@ -261,16 +298,37 @@ def _polish_converged(q, lam, alpha, grid, p):
 
 @pytest.mark.parametrize("alpha", [20.0, ALPHA_12])
 def test_constrained_polish_returns_only_converged_states(alpha, grid3):
-    for q in _cold_flow_iterates(alpha, 3, 2.0, grid3, 8):
-        q = np.abs(q)
-        lam = gsm._lagrange_fit(q, grid3, 2.0)[1]
-        out = gsm._newton_polish(q, lam, grid3, 2.0, alpha)
-        if out is not None:
-            assert _polish_converged(*out, alpha, grid3, 2.0)
+    # starts around Q_0 rescaled to the mass and around the minimizer, each
+    # scaled and with lambda off by 1: some converge and some are refused
+    pt = gsm.mass_constrained_minimize(alpha, 3, 2.0, grid3)
+    q0 = gsm._branch_start(grid3, 2.0).profile
+    bases = ((q0 * alpha / math.sqrt(np.dot(q0 * q0, grid3.vol_weights)), 0.0),
+             (pt.minimizer.values.real, pt.lagrange_lambda))
+    returned = []
+    for base, lam in bases:
+        for factor in (0.5, 0.9, 1.1, 1.5):
+            for shift in (-1.0, 1.0):
+                out = gsm._newton_polish(factor * base, lam + shift, grid3, 2.0, alpha)
+                returned.append(out is not None)
+                if out is not None:
+                    assert _polish_converged(*out, alpha, grid3, 2.0)
+    assert any(returned) and not all(returned)
+
+
+def test_bordered_polish_refuses_the_other_branch(grid3):
+    # at p = 2 the mass of Q_lambda falls with lambda up to about 0.94 and
+    # rises after: <L+^-1 Q, Q> = (dM/dlambda)/2 changes sign there, and the
+    # mass row takes no step on the side where it is positive
+    for lam, on_branch in ((0.9, True), (0.95, False)):
+        q = gsm.solve_ground_state(3, 2.0, lam, grid3).profile
+        alpha = math.sqrt(np.dot(q * q, grid3.vol_weights))
+        for factor in (0.999, 1.001):
+            out = gsm._newton_polish(q, lam, grid3, 2.0, factor * alpha)
+            assert (out is not None) == on_branch
 
 
 @pytest.fixture(scope="module")
-def cold_point_12(grid3):
+def point_12(grid3):
     return gsm.mass_constrained_minimize(ALPHA_12, 3, 2.0, grid3)
 
 
@@ -289,16 +347,26 @@ def _flip_laplacian(monkeypatch):
 
 @pytest.mark.parametrize("alpha", [None, ALPHA_12])
 def test_constrained_polish_gives_up_without_convergence(
-    alpha, cold_point_12, grid3, monkeypatch
+    alpha, point_12, grid3, monkeypatch
 ):
     # at fixed lambda and with the mass row (where the flip moves the fitted
     # lambda by 2c each step) alike, the 30th iterate must not be returned
     # as a solution
-    q = cold_point_12.minimizer.values.real
-    lam = cold_point_12.lagrange_lambda
+    q = point_12.minimizer.values.real
+    lam = point_12.lagrange_lambda
     assert gsm._newton_polish(q, lam, grid3, 2.0, alpha) is not None
     _flip_laplacian(monkeypatch)
     assert gsm._newton_polish(q, lam, grid3, 2.0, alpha) is None
+
+
+def test_polish_refuses_a_non_finite_iterate(point_12, grid3):
+    # the tridiagonal solve of the next Newton step refuses it
+    q = point_12.minimizer.values.real.copy()
+    q[100] = np.inf
+    lam = point_12.lagrange_lambda
+    with np.errstate(invalid="ignore"):  # inf - inf in its residual
+        for alpha in (None, ALPHA_12):
+            assert gsm._newton_polish(q, lam, grid3, 2.0, alpha) is None
 
 
 def test_ground_state_polish_converges_in_few_steps(grid2, monkeypatch):
@@ -326,15 +394,13 @@ def test_unconverged_polish_is_a_solver_failure(grid3, monkeypatch, tmp_path, ca
     assert not any(tmp_path.iterdir())
 
 
-def test_mass_curve_hands_off_to_newton(cold_point_12, grid2, grid3):
-    # criterion 7's cold start at alpha = 12.86 (7274 flow steps to tol)
-    assert cold_point_12.iterations < 100
-    assert abs(cold_point_12.e_alpha - E_ALPHA_12) < 1e-10 * abs(E_ALPHA_12)
-    warm = gsm.mass_constrained_minimize(
-        20.0, 3, 2.0, grid3, start=cold_point_12.minimizer.values.real
-    )
-    assert abs(warm.e_alpha - E_ALPHA_20) < 1e-10 * abs(E_ALPHA_20)
-    # without the handoff this flow runs into its step cap
-    pt = gsm.mass_constrained_minimize(ALPHA_12, 2, 2.5, grid2)
-    assert pt.iterations < gsm.FLOW_MAX_STEPS
-    assert pt.el_residual < 1e-4
+def test_mass_curve_reads_the_flow_values_off_the_branch(point_12, grid2, grid3):
+    # Q_0 (n = 3, p = 2) has mass 150.8, one step below 12.86^2
+    assert point_12.iterations == 1
+    points = [(point_12, E_ALPHA_12),
+              (gsm.mass_constrained_minimize(20.0, 3, 2.0, grid3), E_ALPHA_20),
+              (gsm.mass_constrained_minimize(ALPHA_12, 2, 2.5, grid2), E_ALPHA_12_H2)]
+    for pt, e_alpha in points:
+        assert abs(pt.e_alpha - e_alpha) < 1e-10 * abs(e_alpha)
+        assert pt.el_residual < 1e-4
+        assert pt.iterations < 40
