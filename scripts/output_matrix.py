@@ -26,7 +26,7 @@ differs, is missing or is extra, and exits 1 on any difference. On a
 platform whose stamp differs it exits 2 with "not comparable", since the
 last digits of the outputs may move between platforms. A change that
 moves outputs on purpose rewrites the manifest with --write. The matrix
-takes 13 to 16 s on a 2-vCPU x86_64 machine. Needs only the standard
+takes about 20 s on a 2-vCPU x86_64 machine. Needs only the standard
 library and the package's dependencies.
 """
 
@@ -69,6 +69,11 @@ MATRIX = (
     ("inequalities", ("inequalities",)),
     ("spectral", ("spectral-check",)),
     ("spectral_csv", ("spectral-check", "--format", "csv")),
+    ("virial_csv", ("virial-check", "--horizon", "0.05", "--format", "csv")),
+    ("inequalities_csv", ("inequalities", "--format", "csv")),
+    ("mass_curve_csv", ("mass-curve", "--p", "2", "--alpha", "13", "--format", "csv")),
+    # a failed gate: exit 1, and the report records passed false
+    ("gs_fail_lam-20", ("groundstate", "--lambda", "-20")),
     # plotdata, one entry per --kind, on files of the entries above
     ("plot_profile", ("plotdata", "{outdir}/gs_n3_lam0/groundstate_n3_p3_lam0.csv",
                       "--kind", "profile")),

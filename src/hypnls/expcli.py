@@ -10,7 +10,8 @@ config: floats are serialized with repr (shortest round trip), JSON keys
 sorted, line endings LF, files written via temp + rename.
 
 Exit codes: 0 all gates passed, 1 a scientific check failed, 2 usage or
-configuration error, 3 solver failure. Subcommands raise; main maps each
+configuration error, 3 solver failure. Subcommands return their report's
+payload and raise; main maps a false `passed` of the payload to 1 and each
 exception to its exit code and one JSON error line on stderr.
 """
 
@@ -185,6 +186,8 @@ def resolve_config(args) -> ExperimentConfig:
 def _fmt_cell(x) -> str:
     if x is None:
         return ""
+    if isinstance(x, bool):
+        return str(int(x))
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
@@ -273,19 +276,24 @@ def _write_payload(cfg: ExperimentConfig, name: str, payload: dict) -> None:
     write_text_atomic(_outpath(cfg.out_dir, name), text)
 
 
-def _write_report(cfg: ExperimentConfig, stem: str, payload: dict, rows,
-                  header: Sequence[str] = ("quantity", "value")) -> None:
-    """The report `stem`: the rows under header in csv format, the payload in json."""
-    if cfg.fmt == "csv":
-        _write_table(cfg, stem + ".csv", header, rows)
-    else:
+def _leaves(node, path=()) -> list:
+    """(key path joined with /, value) of each leaf of a nested dict, in the
+    JSON's sorted key order."""
+    if not isinstance(node, dict):
+        return [("/".join(path), node)]
+    return [leaf for key in sorted(node) for leaf in _leaves(node[key], path + (key,))]
+
+
+def _write_report(cfg: ExperimentConfig, stem: str, payload: dict) -> None:
+    """The report `stem`: the payload in json format; in csv format its
+    `rows` as a table, one column per key, else one row per leaf."""
+    if cfg.fmt == "json":
         _write_payload(cfg, stem + ".json", payload)
-
-
-def _write_series(cfg: ExperimentConfig, name: str, outcome) -> None:
-    """The diagnostics records of one run, one row each."""
-    _write_table(cfg, name, PLOT_HEADERS["diagnostics"],
-                 (rec.row() for rec in outcome.series))
+    elif "rows" in payload:
+        rows = payload["rows"]
+        _write_table(cfg, stem + ".csv", list(rows[0]), (row.values() for row in rows))
+    else:
+        _write_table(cfg, stem + ".csv", ("quantity", "value"), _leaves(payload))
 
 
 def _numtag(x: float) -> str:
@@ -296,7 +304,7 @@ def _numtag(x: float) -> str:
 # groundstate
 # ---------------------------------------------------------------------------
 
-def cmd_groundstate(cfg: ExperimentConfig) -> int:
+def cmd_groundstate(cfg: ExperimentConfig) -> dict:
     grid = build_grid(cfg.n, cfg.rmax, cfg.points)
     gs = gsmod.solve_ground_state(cfg.n, cfg.p, cfg.lam, grid)
     ids = gsmod.verify_identities(gs)
@@ -315,16 +323,16 @@ def cmd_groundstate(cfg: ExperimentConfig) -> int:
         "residuals": {k: float(v) for k, v in gs.residuals.items()},
         "logslope_dev": float(ids["logslope_dev"]),
         "uniqueness_regime": bool(uniqueness),
+        "passed": bool(
+            gs.residuals["pohozaev"] < 1e-5
+            and gs.residuals["energy_ratio"] < 1e-5
+            and gs.residuals["g_value"] < 1e-4
+        ),
     }
     _write_payload(cfg, f"groundstate_{tag}.json", payload)
     _write_table(cfg, f"groundstate_{tag}.csv", PLOT_HEADERS["profile"],
                  zip(grid.nodes, gs.profile))
-    ok = (
-        gs.residuals["pohozaev"] < 1e-5
-        and gs.residuals["energy_ratio"] < 1e-5
-        and gs.residuals["g_value"] < 1e-4
-    )
-    return EXIT_PASS if ok else EXIT_SCIENCE
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +360,16 @@ def dichotomy_row(gs, alpha: float, dt: float, horizon: float):
         "alpha": alpha,
         "delta_sign": "+" if delta0 > 0 else ("-" if delta0 < 0 else "0"),
         "elam_ratio": elam_ratio,
-        "trapped": bool(elam_ratio <= 1.0 + 1e-12),
         "status": out.status,
         "t_star": out.t_star,
         "blowup_reason": out.blowup_reason,
         "proxy": scattering_proxy(out) if out.status == "completed" else "",
+        "trapped": bool(elam_ratio <= 1.0 + 1e-12),
     }
     return row, out
 
 
-def cmd_dichotomy(cfg: ExperimentConfig) -> int:
+def cmd_dichotomy(cfg: ExperimentConfig) -> dict:
     if not _theorem_range(cfg.n, cfg.p):
         sys.stderr.write(
             f"warning: (n, p) = ({cfg.n}, {cfg.p}) is outside the dichotomy "
@@ -375,28 +383,17 @@ def cmd_dichotomy(cfg: ExperimentConfig) -> int:
     for alpha in cfg.alphas:
         row, out = dichotomy_row(gs, alpha, cfg.dt, cfg.horizon)
         fname = f"dichotomy_alpha{_numtag(alpha)}_fwd.csv"
-        _write_series(cfg, fname, out)
+        _write_table(cfg, fname, PLOT_HEADERS["diagnostics"],
+                     (rec.row() for rec in out.series))
         row_files.append(fname)
         rows.append(row)
 
-    header = (
-        "alpha", "delta_sign", "elam_ratio", "status", "t_star",
-        "blowup_reason", "proxy",
-    )
-    _write_report(
-        cfg,
-        "dichotomy_report",
-        {
-            "blowup_h1_factor": DICHOTOMY_H1_FACTOR,
-            "rows": rows,
-            "row_files": row_files,
-        },
-        ([r[k] for k in header] for r in rows),
-        header,
-    )
+    payload = {"blowup_h1_factor": DICHOTOMY_H1_FACTOR, "rows": rows,
+               "row_files": row_files}
+    _write_report(cfg, "dichotomy_report", payload)
     if any(r["status"] == "inner_solve_failure" for r in rows):
         raise InnerSolveFailure("inner solve failure in the dichotomy sweep")
-    return EXIT_PASS
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +435,11 @@ def virial_sweep(grid, p: float, lam: float, dt: float, horizon: float):
     return out, virial_consistency(out), gaps
 
 
-def cmd_virial_check(cfg: ExperimentConfig) -> int:
+def cmd_virial_check(cfg: ExperimentConfig) -> dict:
     grid = build_grid(cfg.n, cfg.rmax, cfg.points)
     out, mismatch, gaps = virial_sweep(grid, cfg.p, cfg.lam, cfg.dt, cfg.horizon)
-    _write_series(cfg, "virial_diag.csv", out)
+    _write_table(cfg, "virial_diag.csv", PLOT_HEADERS["diagnostics"],
+                 (rec.row() for rec in out.series))
     if out.status == "inner_solve_failure":
         raise InnerSolveFailure("inner solve failure in the virial run")
     if out.status != "completed":
@@ -449,21 +447,14 @@ def cmd_virial_check(cfg: ExperimentConfig) -> int:
 
     sweep = list(gaps.values())
     monotone = all(a >= b - 1e-12 for a, b in zip(sweep, sweep[1:]))
-    passed = bool(mismatch < 0.02 and monotone)
-
-    _write_report(
-        cfg,
-        "virial_report",
-        {
-            "mismatch": mismatch,
-            "r_sweep": {str(int(radius)): gap for radius, gap in gaps.items()},
-            "sweep_monotone": monotone,
-            "passed": passed,
-        },
-        [("mismatch", mismatch), ("sweep_monotone", int(monotone))]
-        + [(f"gap_R{int(radius)}", gap) for radius, gap in gaps.items()],
-    )
-    return EXIT_PASS if passed else EXIT_SCIENCE
+    payload = {
+        "mismatch": mismatch,
+        "r_sweep": {str(int(radius)): gap for radius, gap in gaps.items()},
+        "sweep_monotone": monotone,
+        "passed": bool(mismatch < 0.02 and monotone),
+    }
+    _write_report(cfg, "virial_report", payload)
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +482,7 @@ def inequality_scan(n: int, p: float, r_max: float) -> dict:
     }
 
 
-def cmd_inequalities(cfg: ExperimentConfig) -> int:
+def cmd_inequalities(cfg: ExperimentConfig) -> dict:
     results = inequality_scan(cfg.n, cfg.p, cfg.rmax)
     floor = -1e-12
     passed = (
@@ -500,13 +491,9 @@ def cmd_inequalities(cfg: ExperimentConfig) -> int:
         and abs(results["w1_max"] - 1.0 / 3.0) < 1e-6
         and results["w1_tail"] < 1e-12
     )
-    _write_report(
-        cfg,
-        "inequalities_report",
-        {"critical_p": 1.0 + 4.0 / cfg.n, "results": results, "passed": passed},
-        results.items(),
-    )
-    return EXIT_PASS if passed else EXIT_SCIENCE
+    payload = {"critical_p": 1.0 + 4.0 / cfg.n, "results": results, "passed": passed}
+    _write_report(cfg, "inequalities_report", payload)
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -518,15 +505,11 @@ def mass_curve_sweep(grid, p: float, alphas) -> list:
     return [gsmod.mass_constrained_minimize(alpha, grid.n, p, grid) for alpha in alphas]
 
 
-def cmd_mass_curve(cfg: ExperimentConfig) -> int:
+def cmd_mass_curve(cfg: ExperimentConfig) -> dict:
     grid = build_grid(cfg.n, cfg.rmax, cfg.points)
     points = mass_curve_sweep(grid, cfg.p, cfg.alphas)
     bottom = spectrum_bottom(cfg.n)
     minimizers = [pt for pt in points if pt.minimizer is not None]
-    alpha0 = minimizers[0].alpha if minimizers else None
-    ok = not any(
-        pt.el_residual >= 1e-4 or pt.lagrange_lambda >= bottom for pt in minimizers
-    )
     rows = [
         (pt.alpha, pt.e_alpha, pt.lagrange_lambda, pt.el_residual, pt.iterations)
         for pt in points
@@ -535,14 +518,15 @@ def cmd_mass_curve(cfg: ExperimentConfig) -> int:
     _write_table(cfg, "mass_curve.csv",
                  ("alpha", "e_alpha", "lagrange_lambda", "el_residual", "iterations"),
                  rows)
-    negative = sum(1 for r in rows if r[1] < 0)
-    _write_report(
-        cfg,
-        "mass_curve_report",
-        {"alpha0_estimate": alpha0, "negative_rows": negative, "passed": ok},
-        [("alpha0_estimate", alpha0), ("negative_rows", negative), ("passed", int(ok))],
-    )
-    return EXIT_PASS if ok else EXIT_SCIENCE
+    payload = {
+        "alpha0_estimate": minimizers[0].alpha if minimizers else None,
+        "negative_rows": sum(1 for r in rows if r[1] < 0),
+        "passed": not any(
+            pt.el_residual >= 1e-4 or pt.lagrange_lambda >= bottom for pt in minimizers
+        ),
+    }
+    _write_report(cfg, "mass_curve_report", payload)
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +565,7 @@ def spectral_family(grid) -> dict:
     }
 
 
-def cmd_spectral_check(cfg: ExperimentConfig) -> int:
+def cmd_spectral_check(cfg: ExperimentConfig) -> dict:
     grid = build_grid(cfg.n, cfg.rmax, cfg.points)
     family = spectral_family(grid)
     lemma = family["lemma_constants"]
@@ -592,34 +576,22 @@ def cmd_spectral_check(cfg: ExperimentConfig) -> int:
     _write_table(cfg, "spectral_reference.csv", PLOT_HEADERS["spectrum"],
                  zip(tr.lambda_nodes, vhat.real, vhat.imag, tr.density))
 
-    passed = (
-        family["parseval_max"] < 1e-4
-        and family["reconstruction_max"] < 1e-3
-        and all(np.isfinite(v) for per in lemma.values() for v in per.values())
-        and all(r["spread"] < 10.0 for r in refined.values())
-    )
-    rows = [("parseval_max", family["parseval_max"]),
-            ("reconstruction_max", family["reconstruction_max"])]
-    for s, per in sorted(lemma.items()):
-        for m, c in sorted(per.items()):
-            rows.append((f"lemma_C_s{_numtag(s)}_m{_numtag(m)}", c))
-    for s, r in sorted(refined.items()):
-        rows.append((f"refined_spread_s{_numtag(s)}", r["spread"]))
-    _write_report(
-        cfg,
-        "spectral_report",
-        {
-            **family,
-            "lemma_constants": {
-                _numtag(s): {_numtag(m): c for m, c in per.items()}
-                for s, per in lemma.items()
-            },
-            "refined_ratio": {_numtag(s): r for s, r in refined.items()},
-            "passed": passed,
+    payload = {
+        **family,
+        "lemma_constants": {
+            _numtag(s): {_numtag(m): c for m, c in per.items()}
+            for s, per in lemma.items()
         },
-        rows,
-    )
-    return EXIT_PASS if passed else EXIT_SCIENCE
+        "refined_ratio": {_numtag(s): r for s, r in refined.items()},
+        "passed": (
+            family["parseval_max"] < 1e-4
+            and family["reconstruction_max"] < 1e-3
+            and all(np.isfinite(v) for per in lemma.values() for v in per.values())
+            and all(r["spread"] < 10.0 for r in refined.values())
+        ),
+    }
+    _write_report(cfg, "spectral_report", payload)
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +677,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         if args.command == "plotdata":
             return cmd_plotdata(args)
-        return COMMANDS[args.command][0](resolve_config(args))
+        payload = COMMANDS[args.command][0](resolve_config(args))
+        return EXIT_PASS if payload.get("passed", True) else EXIT_SCIENCE
     except SystemExit as exc:  # --help; every other parser exit is a UsageError
         return exc.code
     except CheckFailure as exc:

@@ -67,6 +67,16 @@ def test_groundstate_outputs(tmp_path):
     assert len(rows) == 2000
 
 
+def test_groundstate_records_its_verdict(tmp_path):
+    # at lambda = -20 the G residual misses its 1e-4 gate
+    for lam, code, passed in (("-20", 1, False), ("0", 0, True)):
+        out = tmp_path / lam
+        assert cli.main(["groundstate", "--lambda", lam, "--out", str(out)]) == code
+        payload = read_json(out / f"groundstate_n3_p3_lam{lam}.json")
+        assert payload["passed"] is passed
+        assert (payload["residuals"]["g_value"] < 1e-4) is passed
+
+
 def test_groundstate_reruns_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -353,7 +363,8 @@ def test_inequalities_csv_format(tmp_path):
     assert cli.main(["inequalities", "--format", "csv", "--out", out]) == 0
     digest, header, rows = cli.read_csv(str(tmp_path / "inequalities_report.csv"))
     assert header == ["quantity", "value"]
-    assert {r[0] for r in rows} >= {"quartic_min", "w1_max", "w1_tail"}
+    assert {r[0] for r in rows} >= {"results/quartic_min", "results/w1_max",
+                                    "results/w1_tail", "passed"}
 
 
 @pytest.mark.parametrize("n", ["0", "4"])
@@ -388,7 +399,7 @@ def test_mass_curve_alpha_subset(tmp_path):
     assert header == ["alpha", "e_alpha", "lagrange_lambda", "el_residual", "iterations"]
     assert len(rows) == 2
     assert float(rows[0][1]) < 0.0 and float(rows[1][1]) < 0.0
-    # warm start keeps e(alpha) decreasing on the negative branch
+    # e(alpha) decreases on the negative branch, where dJ/dM < 0
     assert float(rows[1][1]) < float(rows[0][1])
     payload = read_json(tmp_path / "mass_curve_report.json")
     assert payload["negative_rows"] == 2
@@ -406,6 +417,48 @@ def test_mass_curve_csv_report(tmp_path):
     assert header == ["quantity", "value"]
     assert rows == [["alpha0_estimate", "13.0"], ["negative_rows", "1"], ["passed", "1"]]
     assert not (tmp_path / "mass_curve_report.json").exists()
+
+
+def _cell(value):
+    """A JSON value as the CSV reports write it."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _leaves(node, path=""):
+    """[key path, cell] of each leaf, in the order the JSON file lists them."""
+    if not isinstance(node, dict):
+        return [[path[:-1], _cell(node)]]
+    return [leaf for key, value in node.items() for leaf in _leaves(value, f"{path}{key}/")]
+
+
+@pytest.mark.parametrize("argv", (
+    ["dichotomy", "--alpha", "0.5", "--alpha", "1.5", "--horizon", "0.05"],
+    ["virial-check", "--horizon", "0.05"],
+    ["inequalities"],
+    ["mass-curve", "--p", "2", "--alpha", "13"],
+    ["spectral-check"],
+), ids=lambda argv: argv[0])
+def test_csv_report_is_the_json_payload(tmp_path, argv):
+    reports = {}
+    for fmt in ("json", "csv"):
+        assert cli.main([*argv, "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+        (name,) = (f for f in os.listdir(tmp_path / fmt) if "_report." in f)
+        reports[fmt] = tmp_path / fmt / name
+    payload = read_json(reports["json"])
+    del payload["config_digest"], payload["params"]
+    _, header, rows = cli.read_csv(str(reports["csv"]))
+    if "rows" in payload:
+        # the dichotomy table: one column per key of a row, trapped last
+        assert sorted(header) == sorted(payload["rows"][0]) and header[-1] == "trapped"
+        assert rows == [[_cell(row[key]) for key in header] for row in payload["rows"]]
+    else:
+        assert header == ["quantity", "value"]
+        assert rows == _leaves(payload)
+        assert ("passed" in payload) == (["passed", "1"] in rows)
 
 
 @pytest.mark.parametrize("alpha", ["0", "-1"])
