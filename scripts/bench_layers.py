@@ -7,7 +7,8 @@ points, a Gaussian datum 0.5 e^{-r^2} and dt = 2e-3:
 
 - tridiag_solve_us: one Cayley solve as the Crank-Nicolson stepper makes
   it (`_CNStepper._cayley`: the matrix operands for the step's phi, then
-  the tridiagonal solve), at a fixed dt;
+  the tridiagonal solve), at a fixed dt, on the right-hand side the step
+  forms for the Cayley system times 2i/dt;
 - cn_step_us: one full step (`_CNStepper.step`) as `evolve_run` drives
   it, with the |u| and mass its H^1 check formed; its solve count is
   reported as solves_per_step;
@@ -91,8 +92,9 @@ def measure(num_points):
     # steady state: the step after one step, with its relaxation predictor
     u, phi_half, _ = stepper.step(u, DT, None, h1_and_norms(u, grid)[1])
     phi = 2.0 * np.abs(u) ** 2 - phi_half
-    lin = u + 0.5j * DT * hypgeom.apply_laplacian(u, grid)
-    rhs = lin + 0.5j * DT * phi * u
+    # the step's right-hand side for its Cayley system times 2i/dt
+    lin = (2j / DT) * u - hypgeom.apply_laplacian(u, grid)
+    rhs = lin - phi * u
     step_args = (u, DT, phi_half, h1_and_norms(u, grid)[1])
     h1_monitor = functools.partial(h1_and_norms, u, grid)
     field = functionals.RadialField(grid=grid, values=u)

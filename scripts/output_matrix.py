@@ -93,8 +93,7 @@ MATRIX = (
 def run_entry(outdir: Path, name: str, argv, src: str) -> int:
     target = outdir / name
     target.mkdir(parents=True, exist_ok=False)
-    env = {k: v for k, v in os.environ.items() if k != "HYPNLS_OUT"}
-    env["PYTHONPATH"] = src
+    env = {**os.environ, "PYTHONPATH": src}
     argv = [arg.replace("{outdir}", str(outdir)) for arg in argv]
     proc = subprocess.run(
         [sys.executable, "-m", "hypnls.expcli", *argv, "--out", str(target)],

@@ -25,12 +25,12 @@ in the volume-weighted L^2 norm. phi' already needs |u + u_new|, so the
 bound costs real products only, and the solve with phi' is made only when
 the bound fails.
 
-Only the diagonal 1 - i dt/2 ((diag(L) + shift) + phi) of A(phi) changes
-from solve to solve. The stepper forms diag(L) + shift once and keeps the
-off-diagonals -i dt/2 L_{j,j+-1} for the last dt it was called with; a
-halving or a shortened record-landing step rebuilds them, and the next full
-step rebuilds them again. The operands and their rounding are those of
-hypgeom.shifted_bands, so the solutions are the same to the bit.
+Each solve is the Cayley system times 2i/dt,
+
+    (L + shift + phi + 2i/dt) u_new = (2i/dt) u - (L + shift + phi) u,
+
+so dt enters the diagonal only and the off-diagonals are the grid's own
+Laplacian bands (hypgeom.shifted_bands).
 
 evolve_run forms |u| and the volume-weighted mass once per accepted state;
 its H^1 monitor, the next step's acceptance scale and its predictor
@@ -51,7 +51,7 @@ from typing import Callable, List, Optional
 import numpy as np
 from scipy.fft import dst, idst
 
-from .hypgeom import apply_laplacian, dirichlet_energy, laplacian_bands, solve_banded
+from .hypgeom import apply_laplacian, dirichlet_energy, shifted_bands, solve_banded
 from . import functionals as fn
 
 STRAIN_ITERS = 12  # Cayley solves in one step counted as "straining" -> halve dt
@@ -117,17 +117,9 @@ class _CNStepper:
         # gauge shift: integrate i v_t = -(L + shift) v - |v|^{p-1} v
         self.shift = shift
         self.vol = grid.vol_weights
-        lower, diag, upper = laplacian_bands(grid)
-        self._lower, self._upper = lower[1:], upper[:-1]
-        self._diag_shift = diag + shift
-        self._dt = None  # dt of the cached off-diagonals
 
     def _cayley(self, rhs, phi, dt):
-        # shifted_bands(grid, 1, -i dt/2, phi, shift), off-diagonals per dt
-        b = -0.5j * dt
-        if dt != self._dt:
-            self._dt, self._dl, self._du = dt, b * self._lower, b * self._upper
-        return solve_banded(self._dl, 1.0 + b * (self._diag_shift + phi), self._du, rhs)
+        return solve_banded(*shifted_bands(self.grid, phi + 2j / dt, self.shift), rhs)
 
     def step(self, u, dt, phi_half_prev, modulus_mass):
         """One CN step; returns (u_new, phi_half, cayley_solves).
@@ -145,11 +137,11 @@ class _CNStepper:
         if mass == 0.0:
             return u.copy(), mod, 0
         phi = 2.0 * mod - phi_half_prev if phi_half_prev is not None else mod
-        lin = u + 0.5j * dt * apply_laplacian(u, self.grid, shift=self.shift)
+        lin = (2j / dt) * u - apply_laplacian(u, self.grid, shift=self.shift)
         bound = FIXEDPOINT_TOL * math.sqrt(mass)
         for solves in range(1, FIXEDPOINT_MAXITER + 1):
             try:
-                u_new = self._cayley(lin + 0.5j * dt * phi * u, phi, dt)
+                u_new = self._cayley(lin - phi * u, phi, dt)
             except ValueError as exc:  # LinAlgError: a zero pivot or non-finite solution
                 raise InnerSolveFailure(f"inner solve: {exc}", fatal=True) from exc
             half_mod = np.abs(0.5 * (u + u_new))

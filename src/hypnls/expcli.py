@@ -103,7 +103,7 @@ PARAMS = (
     Param("points", "points", int, None, "grid points"),
     Param("dt", "dt", finite_float, None, "base time step"),
     Param("horizon", "horizon", finite_float, None, "integration horizon"),
-    Param("out_dir", "out", str, None, "output directory (HYPNLS_OUT overrides)"),
+    Param("out_dir", "out", str, None, "output directory"),
     Param("fmt", "format", str.lower, "json", "report format", choices=("csv", "json")),
 )
 
@@ -249,9 +249,9 @@ def _err(code: int, reason: str) -> int:
 
 
 def _outpath(out: Optional[str], name: str) -> str:
-    """Path of an output file in HYPNLS_OUT, else in `out` (the --out flag or
-    config key), else in the working directory; the directory is created."""
-    out_dir = os.environ.get("HYPNLS_OUT") or out or "."
+    """Path of an output file in `out` (the --out flag or config key), else
+    in the working directory; the directory is created."""
+    out_dir = out or "."
     os.makedirs(out_dir, exist_ok=True)
     return os.path.join(out_dir, name)
 
@@ -667,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     plot.add_argument("input", help="CSV produced by another subcommand")
     plot.add_argument("--kind", required=True, choices=tuple(PLOT_HEADERS),
                       help="layout of the input file")
-    plot.add_argument("--out", help="output directory (HYPNLS_OUT overrides)")
+    plot.add_argument("--out", help="output directory")
     return parser
 
 

@@ -138,8 +138,9 @@ def localized_weights(grid: RadialGrid, R: float):
     inside = s <= 1.0
     bridge = (s > 1.0) & (s < 2.0)
 
-    lap_h = np.where(inside, w.lap_r2, 0.0)
-    bilap_h = np.where(inside, w.bilap_r2, 0.0)
+    # Lap r^2 = 2 w2 and Lap^2 r^2 = 2(n-1)^2 - 2(n-1)(n-3) W1
+    lap_h = np.where(inside, 2.0 * w.w2, 0.0)
+    bilap_h = np.where(inside, 2.0 * (n - 1) ** 2 - 2.0 * (n - 1) * (n - 3) * w.w1, 0.0)
     if np.any(bridge):
         rb = np.where(bridge, r, 2.0 * R)
         sb = rb / R

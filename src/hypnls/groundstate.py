@@ -190,12 +190,13 @@ def _newton_polish(q, lam, grid, p, alpha=None):
             return q, lam
         if it == 30:
             return None
-        bands = shifted_bands(grid, 0.0, -1.0, p * np.abs(q) ** (p - 1.0), shift=lam)
+        # L + lam + p |q|^{p-1} = -L+, with both right-hand sides negated
+        bands = shifted_bands(grid, p * np.abs(q) ** (p - 1.0), shift=lam)
         try:
-            dq = solve_banded(*bands, -f1)
+            dq = solve_banded(*bands, f1)
             dlam = 0.0
             if alpha is not None:
-                b = solve_banded(*bands, q)
+                b = solve_banded(*bands, -q)
                 wq = w * q
                 denom = float(np.dot(wq, b))
                 if not denom < 0.0:
@@ -280,8 +281,6 @@ def solve_ground_state(n: int, p: float, lam: float, grid: RadialGrid) -> Ground
         )
     while hi - lo > 1e-13 * lo:
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
         if shooting_classifier(n, p, lam, mid, grid) == -1:
             hi = mid
         else:
@@ -373,8 +372,8 @@ def _branch_start(grid: RadialGrid, p: float) -> GroundState:
     unless Q_0 is on the minimizing branch."""
     gs = solve_ground_state(grid.n, p, 0.0, grid)
     q = gs.profile
-    l_plus = shifted_bands(grid, 0.0, -1.0, p * q ** (p - 1.0))
-    vk = float(np.dot(grid.vol_weights * q, solve_banded(*l_plus, q)))
+    minus_l_plus = shifted_bands(grid, p * q ** (p - 1.0))
+    vk = float(np.dot(grid.vol_weights * q, solve_banded(*minus_l_plus, -q)))
     if not vk < 0.0:
         raise ShootingFailure(
             f"Q_0 is off the minimizing branch: <L+^-1 Q_0, Q_0> = {vk:.3g} "
@@ -447,7 +446,7 @@ def mass_constrained_minimize(
         )
     el = -apply_laplacian(q, grid) - lam * q - _odd_pow(q, p)
     # discrete H^{-1}-type norm: <el, (1 - L)^{-1} el> against the H^1 scale
-    inv = solve_banded(*shifted_bands(grid, 1.0, -1.0), el)
+    inv = solve_banded(*shifted_bands(grid, shift=-1.0), -el)
     residual = math.sqrt(abs(float(np.dot(el * grid.vol_weights, inv))) / rec.h1_sq)
     return MassCurvePoint(
         alpha=alpha,

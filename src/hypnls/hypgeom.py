@@ -166,28 +166,20 @@ def coth(r):
 class WeightTable:
     """Per-node values of the closed-form weights of the virial identities.
 
-    w2 = 1 + (n-1) r coth r is the weight multiplying |u|^{p+1} in the
-    virial functional; lap_r2 = Laplacian of r^2 = 2 + 2(n-1) r coth r;
-    bilap_r2 = bi-Laplacian of r^2 = 2(n-1)^2 - 2(n-1)(n-3) W1.
+    w1 = W1 = (r cosh r - sinh r) / sinh^3 r, and w2 = 1 + (n-1) r coth r,
+    the weight multiplying |u|^{p+1} in the virial functional. The
+    Laplacian of r^2 is 2 w2 and its bi-Laplacian 2(n-1)^2 - 2(n-1)(n-3) W1.
     """
 
     w1: np.ndarray
     w2: np.ndarray
-    lap_r2: np.ndarray
-    bilap_r2: np.ndarray
 
 
 @per_grid
 def cached_weights(grid: RadialGrid) -> WeightTable:
     """The grid's weight table (hot path of diagnostics)."""
-    n = grid.n
-    w1 = w1_weight(grid.nodes)
-    rc = r_coth_r(grid.nodes)
     return WeightTable(
-        w1=w1,
-        w2=1.0 + (n - 1) * rc,
-        lap_r2=2.0 + 2.0 * (n - 1) * rc,
-        bilap_r2=2.0 * (n - 1) ** 2 - 2.0 * (n - 1) * (n - 3) * w1,
+        w1=w1_weight(grid.nodes), w2=1.0 + (grid.n - 1) * r_coth_r(grid.nodes)
     )
 
 
@@ -242,17 +234,18 @@ def apply_laplacian(values, grid: RadialGrid, shift: float = 0.0):
     return out
 
 
-def shifted_bands(grid: RadialGrid, a, b, extra_diag=0.0, shift: float = 0.0):
+def shifted_bands(grid: RadialGrid, extra_diag=0.0, shift: float = 0.0):
     """Sub-, main and super-diagonal (lengths N-1, N, N-1) of
-    a + b (L + shift + diag(extra_diag)), for solve_banded.
+    L + shift + diag(extra_diag), for solve_banded.
 
-    a, b and shift are scalars (a and b may be complex); extra_diag is a
-    scalar or a per-node array. The diagonal is rounded as
+    shift is a real scalar; extra_diag is a scalar or a per-node array and
+    may be complex. The off-diagonals are read-only views of
+    laplacian_bands(grid), and the diagonal is rounded as
     (diag(L) + shift) + extra_diag, so a solve with L + shift uses the same
     floating-point operator as apply_laplacian(values, grid, shift).
     """
     lower, diag, upper = laplacian_bands(grid)
-    return b * lower[1:], a + b * (diag + shift + extra_diag), b * upper[:-1]
+    return lower[1:], diag + shift + extra_diag, upper[:-1]
 
 
 _GTSV = None  # (dgtsv, zgtsv), loaded by the first solve

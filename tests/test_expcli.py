@@ -308,22 +308,12 @@ def test_every_output_carries_the_envelope(tmp_path, argv, files):
             assert cli.read_csv(str(tmp_path / name))[0] == cfg.digest()
 
 
-def test_env_out_dir_overrides_flag(tmp_path, monkeypatch):
-    env_dir = tmp_path / "from_env"
-    flag_dir = tmp_path / "from_flag"
-    monkeypatch.setenv("HYPNLS_OUT", str(env_dir))
-    assert cli.main(["inequalities", "--out", str(flag_dir)]) == 0
-    assert (env_dir / "inequalities_report.json").exists()
-    assert not flag_dir.exists()
-
-
-def test_output_dir_that_is_a_file_is_usage_error(tmp_path, monkeypatch, capsys):
+def test_output_dir_that_is_a_file_is_usage_error(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory\n")
     assert cli.main(["inequalities", "--out", str(blocker)]) == 2
     assert stderr_payload(capsys)["code"] == 2
-    monkeypatch.setenv("HYPNLS_OUT", str(blocker / "sub"))
-    assert cli.main(["inequalities"]) == 2
+    assert cli.main(["inequalities", "--out", str(blocker / "sub")]) == 2
     payload = stderr_payload(capsys)
     assert payload["code"] == 2 and payload["error"].startswith("cannot write output")
     assert blocker.read_text() == "a file, not a directory\n"
@@ -578,6 +568,18 @@ def test_dichotomy_zero_datum_completes(tmp_path):
     assert row["blowup_reason"] is None
 
 
+def test_dichotomy_outside_theorem_range_warns(tmp_path, capsys):
+    # n = 3, p = 2 is below the range 7/3 <= p < 5: the run goes ahead
+    argv = ["dichotomy", "--p", "2", "--alpha", "0.5", "--horizon", "0.05",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == (
+        "warning: (n, p) = (3, 2.0) is outside the dichotomy range "
+        "(n=2, p>=3 or n=3, 7/3<=p<5); running anyway\n"
+    )
+    assert (tmp_path / "dichotomy_report.json").exists()
+
+
 def test_dichotomy_horizon_zero_is_usage_error(tmp_path, capsys):
     assert cli.main(["dichotomy", "--horizon", "0", "--out", str(tmp_path)]) == 2
     assert stderr_payload(capsys)["error"] == "horizon must be positive"
@@ -693,6 +695,11 @@ def test_plotdata_kinds_and_errors(tmp_path, capsys):
     naked.write_text("r,Q\n1.0,2.0\n")
     assert cli.main(["plotdata", str(naked), "--kind", "profile"]) == 2
     assert "missing config digest" in stderr_payload(capsys)["error"]
+
+    headless = tmp_path / "headless.csv"
+    headless.write_text("# config_digest=abc\n")
+    assert cli.main(["plotdata", str(headless), "--kind", "profile"]) == 2
+    assert stderr_payload(capsys)["error"] == f"{headless}: missing header row"
 
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("# config_digest=abc\nr,Q\n1.0,2.0\n3.0\n")

@@ -203,6 +203,7 @@ def _rec(t, delta, hlam=1.0):
 def test_trapping_sign_check_verdicts():
     neg = [_rec(t, -0.5 - t) for t in (0.0, 0.1, 0.2)]
     assert fn.trapping_sign_check(neg).kind == "constant_negative"
+    assert str(fn.trapping_sign_check(neg)) == "constant_negative"
     pos = [_rec(t, 0.5 + t) for t in (0.0, 0.1, 0.2)]
     assert fn.trapping_sign_check(pos).kind == "constant_positive"
     flip = [_rec(0.0, -0.5), _rec(0.1, -0.2), _rec(0.2, 0.4)]

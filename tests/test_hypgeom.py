@@ -106,6 +106,16 @@ def test_quadrature_rejects_wrong_length(grid3):
         hg.quadrature(np.ones(grid3.num_points - 1), grid3)
 
 
+@pytest.mark.parametrize("take", [
+    lambda values, grid: fn.RadialField(grid=grid, values=values),
+    hg.apply_laplacian,
+    hg.dirichlet_energy,
+], ids=["RadialField", "apply_laplacian", "dirichlet_energy"])
+def test_wrong_length_field_is_refused(grid3, take):
+    with pytest.raises(ValueError, match="length does not match grid"):
+        take(np.ones(grid3.num_points - 1), grid3)
+
+
 def _noise_field(grid, seed, decay=2.0):
     rng = np.random.default_rng(seed)
     env = np.exp(-decay * grid.nodes)
@@ -171,17 +181,30 @@ def test_dirichlet_energy_unit_edge_weight(grid3):
     assert weighted == hg.dirichlet_energy(u, grid3)
 
 
-@pytest.mark.parametrize("a, b, shift", [(1.0, -0.3, 0.0), (1.0, -0.5j * 2e-3, 0.5)])
-def test_shifted_bands_matches_dense_solve(a, b, shift):
+@pytest.mark.parametrize("extra_diag, shift", [
+    (lambda r: 0.0, -1.0),
+    (lambda r: np.exp(-r), 0.0),
+    (lambda r: np.exp(-r) + 1000j, 0.5),
+], ids=["scalar", "real", "complex"])
+def test_shifted_bands_matches_dense_solve(extra_diag, shift):
     grid = hg.build_grid(3, 20.0, 64)
-    extra = np.exp(-grid.nodes)
+    extra = extra_diag(grid.nodes)
     lower, diag, upper = hg.laplacian_bands(grid)
     dense = np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1)
-    eye = np.eye(grid.num_points)
-    matrix = a * eye + b * (dense + shift * eye + np.diag(extra))
+    matrix = dense + np.diag(shift + extra + np.zeros(grid.num_points))
     rhs = _noise_field(grid, 15)
-    got = hg.solve_banded(*hg.shifted_bands(grid, a, b, extra, shift=shift), rhs)
+    got = hg.solve_banded(*hg.shifted_bands(grid, extra, shift=shift), rhs)
     assert np.allclose(got, np.linalg.solve(matrix, rhs), rtol=1e-12, atol=0)
+
+
+def test_shifted_bands_share_the_laplacian_off_diagonals(grid3):
+    # dt and phi enter the diagonal only: the off-diagonals of every
+    # shifted system are read-only views of the grid's Laplacian bands
+    lower, _, upper = hg.laplacian_bands(grid3)
+    dl, d, du = hg.shifted_bands(grid3, np.exp(-grid3.nodes) + 1000j, 0.5)
+    assert np.shares_memory(dl, lower) and np.shares_memory(du, upper)
+    assert not dl.flags.writeable and not du.flags.writeable
+    assert dl.dtype == du.dtype == np.float64 and d.dtype == np.complex128
 
 
 def _random_tridiagonal(num, kind, seed):
@@ -314,13 +337,15 @@ def test_cached_weights_memoized(grid3):
     assert t1 is t2
     r = grid3.nodes
     assert np.allclose(t1.w2, 1.0 + 2.0 * hg.r_coth_r(r), rtol=1e-14)
-    assert np.allclose(t1.lap_r2, 2.0 + 4.0 * hg.r_coth_r(r), rtol=1e-14)
-    # n = 3 kills the W1 term in the bi-Laplacian weight
-    assert np.allclose(t1.bilap_r2, 8.0, rtol=0, atol=1e-12)
     bands = hg.laplacian_bands(grid3)
     assert bands is hg.laplacian_bands(grid3)
     loc = fn.localized_weights(grid3, 8.0)
     assert loc is fn.localized_weights(grid3, 8.0)
+    # inside r <= R the weight is r^2: Lap r^2 = 2 + 2(n-1) r coth r, and
+    # n = 3 kills the W1 term in the bi-Laplacian weight
+    inside = r <= 8.0
+    assert np.allclose(loc[0][inside], 2.0 + 4.0 * hg.r_coth_r(r[inside]), rtol=1e-14)
+    assert np.allclose(loc[1][inside], 8.0, rtol=0, atol=1e-12)
     for arr in bands + loc:
         with pytest.raises(ValueError):
             arr[0] = 1.0
@@ -345,14 +370,14 @@ def test_cached_weights_memoized(grid3):
         assert build(grid) is table
         assert build(twin) is not table
     # every ndarray of every shared table is read-only: the bands (3), the
-    # weight table (4), two localized tables (3 each) and the transform (6)
+    # weight table (2), two localized tables (3 each) and the transform (6)
     arrays = [
         part
         for table in tables
         for part in (table if isinstance(table, tuple) else vars(table).values())
         if isinstance(part, np.ndarray)
     ]
-    assert len(arrays) == 19
+    assert len(arrays) == 17
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 1.0
