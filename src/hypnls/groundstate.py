@@ -8,7 +8,12 @@ The profile is found by shooting on the radial ODE
 
 bisecting the initial amplitude between trajectories that cross zero
 (amplitude too large) and trajectories that fail to decay to zero (too
-small).  The sampled trajectory is then polished by Newton iteration on the
+small). Each shot ends at one of four events: 'crossed' (Q hit zero),
+'turned' (Q rose), 'rising' (a certificate that Q can no longer cross:
+w = sinh^{(n-1)/2}(r) Q is rising and convex, see _integrate) or 'none'
+(r_max reached); only 'crossed' means too large. The bisection's shots
+stop at 'rising'; the one recorded shot at the bisected amplitude runs on
+to its crossing, turn or r_max. The sampled trajectory is then polished by Newton iteration on the
 *discrete* stationary system L Q + lambda Q + Q^p = 0 built from the
 divergence-form Laplacian, so the integral identities used as certificates
 hold at solver tolerance rather than discretization tolerance. The mass
@@ -87,33 +92,40 @@ def _series_start(n: int, p: float, lam: float, a: float, r0: float):
 def _integrate(n, p, lam, a, grid: RadialGrid, record=False):
     """March the (Q, Q') system across the cell centers with fixed-step RK4.
 
-    Returns (event, stop_index, profile) where event is one of 'crossed'
-    (Q hit zero), 'turned' (Q' > 0 with Q > 0), or 'none' (reached r_max
-    still positive and decreasing).  profile is only filled when
-    record=True.
+    Returns (event, stop_index, profile). The event is one of
+    'crossed' (Q hit zero), 'turned' (Q' > 0 with Q > 0, or Q above twice
+    max(a, 1)), 'rising' (a shot that can no longer cross, see below) or
+    'none' (reached r_max still positive and decreasing). profile is only
+    filled when record=True.
+
+    With k = (n-1)/2, w = sinh^k(r) Q solves w'' = (V - lambda - Q^{p-1}) w,
+    V(r) = k^2 + k(k-1)/sinh^2 r, which is constant for n = 3 and rises to
+    1/4 for n = 2. Once Q > 0, w' = sinh^k (Q' + k coth(r) Q) >= 0 and
+    Q^{p-1} < V - lambda, w is convex and increasing for as long as Q does
+    not rise, so the trajectory can only turn or reach r_max. A shot with
+    record=False stops there as 'rising'; the recorded shot runs on.
     """
     h = grid.dr
     n_pts = grid.num_points
-    cm1 = n - 1
-    coth_half = _coth_half_lattice(grid)
+    damping = _damping_lattice(grid)
     q, dq = _series_start(n, p, lam, a, 0.5 * h)
     prof = np.empty(n_pts) if record else None
     if record:
         prof[0] = q
 
     # the right-hand side (Q', -((n-1) coth(r) Q' + lambda Q + |Q|^{p-1} Q))
-    # is written out per stage, each coefficient (n-1) coth(r) formed once
-    # per half-cell node; the expressions keep the operand order of the
+    # is written out per stage, with the coefficients (n-1) coth(r) read off
+    # the half-cell lattice; the expressions keep the operand order of the
     # plain four-call form, so the trajectory is the same to the last bit
     half = 0.5 * h
     sixth = h / 6.0
     cap = 2.0 * max(a, 1.0)
-    c_end = cm1 * coth_half[1]
+    c_end = damping[1]
     for j in range(n_pts - 1):
         base = 2 * j + 1
         c_start = c_end
-        c_mid = cm1 * coth_half[base + 1]
-        c_end = cm1 * coth_half[base + 2]
+        c_mid = damping[base + 1]
+        c_end = damping[base + 2]
         try:
             nl = q**p if q >= 0.0 else -((-q) ** p)
             k1p = -(c_start * dq + lam * q + nl)
@@ -139,18 +151,31 @@ def _integrate(n, p, lam, a, grid: RadialGrid, record=False):
             return "crossed", j + 1, prof
         if dq > 0.0 or q > cap:
             return "turned", j + 1, prof
+        # c_mid is (n-1) coth at the node (j + 3/2) h the step ends on
+        if (2.0 * dq + c_mid * q >= 0.0 and not record
+                and q ** (p - 1.0) < _potential(n, (j + 1.5) * h) - lam):
+            return "rising", j + 1, prof
     return "none", n_pts - 1, prof
 
 
+def _potential(n, r):
+    """V(r) = k^2 + k(k-1)/sinh^2 r with k = (n-1)/2, written through
+    e^{-2r} so that no r overflows."""
+    k = 0.5 * (n - 1)
+    x = math.exp(-2.0 * r)
+    return k * k + 4.0 * k * (k - 1.0) * x / (1.0 - x) ** 2
+
+
 @per_grid
-def _coth_half_lattice(grid: RadialGrid):
-    # coth at the half-cell radii k dr / 2 (k >= 1), a shared tuple of floats
+def _damping_lattice(grid: RadialGrid):
+    # (n-1) coth at the half-cell radii k dr / 2 (k >= 1), a shared tuple of floats
     radii = 0.5 * grid.dr * np.arange(1, 2 * grid.num_points + 2)
-    return tuple(coth(radii).tolist())
+    return tuple(((grid.n - 1) * coth(radii)).tolist())
 
 
 def shooting_classifier(n, p, lam, a, grid) -> int:
-    """-1 when the trajectory crosses zero (amplitude too large), +1 else."""
+    """-1 when the trajectory crosses zero (amplitude too large), +1 when it
+    turns, is certified 'rising' or reaches r_max (amplitude too small)."""
     event = _integrate(n, p, lam, a, grid)[0]
     return -1 if event == "crossed" else +1
 

@@ -205,35 +205,42 @@ def test_unresolved_mass_curve_is_a_solver_failure(argv, error, tmp_path, capsys
 # shooting integrator against the four-call RK4 it replaces
 # ---------------------------------------------------------------------------
 
-def _reference_integrate(n, p, lam, a, grid, coth_half):
-    """RK4 through a right-hand-side function, one call per stage.
+# the radii, in cells dr, at which step j reads (n-1) coth(r): its start,
+# midpoint and end
+STEP_RADII = (1.0, 1.5, 2.0)
+
+
+def _reference_integrate(n, p, lam, a, grid):
+    """RK4 through a right-hand-side function, one call per stage, with
+    (n-1) coth formed at each step's radii and run until the shot crosses,
+    turns or reaches r_max.
 
     Returns (event, stop, profile, slope, overflowed)."""
     h = grid.dr
     n_pts = grid.num_points
-    cm1 = n - 1
+    steps = np.arange(n_pts - 1)
+    damping = [((n - 1) * hg.coth((steps + off) * h)).tolist() for off in STEP_RADII]
     q, dq = gsm._series_start(n, p, lam, a, 0.5 * h)
     prof = np.empty(n_pts)
     slope = np.empty(n_pts)
     prof[0] = q
     slope[0] = dq
 
-    def rhs(qv, pv, cidx):
+    def rhs(qv, pv, c):
         if qv >= 0.0:
             nl = qv**p
         else:
             nl = -((-qv) ** p)
-        return pv, -(cm1 * coth_half[cidx] * pv + lam * qv + nl)
+        return pv, -(c * pv + lam * qv + nl)
 
     half = 0.5 * h
     sixth = h / 6.0
-    for j in range(n_pts - 1):
-        base = 2 * j + 1
+    for j, (c_start, c_mid, c_end) in enumerate(zip(*damping)):
         try:
-            k1q, k1p = rhs(q, dq, base)
-            k2q, k2p = rhs(q + half * k1q, dq + half * k1p, base + 1)
-            k3q, k3p = rhs(q + half * k2q, dq + half * k2p, base + 1)
-            k4q, k4p = rhs(q + h * k3q, dq + h * k3p, base + 2)
+            k1q, k1p = rhs(q, dq, c_start)
+            k2q, k2p = rhs(q + half * k1q, dq + half * k1p, c_mid)
+            k3q, k3p = rhs(q + half * k2q, dq + half * k2p, c_mid)
+            k4q, k4p = rhs(q + h * k3q, dq + h * k3p, c_end)
             q = q + sixth * (k1q + 2.0 * (k2q + k3q) + k4q)
             dq = dq + sixth * (k1p + 2.0 * (k2p + k3p) + k4p)
         except OverflowError:
@@ -247,31 +254,66 @@ def _reference_integrate(n, p, lam, a, grid, coth_half):
     return "none", n_pts - 1, prof, slope, False
 
 
-# (n, lambda, amplitude, expected event, overflow in the first step)
+# (n, lambda, amplitude, expected event, event of the unrecorded shot,
+# overflow in the first step)
 SHOOTING_CASES = (
-    (3, 0.5, 5.0, "crossed", False),
-    (3, 0.5, 1000.0, "turned", False),
-    (3, 0.5, 1e10, "turned", True),
-    (3, 0.5, 2.0, "none", False),
-    (2, 0.2, 2.0, "crossed", False),
-    (2, 0.2, 1000.0, "turned", False),
-    (2, 0.2, 1e10, "turned", True),
-    (2, 0.2, 0.5, "none", False),
+    (3, 0.5, 5.0, "crossed", "crossed", False),
+    (3, 0.5, 1000.0, "turned", "turned", False),
+    (3, 0.5, 1e10, "turned", "turned", True),
+    (3, 0.5, 2.0, "none", "rising", False),
+    (2, 0.2, 2.0, "crossed", "crossed", False),
+    (2, 0.2, 1000.0, "turned", "turned", False),
+    (2, 0.2, 1e10, "turned", "turned", True),
+    (2, 0.2, 0.5, "none", "rising", False),
 )
 
 
-@pytest.mark.parametrize("n, lam, amp, event, overflow", SHOOTING_CASES)
+@pytest.mark.parametrize("n, lam, amp, event, unrecorded, overflow", SHOOTING_CASES)
 def test_integrate_bit_identical_to_reference_rk4(
-    n, lam, amp, event, overflow, grid3, grid2
+    n, lam, amp, event, unrecorded, overflow, grid3, grid2
 ):
     grid = grid3 if n == 3 else grid2
-    ref = _reference_integrate(n, 3.0, lam, amp, grid, gsm._coth_half_lattice(grid))
+    ref = _reference_integrate(n, 3.0, lam, amp, grid)
     assert ref[0] == event and ref[4] == overflow
     got = gsm._integrate(n, 3.0, lam, amp, grid, record=True)
     assert got[:2] == ref[:2]
     stop = ref[1]
     assert got[2][: stop + 1].tobytes() == ref[2][: stop + 1].tobytes()
-    assert gsm._integrate(n, 3.0, lam, amp, grid)[:2] == ref[:2]
+    # an unrecorded shot may stop early as 'rising', which classifies as
+    # the full shot does
+    got, stop = gsm._integrate(n, 3.0, lam, amp, grid)[:2]
+    assert got == unrecorded
+    if got == "rising":
+        assert ref[0] != "crossed" and stop <= ref[1]
+    else:
+        assert stop == ref[1]
+
+
+def _full_length(n, p, lam, a, grid, record=False):
+    return _reference_integrate(n, p, lam, a, grid)[:3]
+
+
+# criterion 1's ground states, and the shots of UNMATCHED_SHOTS
+FULL_LENGTH_CASES = (
+    (3, 0.0, 20.0, 4000),
+    (3, 0.5, 20.0, 4000),
+    (3, 0.9, 40.0, 8000),
+    (2, 0.0, 20.0, 4000),
+    (2, 0.2, 40.0, 8000),
+    *((n, lam, r_max, points) for n, lam, r_max, points, _ in UNMATCHED_SHOTS),
+)
+
+
+@pytest.mark.parametrize("n, lam, r_max, points", FULL_LENGTH_CASES)
+def test_rising_verdict_keeps_every_ground_state(n, lam, r_max, points, monkeypatch):
+    # every shot run to its crossing, turn or r_max gives the same bisection,
+    # so the same q0 and the same profile to the last bit
+    grid = hg.build_grid(n, r_max, points)
+    gs = gsm.solve_ground_state(n, 3.0, lam, grid)
+    monkeypatch.setattr(gsm, "_integrate", _full_length)
+    full = gsm.solve_ground_state(n, 3.0, lam, grid)
+    assert full.q0 == gs.q0
+    assert full.profile.tobytes() == gs.profile.tobytes()
 
 
 # ---------------------------------------------------------------------------
