@@ -120,9 +120,10 @@ def _integrate(n, p, lam, a, grid: RadialGrid, record=False):
     half = 0.5 * h
     sixth = h / 6.0
     cap = 2.0 * max(a, 1.0)
-    c_end = damping[1]
+    # step j runs from the node (j + 1/2) h, lattice entry 2j, to the next
+    c_end = damping[0]
     for j in range(n_pts - 1):
-        base = 2 * j + 1
+        base = 2 * j
         c_start = c_end
         c_mid = damping[base + 1]
         c_end = damping[base + 2]
@@ -151,8 +152,7 @@ def _integrate(n, p, lam, a, grid: RadialGrid, record=False):
             return "crossed", j + 1, prof
         if dq > 0.0 or q > cap:
             return "turned", j + 1, prof
-        # c_mid is (n-1) coth at the node (j + 3/2) h the step ends on
-        if (2.0 * dq + c_mid * q >= 0.0 and not record
+        if (2.0 * dq + c_end * q >= 0.0 and not record
                 and q ** (p - 1.0) < _potential(n, (j + 1.5) * h) - lam):
             return "rising", j + 1, prof
     return "none", n_pts - 1, prof
@@ -168,8 +168,9 @@ def _potential(n, r):
 
 @per_grid
 def _damping_lattice(grid: RadialGrid):
-    # (n-1) coth at the half-cell radii k dr / 2 (k >= 1), a shared tuple of floats
-    radii = 0.5 * grid.dr * np.arange(1, 2 * grid.num_points + 2)
+    # (n-1) coth at the half-cell radii k dr / 2 from the first node to the
+    # last, k = 1 .. 2N - 1, a shared tuple of floats
+    radii = 0.5 * grid.dr * np.arange(1, 2 * grid.num_points)
     return tuple(((grid.n - 1) * coth(radii)).tolist())
 
 

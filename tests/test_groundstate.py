@@ -69,6 +69,14 @@ def test_q0_refinement_toward_oracle():
     assert errs[1] < 0.5 * errs[0]
 
 
+def test_q0_converges_at_fourth_order():
+    # self-convergence over three grids: RK4 reads (n-1) coth(r) at each
+    # step's start, midpoint and end
+    q0 = [gsm.solve_ground_state(3, 3.0, 0.5, hg.build_grid(3, 20.0, num)).q0
+          for num in (1000, 2000, 4000)]
+    assert math.log2(abs(q0[0] - q0[1]) / abs(q0[1] - q0[2])) >= 3.5
+
+
 def test_closed_form_profile_h2(gs2_zero):
     exact = math.sqrt(2.0) / np.cosh(gs2_zero.grid.nodes)
     assert np.max(np.abs(gs2_zero.profile - exact)) < 5e-5
@@ -205,9 +213,9 @@ def test_unresolved_mass_curve_is_a_solver_failure(argv, error, tmp_path, capsys
 # shooting integrator against the four-call RK4 it replaces
 # ---------------------------------------------------------------------------
 
-# the radii, in cells dr, at which step j reads (n-1) coth(r): its start,
-# midpoint and end
-STEP_RADII = (1.0, 1.5, 2.0)
+# the radii, in cells dr, at which step j from the node (j + 1/2) dr reads
+# (n-1) coth(r): its start, midpoint and end
+STEP_RADII = (0.5, 1.0, 1.5)
 
 
 def _reference_integrate(n, p, lam, a, grid):
