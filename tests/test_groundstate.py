@@ -34,7 +34,7 @@ def test_far_field_rate():
     assert abs(gsm.far_field_rate(2, 0.2) - (0.5 + math.sqrt(0.05))) < 1e-15
 
 
-def test_admissibility_guards(grid3):
+def test_admissibility_guards(grid3, grid2):
     with pytest.raises(gsm.NoGroundState):
         gsm.solve_ground_state(3, 3.0, 1.0, grid3)
     with pytest.raises(gsm.NoGroundState):
@@ -43,6 +43,27 @@ def test_admissibility_guards(grid3):
         gsm.solve_ground_state(3, 5.0, 0.0, grid3)
     with pytest.raises(ValueError):
         gsm.solve_ground_state(3, 1.0, 0.0, grid3)
+    with pytest.raises(ValueError, match="n=2 requires p > 1"):
+        gsm.solve_ground_state(2, 1.0, 0.0, grid2)
+    with pytest.raises(ValueError, match="unsupported dimension n=4"):
+        gsm.solve_ground_state(4, 3.0, 0.0, grid3)
+    with pytest.raises(fn.ParameterMismatch, match="grid dimension"):
+        gsm.solve_ground_state(2, 3.0, 0.0, grid3)
+
+
+@pytest.mark.parametrize("p, lam, error", [
+    (1.0001, 0.5, "amplitude 1e-06 already crosses zero"),
+    (3.0, -1e6, "no zero-crossing amplitude found below 1000000.0"),
+], ids=("smallest_shot_crosses", "no_shot_crosses"))
+def test_shooting_without_a_bracket_is_a_solver_failure(p, lam, error):
+    # p = 1.0001: Q^{p-1} stays near 1 down to Q = 1e-6, so lambda + Q^{p-1}
+    # sits above the spectral bottom and even the smallest shot oscillates
+    # through zero. lambda = -1e6 on 300 points: every shot of the ladder
+    # turns, by the linear growth below Q = 1000 and by an overflowing step
+    # above it.
+    grid = hg.build_grid(3, 20.0, 300)
+    with pytest.raises(gsm.ShootingFailure, match=error):
+        gsm.solve_ground_state(3, p, lam, grid)
 
 
 def test_q0_against_independent_solver(grid3, grid2, gs3_zero, gs3_half, gs2_zero):
