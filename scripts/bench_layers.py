@@ -1,6 +1,6 @@
 """Layer timings: one solve, one CN step, its H^1 check and one diagnostics
-record of the evolution, one point of the mass curve, one Newton polish of
-a ground state, and one spectral transform.
+record of the evolution, one point of the mass curve, one shooting shot and
+one Newton polish of a ground state, and one spectral transform.
 
 Times, on the H^3 quick-tier grid (r_max = 20) with N = 2000 and 8000
 points, a Gaussian datum 0.5 e^{-r^2} and dt = 2e-3:
@@ -20,6 +20,9 @@ points, a Gaussian datum 0.5 e^{-r^2} and dt = 2e-3:
   along the ground-state branch, its bordered Newton solves and energy
   records) at p = 2 and alpha = 12.86 (criterion 7's first minimizer),
   with Q_0 already solved and memoized on the grid;
+- undershoot_shot_us: one shot of the shooting bisection
+  (`groundstate.shooting_classifier`) at (1 - 1e-6) times the amplitude
+  q0 of the p = 3, lambda = 0.5 ground state, a shot that does not cross;
 - newton_polish_us: one Newton polish of the ground-state equation at
   fixed lambda (`groundstate._newton_polish`, run to its stop rule) from
   1.001 times the p = 3, lambda = 0.5 ground state;
@@ -101,6 +104,7 @@ def measure(num_points):
     mass_args = (MASS_ALPHA, 3, 2.0, grid)
     gs = groundstate.solve_ground_state(3, 3.0, POLISH_LAMBDA, grid)
     polish_args = (1.001 * gs.profile, POLISH_LAMBDA, grid, 3.0)
+    shot_args = (3, 3.0, POLISH_LAMBDA, (1.0 - 1e-6) * gs.q0, grid)
     bump = functionals.RadialField(grid=grid, values=np.exp(-(grid.nodes - 2.0) ** 2))
 
     solve = _time_calls(lambda: stepper._cayley(rhs, phi, DT))
@@ -109,6 +113,7 @@ def measure(num_points):
     h1 = _time_calls(h1_monitor)
     record = _time_calls(lambda: functionals.compute_diagnostics(0.0, field, 3.0, 0.0))
     mass_point = _time_calls(lambda: groundstate.mass_constrained_minimize(*mass_args))
+    shot = _time_calls(lambda: groundstate.shooting_classifier(*shot_args))
     polish = _time_calls(lambda: groundstate._newton_polish(*polish_args))
     setup = _time_calls(lambda: spectral.SpectralTransform(grid))
     recon = _time_calls(lambda: spectral.FieldSpectrum(bump).reconstruction_residual())
@@ -119,6 +124,7 @@ def measure(num_points):
         "h1_monitor_us": _quartiles(h1),
         "diagnostics_record_us": _quartiles(record),
         "mass_point_us": _quartiles(mass_point),
+        "undershoot_shot_us": _quartiles(shot),
         "newton_polish_us": _quartiles(polish),
         "transform_setup_us": _quartiles(setup),
         "field_spectrum_us": _quartiles(recon),
