@@ -13,12 +13,12 @@ small). Each shot ends at one of four events: 'crossed' (Q hit zero),
 w = sinh^{(n-1)/2}(r) Q is rising and convex, see _integrate) or 'none'
 (r_max reached); only 'crossed' means too large. The bisection's shots
 stop at 'rising'; the one recorded shot at the bisected amplitude runs on
-to its crossing, turn or r_max. The sampled trajectory is then polished by Newton iteration on the
-*discrete* stationary system L Q + lambda Q + Q^p = 0 built from the
-divergence-form Laplacian, so the integral identities used as certificates
-hold at solver tolerance rather than discretization tolerance. The mass
-curve continues Q_0 along that branch in its mass by the same Newton solve
-with a mass row (see mass_constrained_minimize).
+to its crossing, turn or r_max. The sampled trajectory is then polished by
+Newton iteration on the *discrete* stationary system L Q + lambda Q + Q^p = 0
+built from the divergence-form Laplacian, so the integral identities used as
+certificates hold at solver tolerance rather than discretization tolerance.
+The mass curve continues Q_0 along that branch in its mass by the same
+Newton solve with a mass row (see mass_constrained_minimize).
 """
 
 from __future__ import annotations
@@ -152,6 +152,7 @@ def _integrate(n, p, lam, a, grid: RadialGrid, record=False):
             return "crossed", j + 1, prof
         if dq > 0.0 or q > cap:
             return "turned", j + 1, prof
+        # 2 dq + c_end q = 2 (Q' + k coth(r) Q) at the node the step ends on
         if (2.0 * dq + c_end * q >= 0.0 and not record
                 and q ** (p - 1.0) < _potential(n, (j + 1.5) * h) - lam):
             return "rising", j + 1, prof
