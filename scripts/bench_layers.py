@@ -5,9 +5,9 @@ one Newton polish of a ground state, and one spectral transform.
 Times, on the H^3 quick-tier grid (r_max = 20) with N = 2000 and 8000
 points, a Gaussian datum 0.5 e^{-r^2} and dt = 2e-3:
 
-- tridiag_solve_us: one Cayley solve as the Crank-Nicolson stepper makes
-  it (`_CNStepper._cayley`: the matrix operands for the step's phi, then
-  the tridiagonal solve), at a fixed dt, on the right-hand side the step
+- tridiag_solve_us: one Cayley solve as `_CNStepper.step` makes it (the
+  matrix operands for the step's phi from `hypgeom.shifted_bands`, then
+  `hypgeom.solve_banded`), at a fixed dt, on the right-hand side the step
   forms for the Cayley system times 2i/dt;
 - cn_step_us: one full step (`_CNStepper.step`) as `evolve_run` drives
   it, with the |u| and mass its H^1 check formed; its solve count is
@@ -101,13 +101,14 @@ def measure(num_points):
     step_args = (u, DT, phi_half, h1_and_norms(u, grid)[1])
     h1_monitor = functools.partial(h1_and_norms, u, grid)
     field = functionals.RadialField(grid=grid, values=u)
-    mass_args = (MASS_ALPHA, 3, 2.0, grid)
-    gs = groundstate.solve_ground_state(3, 3.0, POLISH_LAMBDA, grid)
+    mass_args = (MASS_ALPHA, 2.0, grid)
+    gs = groundstate.solve_ground_state(3.0, POLISH_LAMBDA, grid)
     polish_args = (1.001 * gs.profile, POLISH_LAMBDA, grid, 3.0)
-    shot_args = (3, 3.0, POLISH_LAMBDA, (1.0 - 1e-6) * gs.q0, grid)
+    shot_args = (3.0, POLISH_LAMBDA, (1.0 - 1e-6) * gs.q0, grid)
     bump = functionals.RadialField(grid=grid, values=np.exp(-(grid.nodes - 2.0) ** 2))
 
-    solve = _time_calls(lambda: stepper._cayley(rhs, phi, DT))
+    solve = _time_calls(
+        lambda: hypgeom.solve_banded(*hypgeom.shifted_bands(grid, phi + 2j / DT), rhs))
     solves = stepper.step(*step_args)[2]
     step = _time_calls(lambda: stepper.step(*step_args))
     h1 = _time_calls(h1_monitor)

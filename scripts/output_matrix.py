@@ -74,13 +74,10 @@ MATRIX = (
     ("mass_curve_csv", ("mass-curve", "--p", "2", "--alpha", "13", "--format", "csv")),
     # a failed gate: exit 1, and the report records passed false
     ("gs_fail_lam-20", ("groundstate", "--lambda", "-20")),
-    # plotdata, one entry per --kind, on files of the entries above
-    ("plot_profile", ("plotdata", "{outdir}/gs_n3_lam0/groundstate_n3_p3_lam0.csv",
-                      "--kind", "profile")),
-    ("plot_diagnostics", ("plotdata", "{outdir}/virial_n3/virial_diag.csv",
-                          "--kind", "diagnostics")),
-    ("plot_spectrum", ("plotdata", "{outdir}/spectral/spectral_reference.csv",
-                       "--kind", "spectrum")),
+    # plotdata, one entry per layout, on files of the entries above
+    ("plot_profile", ("plotdata", "{outdir}/gs_n3_lam0/groundstate_n3_p3_lam0.csv")),
+    ("plot_diagnostics", ("plotdata", "{outdir}/virial_n3/virial_diag.csv")),
+    ("plot_spectrum", ("plotdata", "{outdir}/spectral/spectral_reference.csv")),
     # errors: each exits 2 (usage) or 3 (solver) with one JSON line on stderr
     ("err_gs_lam1", ("groundstate", "--lambda", "1.0")),
     ("err_gs_format", ("groundstate", "--lambda", "0.5", "--format", "csv")),

@@ -104,12 +104,6 @@ class RunOutcome:
 # steppers
 # ---------------------------------------------------------------------------
 
-def _modulus_and_mass(values, vol):
-    """|u| and the vol-weighted mass int |u|^2 of one state."""
-    modulus = np.abs(values)
-    return modulus, float(np.dot(modulus**2, vol))
-
-
 class _CNStepper:
     def __init__(self, grid, p, shift=0.0):
         self.grid = grid
@@ -117,9 +111,6 @@ class _CNStepper:
         # gauge shift: integrate i v_t = -(L + shift) v - |v|^{p-1} v
         self.shift = shift
         self.vol = grid.vol_weights
-
-    def _cayley(self, rhs, phi, dt):
-        return solve_banded(*shifted_bands(self.grid, phi + 2j / dt, self.shift), rhs)
 
     def step(self, u, dt, phi_half_prev, modulus_mass):
         """One CN step; returns (u_new, phi_half, cayley_solves).
@@ -141,7 +132,8 @@ class _CNStepper:
         bound = FIXEDPOINT_TOL * math.sqrt(mass)
         for solves in range(1, FIXEDPOINT_MAXITER + 1):
             try:
-                u_new = self._cayley(lin - phi * u, phi, dt)
+                u_new = solve_banded(
+                    *shifted_bands(self.grid, phi + 2j / dt, self.shift), lin - phi * u)
             except ValueError as exc:  # LinAlgError: a zero pivot or non-finite solution
                 raise InnerSolveFailure(f"inner solve: {exc}", fatal=True) from exc
             half_mod = np.abs(0.5 * (u + u_new))
@@ -191,9 +183,11 @@ STEPPERS = {"crank_nicolson_relaxation": _CNStepper, "strang_splitting": _Strang
 # ---------------------------------------------------------------------------
 
 def _h1_sq_and_norms(values, grid):
-    """Squared H^1 norm of one state, with its (|u|, mass) for the next step."""
-    norms = _modulus_and_mass(values, grid.vol_weights)
-    return dirichlet_energy(values, grid) + norms[1], norms
+    """Squared H^1 norm of one state, with its (|u|, vol-weighted mass
+    int |u|^2) for the next step."""
+    modulus = np.abs(values)
+    mass = float(np.dot(modulus**2, grid.vol_weights))
+    return dirichlet_energy(values, grid) + mass, (modulus, mass)
 
 
 def evolve_run(

@@ -37,8 +37,8 @@ from .evolve import (InnerSolveFailure, IntegratorConfig, evolve_run,
 from .hypgeom import SUPPORTED_DIMENSIONS, build_grid, spectrum_bottom, w1_weight
 
 TIERS = {
-    "quick": {"rmax": 20.0, "points": 2000, "dt": 2e-3, "horizon": 3.0},
-    "production": {"rmax": 20.0, "points": 8000, "dt": 5e-4, "horizon": 10.0},
+    "quick": {"points": 2000, "dt": 2e-3, "horizon": 3.0},
+    "production": {"points": 8000, "dt": 5e-4, "horizon": 10.0},
 }
 COMMAND_DEFAULTS = {
     # a unit of time resolves the comparison already
@@ -46,8 +46,6 @@ COMMAND_DEFAULTS = {
     # the bump family's spectral quantities are grid-converged at 2000
     # points, well below production size, so both tiers use 2000
     "spectral-check": {"points": 2000},
-    # the scans need no tier: both tiers set r_max 20
-    "inequalities": {"rmax": 20.0},
     "dichotomy": {"alpha": [0.5, 0.9, 1.1, 1.5]},
     "mass-curve": {"alpha": list(np.geomspace(0.1, 20.0, 13))},
 }
@@ -99,7 +97,7 @@ PARAMS = (
     Param("alphas", "alpha", finite_float, None,
           "datum amplitude or mass (repeatable; comma-separated in a config file)",
           many=True),
-    Param("rmax", "rmax", finite_float, None, "domain radius"),
+    Param("rmax", "rmax", finite_float, 20.0, "domain radius"),
     Param("points", "points", int, None, "grid points"),
     Param("dt", "dt", finite_float, None, "base time step"),
     Param("horizon", "horizon", finite_float, None, "integration horizon"),
@@ -256,7 +254,8 @@ def _outpath(out: Optional[str], name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-# the layouts plotdata reshapes, as the subcommands write them
+# the layouts plotdata reshapes, as the subcommands write them; pairwise
+# distinct, so a file's header names its layout
 PLOT_HEADERS = {
     "diagnostics": list(fn.DIAGNOSTICS_COLUMNS),
     "profile": ["r", "Q"],
@@ -306,7 +305,7 @@ def _numtag(x: float) -> str:
 
 def cmd_groundstate(cfg: ExperimentConfig) -> dict:
     grid = build_grid(cfg.n, cfg.rmax, cfg.points)
-    gs = gsmod.solve_ground_state(cfg.n, cfg.p, cfg.lam, grid)
+    gs = gsmod.solve_ground_state(cfg.p, cfg.lam, grid)
     ids = gsmod.verify_identities(gs)
     tag = f"n{cfg.n}_p{_numtag(cfg.p)}_lam{_numtag(cfg.lam)}"
 
@@ -376,7 +375,7 @@ def cmd_dichotomy(cfg: ExperimentConfig) -> dict:
             "range (n=2, p>=3 or n=3, 7/3<=p<5); running anyway\n"
         )
     grid = build_grid(cfg.n, cfg.rmax, cfg.points)
-    gs = gsmod.solve_ground_state(cfg.n, cfg.p, cfg.lam, grid)
+    gs = gsmod.solve_ground_state(cfg.p, cfg.lam, grid)
 
     rows = []
     row_files = []
@@ -470,11 +469,12 @@ def inequality_scan(n: int, p: float, r_max: float) -> dict:
     if not r_max > 0:
         raise ValueError(f"r_max must be positive, got {r_max}")
     r_grid = np.linspace(20.0 / 100000, 20.0, 100000)
-    quartic_min, quartic_argmin = fn.quartic_inequality_scan(n, r_grid)
+    quartic = fn.quartic_values(n, r_grid)
+    k = int(np.argmin(quartic))
     w1_vals = w1_weight(np.linspace(1e-6, r_max, round(r_max / 1e-4) + 1))
     return {
-        "quartic_min": quartic_min,
-        "quartic_argmin": quartic_argmin,
+        "quartic_min": float(quartic[k]),
+        "quartic_argmin": float(r_grid[k]),
         "pm_min_at_critical_p": fn.pm_coefficient_positivity(n, 1.0 + 4.0 / n),
         "pm_min_at_p": fn.pm_coefficient_positivity(n, p),
         "w1_max": float(np.max(w1_vals)),
@@ -502,7 +502,7 @@ def cmd_inequalities(cfg: ExperimentConfig) -> dict:
 
 def mass_curve_sweep(grid, p: float, alphas) -> list:
     """One MassCurvePoint per mass in alphas, in order."""
-    return [gsmod.mass_constrained_minimize(alpha, grid.n, p, grid) for alpha in alphas]
+    return [gsmod.mass_constrained_minimize(alpha, p, grid) for alpha in alphas]
 
 
 def cmd_mass_curve(cfg: ExperimentConfig) -> dict:
@@ -600,12 +600,14 @@ def cmd_spectral_check(cfg: ExperimentConfig) -> dict:
 
 def cmd_plotdata(args) -> int:
     digest, header, rows = read_csv(args.input)
-    if header != PLOT_HEADERS[args.kind]:
-        raise UsageError(f"{args.input}: header does not match kind {args.kind!r}")
+    if header not in PLOT_HEADERS.values():
+        raise UsageError(
+            f"{args.input}: the header is none of the layouts {', '.join(PLOT_HEADERS)}"
+        )
 
     # each column after the first is a series against the first; a
     # diagnostics file counts its time column too, so it yields twelve series
-    first = 0 if args.kind == "diagnostics" else 1
+    first = 0 if header == PLOT_HEADERS["diagnostics"] else 1
     tidy = [
         (header[j], row[0], row[j]) for j in range(first, len(header)) for row in rows
     ]
@@ -665,8 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--config", help="flat key=value config file")
     plot = sub.add_parser("plotdata", help="reshape an output file for plotting")
     plot.add_argument("input", help="CSV produced by another subcommand")
-    plot.add_argument("--kind", required=True, choices=tuple(PLOT_HEADERS),
-                      help="layout of the input file")
     plot.add_argument("--out", help="output directory")
     return parser
 

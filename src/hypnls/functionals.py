@@ -6,8 +6,8 @@ H and H^1 norms, the distance-to-ground-state gap delta_lambda, the virial
 functional G, the second moment and the localized virial at
 LOC_VIRIAL_RADIUS. The module also holds the localized virial with weight
 h_R = R^2 phi(r/R) at any R, sign/trapping detectors read off a series of
-records, and standalone positivity scans for the two closed-form radial
-inequalities the virial analysis rests on.
+records, and the two closed-form radial inequalities the virial analysis
+rests on (quartic_values, and the scan pm_coefficient_positivity).
 
 Conventions. For u radial on H^n:
 
@@ -274,11 +274,6 @@ class TrappingVerdict:
     kind: str  # constant_negative | constant_positive | violation
     t: Optional[float] = None
 
-    def __str__(self):
-        if self.kind == "violation":
-            return f"violation(t={self.t})"
-        return self.kind
-
 
 def trapping_sign_check(series: Sequence[DiagnosticsRecord]) -> TrappingVerdict:
     """Did delta_lambda keep one strict sign along the run?
@@ -314,9 +309,9 @@ def variational_bound_check(u: RadialField, gs) -> Optional[float]:
     nonnegative; its value is returned. Outside those hypotheses returns
     None. Both functionals of u come from its diagnostics record.
     """
-    rec = compute_diagnostics(0.0, u, gs.p, gs.lam, gs=gs)
     if gs.elam <= 0:
         raise ValueError("ground state with nonpositive E_lambda is corrupted")
+    rec = compute_diagnostics(0.0, u, gs.p, gs.lam, gs=gs)
     if rec.energy_lambda > gs.elam or rec.hlam_sq > gs.hlam_sq:
         return None
     return (rec.energy_lambda / gs.elam) * gs.hlam_sq - rec.hlam_sq
@@ -357,16 +352,6 @@ def quartic_values(n: int, r_grid) -> np.ndarray:
     return np.where(
         r < 0.25, _quartic_series(n, np.asarray(r_grid, dtype=float)), direct
     ).astype(float)
-
-
-def quartic_inequality_scan(n: int, r_grid) -> tuple:
-    """Minimum over the grid of the quartic virial-weight comparison.
-
-    Returns (min value, argmin radius) of quartic_values.
-    """
-    values = quartic_values(n, r_grid)
-    k = int(np.argmin(values))
-    return float(values[k]), float(np.asarray(r_grid, dtype=float)[k])
 
 
 def pm_coefficient_positivity(n: int, p: float, r_grid=None) -> float:

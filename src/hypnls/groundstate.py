@@ -66,8 +66,6 @@ def _admissible(n: int, p: float):
         raise ValueError(f"n=3 requires 1 < p < 5, got p={p}")
     if n == 2 and not p > 1.0:
         raise ValueError(f"n=2 requires p > 1, got p={p}")
-    if n not in (2, 3):
-        raise ValueError(f"unsupported dimension n={n}")
 
 
 def far_field_rate(n: int, lam: float) -> float:
@@ -89,7 +87,7 @@ def _series_start(n: int, p: float, lam: float, a: float, r0: float):
     return q, dq
 
 
-def _integrate(n, p, lam, a, grid: RadialGrid, record=False):
+def _integrate(p, lam, a, grid: RadialGrid, record=False):
     """March the (Q, Q') system across the cell centers with fixed-step RK4.
 
     Returns (event, stop_index, profile). The event is one of
@@ -105,6 +103,7 @@ def _integrate(n, p, lam, a, grid: RadialGrid, record=False):
     not rise, so the trajectory can only turn or reach r_max. A shot with
     record=False stops there as 'rising'; the recorded shot runs on.
     """
+    n = grid.n
     h = grid.dr
     n_pts = grid.num_points
     damping = _damping_lattice(grid)
@@ -175,10 +174,10 @@ def _damping_lattice(grid: RadialGrid):
     return tuple(((grid.n - 1) * coth(radii)).tolist())
 
 
-def shooting_classifier(n, p, lam, a, grid) -> int:
+def shooting_classifier(p, lam, a, grid) -> int:
     """-1 when the trajectory crosses zero (amplitude too large), +1 when it
     turns, is certified 'rising' or reaches r_max (amplitude too small)."""
-    event = _integrate(n, p, lam, a, grid)[0]
+    event = _integrate(p, lam, a, grid)[0]
     return -1 if event == "crossed" else +1
 
 
@@ -239,17 +238,17 @@ def _newton_polish(q, lam, grid, p, alpha=None):
         lam = lam + dlam
 
 
-def _far_field_extension(profile, j_start, n, lam, grid: RadialGrid):
+def _far_field_extension(profile, j_start, lam, grid: RadialGrid):
     """Continue the profile beyond node j_start by the linearized decay."""
     r = grid.nodes
     rs = r[j_start]
     anchor = profile[j_start]
     out = profile.copy()
-    if n == 3:
+    if grid.n == 3:
         nu = math.sqrt(spectrum_bottom(3) - lam)
         tail = np.exp(-nu * (r - rs)) * (math.sinh(rs) / np.sinh(r))
     else:
-        kappa = far_field_rate(n, lam)
+        kappa = far_field_rate(grid.n, lam)
         tail = np.exp(-kappa * (r - rs))
     out[j_start:] = anchor * tail[j_start:]
     return out
@@ -257,7 +256,6 @@ def _far_field_extension(profile, j_start, n, lam, grid: RadialGrid):
 
 @dataclass
 class GroundState:
-    n: int
     p: float
     lam: float
     grid: RadialGrid
@@ -273,13 +271,11 @@ class GroundState:
         return fn.RadialField(grid=self.grid, values=self.profile.astype(complex))
 
 
-def solve_ground_state(n: int, p: float, lam: float, grid: RadialGrid) -> GroundState:
-    """Shooting + discrete Newton certification of the ground state; the
-    amplitude is bisected to 1e-13 of itself."""
-    _admissible(n, p)
-    if grid.n != n:
-        raise fn.ParameterMismatch("grid dimension differs from requested n")
-    bottom = spectrum_bottom(n)
+def solve_ground_state(p: float, lam: float, grid: RadialGrid) -> GroundState:
+    """Shooting + discrete Newton certification of the ground state on H^n,
+    n = grid.n; the amplitude is bisected to 1e-13 of itself."""
+    _admissible(grid.n, p)
+    bottom = spectrum_bottom(grid.n)
     if lam >= bottom:
         raise NoGroundState(
             f"lambda={lam} at or above the spectral bottom {bottom}: "
@@ -291,13 +287,13 @@ def solve_ground_state(n: int, p: float, lam: float, grid: RadialGrid) -> Ground
     # so walk up from small amplitudes instead of classifying the raw
     # endpoints of the search range
     a_min, a_max = AMPLITUDE_RANGE
-    if shooting_classifier(n, p, lam, a_min, grid) != +1:
+    if shooting_classifier(p, lam, a_min, grid) != +1:
         raise ShootingFailure(f"amplitude {a_min} already crosses zero")
     lo = a_min
     hi = None
     a = max(10.0 * a_min, 0.25)
     while a <= a_max:
-        if shooting_classifier(n, p, lam, a, grid) == -1:
+        if shooting_classifier(p, lam, a, grid) == -1:
             hi = a
             break
         lo = a
@@ -308,18 +304,18 @@ def solve_ground_state(n: int, p: float, lam: float, grid: RadialGrid) -> Ground
         )
     while hi - lo > 1e-13 * lo:
         mid = 0.5 * (lo + hi)
-        if shooting_classifier(n, p, lam, mid, grid) == -1:
+        if shooting_classifier(p, lam, mid, grid) == -1:
             hi = mid
         else:
             lo = mid
     q0 = 0.5 * (lo + hi)
 
-    _, stop, prof = _integrate(n, p, lam, q0, grid, record=True)
+    _, stop, prof = _integrate(p, lam, q0, grid, record=True)
     # matching index: where the trajectory is deep into the linear regime,
     # else the node before the shot stopped (it turned, or reached r_max)
     below = np.nonzero(prof[: stop + 1] < MATCH_LEVEL * q0)[0]
     j_match = int(below[0]) if below.size else max(stop - 1, 1)
-    profile = _far_field_extension(prof, j_match, n, lam, grid)
+    profile = _far_field_extension(prof, j_match, lam, grid)
 
     polished = _newton_polish(profile, lam, grid, p)
     if polished is None:
@@ -331,12 +327,11 @@ def solve_ground_state(n: int, p: float, lam: float, grid: RadialGrid) -> Ground
     # drop below roundoff significance
     deep = np.nonzero(profile < TAIL_SPLICE_LEVEL * q0)[0]
     if deep.size:
-        profile = _far_field_extension(profile, int(deep[0]), n, lam, grid)
+        profile = _far_field_extension(profile, int(deep[0]), lam, grid)
 
     u = fn.RadialField(grid=grid, values=profile)
     hlam_sq, lp1, elam, residuals = _certificates(u, p, lam)
     return GroundState(
-        n=n,
         p=p,
         lam=lam,
         grid=grid,
@@ -374,7 +369,7 @@ def verify_identities(gs: GroundState) -> dict:
     hi = int(np.searchsorted(r, 0.75 * gs.grid.r_max))
     logq = np.log(gs.profile[lo:hi])
     slope = np.polyfit(r[lo:hi], logq, 1)[0]
-    kappa = far_field_rate(gs.n, gs.lam)
+    kappa = far_field_rate(gs.grid.n, gs.lam)
     return {**gs.residuals, "logslope_dev": abs(slope + kappa) / kappa}
 
 
@@ -397,7 +392,7 @@ def _branch_start(grid: RadialGrid, p: float) -> GroundState:
     """Q_0, where every mass-curve continuation on the grid at power p
     starts. Raises ShootingFailure unless <L+^{-1} Q_0, Q_0> < 0, that is
     unless Q_0 is on the minimizing branch."""
-    gs = solve_ground_state(grid.n, p, 0.0, grid)
+    gs = solve_ground_state(p, 0.0, grid)
     q = gs.profile
     minus_l_plus = shifted_bands(grid, p * q ** (p - 1.0))
     vk = float(np.dot(grid.vol_weights * q, solve_banded(*minus_l_plus, -q)))
@@ -409,9 +404,7 @@ def _branch_start(grid: RadialGrid, p: float) -> GroundState:
     return gs
 
 
-def mass_constrained_minimize(
-    alpha: float, n: int, p: float, grid: RadialGrid
-) -> MassCurvePoint:
+def mass_constrained_minimize(alpha: float, p: float, grid: RadialGrid) -> MassCurvePoint:
     """e(alpha) = inf{ J(u) : |u|_{L^2} = alpha } and its minimizer, read off
     the ground-state branch lambda -> Q_lambda.
 
@@ -434,6 +427,7 @@ def mass_constrained_minimize(
     Raises ShootingFailure when Q_0 is off the branch or a step falls below
     BRANCH_STEP_FLOOR.
     """
+    n = grid.n
     _admissible(n, p)
     if alpha <= 0:
         raise ValueError(f"the mass alpha must be positive, got {alpha}")
@@ -442,8 +436,6 @@ def mass_constrained_minimize(
             f"mass-supercritical p={p}: mass-constrained minimization "
             f"requires p < 1 + 4/n = {1 + 4 / n}"
         )
-    if grid.n != n:
-        raise fn.ParameterMismatch("grid dimension differs from requested n")
     rho2 = spectrum_bottom(n)
 
     q, lam = _branch_start(grid, p).profile, 0.0

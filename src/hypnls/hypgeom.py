@@ -97,9 +97,13 @@ def build_grid(n: int, r_max: float, num_points: int) -> RadialGrid:
     dr = r_max / num_points
     nodes = (np.arange(num_points) + 0.5) * dr
     edges = np.arange(num_points + 1) * dr
-    node_density = np.sinh(nodes) ** (n - 1)
-    edge_density = np.sinh(edges) ** (n - 1)
     area = sphere_area(n)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        node_density = np.sinh(nodes) ** (n - 1)
+        edge_density = np.sinh(edges) ** (n - 1)
+        vol_weights = area * node_density * dr
+    if not all(np.isfinite(a).all() for a in (node_density, edge_density, vol_weights)):
+        raise ValueError(f"r_max={r_max} overflows the volume density sinh^{n - 1}(r)")
     return RadialGrid(
         n=n,
         r_max=r_max,
@@ -110,7 +114,7 @@ def build_grid(n: int, r_max: float, num_points: int) -> RadialGrid:
         sphere_area=area,
         node_density=node_density,
         edge_density=edge_density,
-        vol_weights=area * node_density * dr,
+        vol_weights=vol_weights,
     )
 
 

@@ -28,17 +28,17 @@ def grid2():
 
 @pytest.fixture(scope="session")
 def gs3_zero(grid3):
-    return gsm.solve_ground_state(3, 3.0, 0.0, grid3)
+    return gsm.solve_ground_state(3.0, 0.0, grid3)
 
 
 @pytest.fixture(scope="session")
 def gs3_half(grid3):
-    return gsm.solve_ground_state(3, 3.0, 0.5, grid3)
+    return gsm.solve_ground_state(3.0, 0.5, grid3)
 
 
 @pytest.fixture(scope="session")
 def gs2_zero(grid2):
-    return gsm.solve_ground_state(2, 3.0, 0.0, grid2)
+    return gsm.solve_ground_state(3.0, 0.0, grid2)
 
 
 @pytest.fixture(scope="session")
@@ -46,7 +46,7 @@ def dichotomy_runs(gs3_zero, gs2_zero):
     """The quick-tier dichotomy rows of both dimensions, keyed by (n, alpha):
     (row, RunOutcome) as the dichotomy subcommand forms them."""
     return {
-        (gs.n, alpha): dichotomy_row(gs, alpha, 2e-3, 3.0)
+        (gs.grid.n, alpha): dichotomy_row(gs, alpha, 2e-3, 3.0)
         for gs in (gs3_zero, gs2_zero)
         for alpha in DICHOTOMY_ALPHAS
     }

@@ -42,7 +42,7 @@ def grid3_prod():
 
 @pytest.fixture(scope="module")
 def gs_half_prod(grid3_prod):
-    return gsmod.solve_ground_state(3, P_CUBIC, 0.5, grid3_prod)
+    return gsmod.solve_ground_state(P_CUBIC, 0.5, grid3_prod)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +64,7 @@ IDENTITY_CASES = (
 def test_criterion_1_ground_state_identities():
     worst = {"pohozaev": 0.0, "energy_ratio": 0.0, "g_value": 0.0}
     for n, p, lam, rmax, points in IDENTITY_CASES:
-        gs = gsmod.solve_ground_state(n, p, lam, hg.build_grid(n, rmax, points))
+        gs = gsmod.solve_ground_state(p, lam, hg.build_grid(n, rmax, points))
         for key in worst:
             worst[key] = max(worst[key], float(gs.residuals[key]))
     ok = (
@@ -294,9 +294,7 @@ Q0_REF = 3.77351213237  # dense-grid extrapolated amplitude, n=3, p=3, lam=0.5
 
 
 def test_criterion_9_convergence_orders(gs3_half, gs_half_prod, gs3_zero):
-    gs_half_mid = gsmod.solve_ground_state(
-        3, P_CUBIC, 0.5, hg.build_grid(3, 20.0, 4000)
-    )
+    gs_half_mid = gsmod.solve_ground_state(P_CUBIC, 0.5, hg.build_grid(3, 20.0, 4000))
     errs = [abs(g.q0 - Q0_REF) for g in (gs3_half, gs_half_mid, gs_half_prod)]
     q0_orders = (math.log2(errs[0] / errs[1]), math.log2(errs[1] / errs[2]))
 
@@ -308,7 +306,7 @@ def test_criterion_9_convergence_orders(gs3_half, gs_half_prod, gs3_zero):
     ):
         if gs is None:
             grid = hg.build_grid(3, 20.0, points)
-            gs = gsmod.solve_ground_state(3, P_CUBIC, 0.0, grid)
+            gs = gsmod.solve_ground_state(P_CUBIC, 0.0, grid)
         u0 = fn.RadialField(grid=gs.grid, values=1.2 * gs.profile.astype(complex))
         # the threshold sits before the collapse cascade so that the stop
         # time is a smooth functional of the discretization

@@ -10,6 +10,8 @@ import hashlib
 import json
 import os
 import stat
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -279,6 +281,71 @@ def test_default_alphas_hash_like_the_same_alphas_given():
         assert cfg.params_dict()["alpha"] == [0.5, 0.9, 1.1, 1.5]
 
 
+# the params block, as JSON text, and the digest of each subcommand's
+# default configuration on each tier it takes
+DEFAULT_CONFIGS = {
+    ("groundstate", "quick"): (
+        '{"command": "groundstate", "lambda": 0.0, "n": 3, "p": 3.0, "points": 2000, '
+        '"rmax": 20.0, "tier": "quick"}',
+        "b33589964b9fde9bd2b3f68a6cc14c2545348619b11bd16e4cbb33580053ff98"),
+    ("groundstate", "production"): (
+        '{"command": "groundstate", "lambda": 0.0, "n": 3, "p": 3.0, "points": 8000, '
+        '"rmax": 20.0, "tier": "production"}',
+        "5503f70ba7b9554e569a729ec4b40bef6b0c5c783bd7378c8664eb3ada2100cf"),
+    ("dichotomy", "quick"): (
+        '{"alpha": [0.5, 0.9, 1.1, 1.5], "command": "dichotomy", "dt": 0.002, '
+        '"format": "json", "horizon": 3.0, "lambda": 0.0, "n": 3, "p": 3.0, '
+        '"points": 2000, "rmax": 20.0, "tier": "quick"}',
+        "8a5eb063e61a9bf635dd54c43cadb108d3844fefd899360fb9063442667c83ae"),
+    ("dichotomy", "production"): (
+        '{"alpha": [0.5, 0.9, 1.1, 1.5], "command": "dichotomy", "dt": 0.0005, '
+        '"format": "json", "horizon": 10.0, "lambda": 0.0, "n": 3, "p": 3.0, '
+        '"points": 8000, "rmax": 20.0, "tier": "production"}',
+        "bfb77e3985576bbc1c2aa174dc11c5f1a3a73823932bee03a7719bac29013926"),
+    ("virial-check", "quick"): (
+        '{"command": "virial-check", "dt": 0.002, "format": "json", "horizon": 1.0, '
+        '"lambda": 0.0, "n": 3, "p": 3.0, "points": 2000, "rmax": 20.0, "tier": "quick"}',
+        "3d69596bc4ca5cb3eefdd21c22f8b9911c10a31c7edf22b5f5214247cdacfc99"),
+    ("virial-check", "production"): (
+        '{"command": "virial-check", "dt": 0.0005, "format": "json", "horizon": 1.0, '
+        '"lambda": 0.0, "n": 3, "p": 3.0, "points": 8000, "rmax": 20.0, '
+        '"tier": "production"}',
+        "c3a2e7eb1ae89ef6d21908a592d38518efd5fd1819a5855085d982b606e7af5e"),
+    ("inequalities", None): (
+        '{"command": "inequalities", "format": "json", "n": 3, "p": 3.0, "rmax": 20.0}',
+        "2f6a40df9a53ad10cdbe4b3589cf297d387bf33e44041611b28077f41114d225"),
+    **{("mass-curve", tier): (
+        '{"alpha": [0.1, 0.15550791539731854, 0.24182711751219577, 0.3760603093086394, '
+        '0.5848035476425733, 0.9094158061085302, 1.4142135623730951, 2.199214030112558, '
+        '3.419951893353395, 5.318295896944989, 8.270371084000278, 12.861081668351451, '
+        f'20.0], "command": "mass-curve", "format": "json", "n": 3, "p": 3.0, '
+        f'"points": {points}, "rmax": 20.0, "tier": "{tier}"}}',
+        digest) for tier, points, digest in (
+            ("quick", 2000,
+             "77d8ed5708b6b0d6819b2eba8ba006f71853be06ec56d30b48555cbda269890f"),
+            ("production", 8000,
+             "61e8999203bf7c3343ef62b0256317e174bb953dba4dba41da80f26d9271f6fb"))},
+    **{("spectral-check", tier): (
+        '{"command": "spectral-check", "format": "json", "n": 3, "points": 2000, '
+        f'"rmax": 20.0, "tier": "{tier}"}}', digest) for tier, digest in (
+            ("quick", "fb8f1e8d95173134b2ac4c305ea8c4508a8d1760d89c7aa554bf9695da47cba3"),
+            ("production",
+             "2b471c425dd48d2856ccde5d38f9a043cc8fefa04fa7fbe1a77de57b72fd12d4"))},
+}
+
+
+def test_default_config_of_every_subcommand_is_pinned():
+    # every subcommand, on every tier it takes: rmax has one default, and
+    # no tier or subcommand default restates it
+    takes_tier = {name: "tier" in keys for name, (_, _, keys) in cli.COMMANDS.items()}
+    assert {name for name, _ in DEFAULT_CONFIGS} == set(cli.COMMANDS)
+    for (name, tier), (params, digest) in DEFAULT_CONFIGS.items():
+        assert (tier is not None) == takes_tier[name]
+        cfg = resolve([name] + (["--tier", tier] if tier else []))
+        assert json.dumps(cfg.params_dict(), sort_keys=True) == params
+        assert cfg.digest() == digest
+
+
 @pytest.mark.parametrize("argv, files", (
     (["groundstate"], ("groundstate_n3_p3_lam0.csv", "groundstate_n3_p3_lam0.json")),
     (["spectral-check"], ("spectral_reference.csv", "spectral_report.json")),
@@ -372,6 +439,27 @@ def test_inequalities_nonpositive_rmax_is_usage_error(tmp_path, capsys, rmax):
     argv = ["inequalities", "--rmax", rmax, "--out", str(tmp_path)]
     assert cli.main(argv) == 2
     assert "r_max must be positive" in stderr_payload(capsys)["error"]
+
+
+@pytest.mark.parametrize("argv, error", (
+    (["inequalities", "--n", "4"], "unsupported dimension n=4; supported: (2, 3)"),
+    # sinh^2(r) overflows near r = 355
+    (["groundstate", "--n", "3", "--lambda", "0.5", "--rmax", "400", "--points", "8000"],
+     "r_max=400.0 overflows the volume density sinh^2(r)"),
+), ids=("inequalities_n4", "groundstate_rmax400"))
+def test_module_entry_point_usage_error(tmp_path, argv, error):
+    # python -m hypnls.expcli: exit 2, one JSON line on stderr and no file
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypnls.expcli", *argv, "--out", str(out)],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [json.dumps({"error": error, "code": 2})]
+    assert os.listdir(tmp_path) == []
 
 
 def test_mass_curve_supercritical_gate(tmp_path, capsys):
@@ -546,7 +634,7 @@ def test_dichotomy_report_rows_match_first_records(tmp_path):
     argv = ["dichotomy", "--lambda", "0.3", "--alpha", "0.9", "--alpha", "1.1",
             "--horizon", "0.05", "--out", out]
     assert cli.main(argv) == 0
-    gs = gsmod.solve_ground_state(3, 3.0, 0.3, build_grid(3, 20.0, 2000))
+    gs = gsmod.solve_ground_state(3.0, 0.3, build_grid(3, 20.0, 2000))
     payload = read_json(tmp_path / "dichotomy_report.json")
     assert [row["delta_sign"] for row in payload["rows"]] == ["-", "+"]
     for row, fname in zip(payload["rows"], payload["row_files"]):
@@ -675,7 +763,7 @@ def test_plotdata_kinds_and_errors(tmp_path, capsys):
     assert cli.main(["groundstate", "--out", out]) == 0
     profile_csv = str(tmp_path / "groundstate_n3_p3_lam0.csv")
 
-    assert cli.main(["plotdata", profile_csv, "--kind", "profile", "--out", out]) == 0
+    assert cli.main(["plotdata", profile_csv, "--out", out]) == 0
     d, header, rows = cli.read_csv(
         str(tmp_path / "groundstate_n3_p3_lam0_plotdata.csv")
     )
@@ -683,37 +771,57 @@ def test_plotdata_kinds_and_errors(tmp_path, capsys):
     assert {r[0] for r in rows} == {"Q"}
     assert len(rows) == 2000
 
-    # header must match the declared kind
-    assert cli.main(
-        ["plotdata", profile_csv, "--kind", "diagnostics", "--out", out]
-    ) == 2
-    assert cli.main(["plotdata", profile_csv, "--kind", "waterfall"]) == 2
+    # the header is the layout: no flag restates it, and a header that is
+    # none of the layouts is a usage error that names them
+    assert cli.main(["plotdata", profile_csv, "--kind", "profile"]) == 2
     assert stderr_payload(capsys)["code"] == 2
-    assert cli.main(["plotdata", str(tmp_path / "absent.csv"), "--kind", "profile"]) == 2
+    unknown = tmp_path / "unknown.csv"
+    unknown.write_text("# config_digest=abc\nr,P\n1.0,2.0\n")
+    assert cli.main(["plotdata", str(unknown), "--out", out]) == 2
+    assert stderr_payload(capsys) == {
+        "code": 2,
+        "error": f"{unknown}: the header is none of the layouts "
+                 "diagnostics, profile, spectrum",
+    }
+    assert not (tmp_path / "unknown_plotdata.csv").exists()
+    assert cli.main(["plotdata", str(tmp_path / "absent.csv")]) == 2
 
     naked = tmp_path / "naked.csv"
     naked.write_text("r,Q\n1.0,2.0\n")
-    assert cli.main(["plotdata", str(naked), "--kind", "profile"]) == 2
+    assert cli.main(["plotdata", str(naked)]) == 2
     assert "missing config digest" in stderr_payload(capsys)["error"]
 
     headless = tmp_path / "headless.csv"
     headless.write_text("# config_digest=abc\n")
-    assert cli.main(["plotdata", str(headless), "--kind", "profile"]) == 2
+    assert cli.main(["plotdata", str(headless)]) == 2
     assert stderr_payload(capsys)["error"] == f"{headless}: missing header row"
 
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("# config_digest=abc\nr,Q\n1.0,2.0\n3.0\n")
-    assert cli.main(["plotdata", str(ragged), "--kind", "profile"]) == 2
+    assert cli.main(["plotdata", str(ragged)]) == 2
     assert stderr_payload(capsys) == {
         "code": 2, "error": f"{ragged}: data row 2 does not match the header",
     }
+
+
+def test_plotdata_reads_each_layout_off_its_header(tmp_path):
+    layouts = list(cli.PLOT_HEADERS.values())
+    assert all(a != b for k, a in enumerate(layouts) for b in layouts[k + 1:])
+    for kind, header in cli.PLOT_HEADERS.items():
+        source = tmp_path / f"{kind}.csv"
+        cli.write_csv(str(source), "abc", header, [range(len(header))])
+        assert cli.main(["plotdata", str(source), "--out", str(tmp_path)]) == 0
+        rows = cli.read_csv(str(tmp_path / f"{kind}_plotdata.csv"))[2]
+        # a diagnostics file counts its first column, t, as a series too
+        first = 0 if kind == "diagnostics" else 1
+        assert [r[0] for r in rows] == header[first:]
 
 
 def test_plotdata_diagnostics_yields_twelve_series(tmp_path):
     out = str(tmp_path)
     assert cli.main(["dichotomy", "--alpha", "1.5", "--out", out]) == 0
     diag_csv = str(tmp_path / "dichotomy_alpha1.5_fwd.csv")
-    assert cli.main(["plotdata", diag_csv, "--kind", "diagnostics", "--out", out]) == 0
+    assert cli.main(["plotdata", diag_csv, "--out", out]) == 0
     d, header, rows = cli.read_csv(
         str(tmp_path / "dichotomy_alpha1.5_fwd_plotdata.csv")
     )

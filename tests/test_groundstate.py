@@ -36,19 +36,15 @@ def test_far_field_rate():
 
 def test_admissibility_guards(grid3, grid2):
     with pytest.raises(gsm.NoGroundState):
-        gsm.solve_ground_state(3, 3.0, 1.0, grid3)
+        gsm.solve_ground_state(3.0, 1.0, grid3)
     with pytest.raises(gsm.NoGroundState):
-        gsm.solve_ground_state(3, 3.0, 1.7, grid3)
+        gsm.solve_ground_state(3.0, 1.7, grid3)
     with pytest.raises(ValueError):
-        gsm.solve_ground_state(3, 5.0, 0.0, grid3)
+        gsm.solve_ground_state(5.0, 0.0, grid3)
     with pytest.raises(ValueError):
-        gsm.solve_ground_state(3, 1.0, 0.0, grid3)
+        gsm.solve_ground_state(1.0, 0.0, grid3)
     with pytest.raises(ValueError, match="n=2 requires p > 1"):
-        gsm.solve_ground_state(2, 1.0, 0.0, grid2)
-    with pytest.raises(ValueError, match="unsupported dimension n=4"):
-        gsm.solve_ground_state(4, 3.0, 0.0, grid3)
-    with pytest.raises(fn.ParameterMismatch, match="grid dimension"):
-        gsm.solve_ground_state(2, 3.0, 0.0, grid3)
+        gsm.solve_ground_state(1.0, 0.0, grid2)
 
 
 @pytest.mark.parametrize("p, lam, error", [
@@ -63,16 +59,16 @@ def test_shooting_without_a_bracket_is_a_solver_failure(p, lam, error):
     # above it.
     grid = hg.build_grid(3, 20.0, 300)
     with pytest.raises(gsm.ShootingFailure, match=error):
-        gsm.solve_ground_state(3, p, lam, grid)
+        gsm.solve_ground_state(p, lam, grid)
 
 
 def test_q0_against_independent_solver(grid3, grid2, gs3_zero, gs3_half, gs2_zero):
     solved = {
         (3, 3.0, 0.0): gs3_zero,
         (3, 3.0, 0.5): gs3_half,
-        (3, 3.0, 0.9): gsm.solve_ground_state(3, 3.0, 0.9, grid3),
+        (3, 3.0, 0.9): gsm.solve_ground_state(3.0, 0.9, grid3),
         (2, 3.0, 0.0): gs2_zero,
-        (2, 3.0, 0.2): gsm.solve_ground_state(2, 3.0, 0.2, grid2),
+        (2, 3.0, 0.2): gsm.solve_ground_state(3.0, 0.2, grid2),
     }
     for key, oracle in Q0_ORACLE.items():
         gs = solved[key]
@@ -86,14 +82,14 @@ def test_q0_refinement_toward_oracle():
     errs = []
     for num in (1000, 2000):
         grid = hg.build_grid(3, 20.0, num)
-        errs.append(abs(gsm.solve_ground_state(3, 3.0, 0.5, grid).q0 - oracle))
+        errs.append(abs(gsm.solve_ground_state(3.0, 0.5, grid).q0 - oracle))
     assert errs[1] < 0.5 * errs[0]
 
 
 def test_q0_converges_at_fourth_order():
     # self-convergence over three grids: RK4 reads (n-1) coth(r) at each
     # step's start, midpoint and end
-    q0 = [gsm.solve_ground_state(3, 3.0, 0.5, hg.build_grid(3, 20.0, num)).q0
+    q0 = [gsm.solve_ground_state(3.0, 0.5, hg.build_grid(3, 20.0, num)).q0
           for num in (1000, 2000, 4000)]
     assert math.log2(abs(q0[0] - q0[1]) / abs(q0[1] - q0[2])) >= 3.5
 
@@ -131,10 +127,10 @@ def test_verify_identities_matches_stored(gs3_half):
 
 def test_shooting_classifier_bracket(grid3):
     # q0 for lambda = 0.5 is ~3.77: smaller amplitudes decay, larger cross
-    assert gsm.shooting_classifier(3, 3.0, 0.5, 2.0, grid3) == 1
-    assert gsm.shooting_classifier(3, 3.0, 0.5, 5.0, grid3) == -1
+    assert gsm.shooting_classifier(3.0, 0.5, 2.0, grid3) == 1
+    assert gsm.shooting_classifier(3.0, 0.5, 5.0, grid3) == -1
     scan = [
-        gsm.shooting_classifier(3, 3.0, 0.5, a, grid3) for a in (2.0, 3.0, 4.0, 5.0)
+        gsm.shooting_classifier(3.0, 0.5, a, grid3) for a in (2.0, 3.0, 4.0, 5.0)
     ]
     assert scan == [1, 1, -1, -1]
 
@@ -163,13 +159,13 @@ def test_unmatched_shot_is_extended_from_the_node_before_its_stop(
         return out
 
     monkeypatch.setattr(gsm, "_integrate", recording)
-    gs = gsm.solve_ground_state(n, 3.0, lam, grid)
+    gs = gsm.solve_ground_state(3.0, lam, grid)
     ((got, stop, prof),) = shots
     assert got == event
     assert np.min(prof[: stop + 1]) >= gsm.MATCH_LEVEL * gs.q0
     # the polish starts from the shot up to the node before the stop and the
     # linear far field beyond it, and certifies a positive ground state
-    start = gsm._far_field_extension(prof, stop - 1, n, lam, grid)
+    start = gsm._far_field_extension(prof, stop - 1, lam, grid)
     polished = gsm._newton_polish(start, lam, grid, 3.0)[0]
     assert np.max(np.abs(gs.profile - polished)) <= gsm.TAIL_SPLICE_LEVEL * gs.q0
     assert np.all(gs.profile > 0.0)
@@ -179,16 +175,14 @@ def test_unmatched_shot_is_extended_from_the_node_before_its_stop(
 
 def test_mass_curve_guards(grid3, grid2):
     with pytest.raises(ValueError):
-        gsm.mass_constrained_minimize(1.0, 3, 3.0, grid3)  # p >= 1 + 4/n
+        gsm.mass_constrained_minimize(1.0, 3.0, grid3)  # p >= 1 + 4/n
     for alpha in (0.0, -1.0):
         with pytest.raises(ValueError):
-            gsm.mass_constrained_minimize(alpha, 3, 2.0, grid3)
-    with pytest.raises(fn.ParameterMismatch):
-        gsm.mass_constrained_minimize(1.0, 3, 2.0, grid2)
+            gsm.mass_constrained_minimize(alpha, 2.0, grid3)
 
 
 def test_mass_curve_small_mass_vanishes(grid3):
-    pt = gsm.mass_constrained_minimize(0.5, 3, 2.0, grid3)
+    pt = gsm.mass_constrained_minimize(0.5, 2.0, grid3)
     assert pt.e_alpha == 0.0
     assert pt.minimizer is None
     assert pt.lagrange_lambda is None
@@ -196,7 +190,7 @@ def test_mass_curve_small_mass_vanishes(grid3):
 
 
 def test_mass_curve_negative_branch(grid3):
-    points = [gsm.mass_constrained_minimize(alpha, 3, 2.0, grid3) for alpha in (13.0, 16.0)]
+    points = [gsm.mass_constrained_minimize(alpha, 2.0, grid3) for alpha in (13.0, 16.0)]
     for alpha, pt in zip((13.0, 16.0), points):
         assert pt.e_alpha < 0.0
         assert pt.minimizer is not None
@@ -208,7 +202,7 @@ def test_mass_curve_negative_branch(grid3):
     # the minimizer is the shooting ground state at its own lambda: the
     # positive solution is unique
     q = points[0].minimizer.values.real
-    shot = gsm.solve_ground_state(3, 2.0, points[0].lagrange_lambda, grid3).profile
+    shot = gsm.solve_ground_state(2.0, points[0].lagrange_lambda, grid3).profile
     assert np.max(np.abs(shot - q)) < 1e-10 * np.max(q)
 
 
@@ -239,12 +233,13 @@ def test_unresolved_mass_curve_is_a_solver_failure(argv, error, tmp_path, capsys
 STEP_RADII = (0.5, 1.0, 1.5)
 
 
-def _reference_integrate(n, p, lam, a, grid):
+def _reference_integrate(p, lam, a, grid):
     """RK4 through a right-hand-side function, one call per stage, with
     (n-1) coth formed at each step's radii and run until the shot crosses,
     turns or reaches r_max.
 
     Returns (event, stop, profile, slope, overflowed)."""
+    n = grid.n
     h = grid.dr
     n_pts = grid.num_points
     steps = np.arange(n_pts - 1)
@@ -301,23 +296,23 @@ def test_integrate_bit_identical_to_reference_rk4(
     n, lam, amp, event, overflow, grid3, grid2
 ):
     grid = grid3 if n == 3 else grid2
-    ref = _reference_integrate(n, 3.0, lam, amp, grid)
+    ref = _reference_integrate(3.0, lam, amp, grid)
     assert ref[0] == event and ref[4] == overflow
-    got = gsm._integrate(n, 3.0, lam, amp, grid, record=True)
+    got = gsm._integrate(3.0, lam, amp, grid, record=True)
     assert got[:2] == ref[:2]
     stop = ref[1]
     assert got[2][: stop + 1].tobytes() == ref[2][: stop + 1].tobytes()
     # where the full shot runs to r_max, the unrecorded one stops no later
     # as 'rising', which classifies the same
-    got, stop = gsm._integrate(n, 3.0, lam, amp, grid)[:2]
+    got, stop = gsm._integrate(3.0, lam, amp, grid)[:2]
     if event == "none":
         assert got == "rising" and stop <= ref[1]
     else:
         assert (got, stop) == ref[:2]
 
 
-def _full_length(n, p, lam, a, grid, record=False):
-    return _reference_integrate(n, p, lam, a, grid)[:3]
+def _full_length(p, lam, a, grid, record=False):
+    return _reference_integrate(p, lam, a, grid)[:3]
 
 
 # criterion 1's ground states, and the shots of UNMATCHED_SHOTS
@@ -336,9 +331,9 @@ def test_rising_verdict_keeps_every_ground_state(n, lam, r_max, points, monkeypa
     # every shot run to its crossing, turn or r_max gives the same bisection,
     # so the same q0 and the same profile to the last bit
     grid = hg.build_grid(n, r_max, points)
-    gs = gsm.solve_ground_state(n, 3.0, lam, grid)
+    gs = gsm.solve_ground_state(3.0, lam, grid)
     monkeypatch.setattr(gsm, "_integrate", _full_length)
-    full = gsm.solve_ground_state(n, 3.0, lam, grid)
+    full = gsm.solve_ground_state(3.0, lam, grid)
     assert full.q0 == gs.q0
     assert full.profile.tobytes() == gs.profile.tobytes()
 
@@ -369,7 +364,7 @@ def _polish_converged(q, lam, alpha, grid, p):
 def test_constrained_polish_returns_only_converged_states(alpha, grid3):
     # starts around Q_0 rescaled to the mass and around the minimizer, each
     # scaled and with lambda off by 1: some converge and some are refused
-    pt = gsm.mass_constrained_minimize(alpha, 3, 2.0, grid3)
+    pt = gsm.mass_constrained_minimize(alpha, 2.0, grid3)
     q0 = gsm._branch_start(grid3, 2.0).profile
     bases = ((q0 * alpha / math.sqrt(np.dot(q0 * q0, grid3.vol_weights)), 0.0),
              (pt.minimizer.values.real, pt.lagrange_lambda))
@@ -389,7 +384,7 @@ def test_bordered_polish_refuses_the_other_branch(grid3):
     # rises after: <L+^-1 Q, Q> = (dM/dlambda)/2 changes sign there, and the
     # mass row takes no step on the side where it is positive
     for lam, on_branch in ((0.9, True), (0.95, False)):
-        q = gsm.solve_ground_state(3, 2.0, lam, grid3).profile
+        q = gsm.solve_ground_state(2.0, lam, grid3).profile
         alpha = math.sqrt(np.dot(q * q, grid3.vol_weights))
         for factor in (0.999, 1.001):
             out = gsm._newton_polish(q, lam, grid3, 2.0, factor * alpha)
@@ -398,7 +393,7 @@ def test_bordered_polish_refuses_the_other_branch(grid3):
 
 @pytest.fixture(scope="module")
 def point_12(grid3):
-    return gsm.mass_constrained_minimize(ALPHA_12, 3, 2.0, grid3)
+    return gsm.mass_constrained_minimize(ALPHA_12, 2.0, grid3)
 
 
 def _flip_laplacian(monkeypatch):
@@ -449,14 +444,14 @@ def test_ground_state_polish_converges_in_few_steps(grid2, monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(gsm, "solve_banded", counting)
-    gsm.solve_ground_state(2, 3.0, 0.0, grid2)
+    gsm.solve_ground_state(3.0, 0.0, grid2)
     assert calls[0] <= 4
 
 
 def test_unconverged_polish_is_a_solver_failure(grid3, monkeypatch, tmp_path, capsys):
     _flip_laplacian(monkeypatch)
     with pytest.raises(gsm.ShootingFailure, match="did not converge"):
-        gsm.solve_ground_state(3, 3.0, 0.5, grid3)
+        gsm.solve_ground_state(3.0, 0.5, grid3)
     assert cli.main(["groundstate", "--lambda", "0.5", "--out", str(tmp_path)]) == 3
     (line,) = capsys.readouterr().err.strip().splitlines()
     assert json.loads(line)["code"] == 3
@@ -467,8 +462,8 @@ def test_mass_curve_reads_the_flow_values_off_the_branch(point_12, grid2, grid3)
     # Q_0 (n = 3, p = 2) has mass 150.8, one step below 12.86^2
     assert point_12.iterations == 1
     points = [(point_12, E_ALPHA_12),
-              (gsm.mass_constrained_minimize(20.0, 3, 2.0, grid3), E_ALPHA_20),
-              (gsm.mass_constrained_minimize(ALPHA_12, 2, 2.5, grid2), E_ALPHA_12_H2)]
+              (gsm.mass_constrained_minimize(20.0, 2.0, grid3), E_ALPHA_20),
+              (gsm.mass_constrained_minimize(ALPHA_12, 2.5, grid2), E_ALPHA_12_H2)]
     for pt, e_alpha in points:
         assert abs(pt.e_alpha - e_alpha) < 1e-10 * abs(e_alpha)
         assert pt.el_residual < 1e-4

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,17 @@ def test_build_grid_validation():
         hg.build_grid(3, -1.0, 100)
     with pytest.raises(ValueError):
         hg.build_grid(3, 20.0, 8)
+    # an r_max at which sinh^{n-1}, at the nodes, the edges or times
+    # the cell measure, overflows is refused, and without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, r_max, points in ((3, 356.0, 16), (3, 400.0, 8000), (2, 711.0, 16)):
+            with pytest.raises(ValueError, match="overflows the volume density"):
+                hg.build_grid(n, r_max, points)
+        for n, r_max in ((3, 350.0), (2, 700.0)):
+            grid = hg.build_grid(n, r_max, 8000)
+            assert all(np.isfinite(a).all()
+                       for a in (grid.node_density, grid.edge_density, grid.vol_weights))
 
 
 def test_quadrature_closed_forms(grid3, grid2):
@@ -235,7 +247,7 @@ def test_solve_banded_is_scipy_gtsv(num, kind):
         assert np.array_equal(before, after)
 
 
-def test_solve_banded_failures():
+def test_solve_banded_failures(monkeypatch):
     dl, d, du, rhs = _random_tridiagonal(64, "real", 17)
     zero_pivot = d.copy()
     zero_pivot[5] = 0.0
@@ -245,6 +257,15 @@ def test_solve_banded_failures():
     bad_rhs[10] = np.nan
     with pytest.raises(ValueError):
         hg.solve_banded(dl, d, du, bad_rhs)
+
+    def refusing(dl, d, du, rhs):
+        # gtsv refusing its third argument: info < 0
+        return dl, d, du, rhs, -3
+
+    monkeypatch.setattr(hg, "_GTSV", (refusing, refusing))
+    with pytest.raises(ValueError, match="illegal value in argument 3 of gtsv") as info:
+        hg.solve_banded(dl, d, du, rhs)
+    assert not isinstance(info.value, np.linalg.LinAlgError)
 
 
 def _fresh_python(code: str) -> str:
@@ -360,7 +381,7 @@ def test_cached_weights_memoized(grid3):
         gsm._damping_lattice,
     )
     tables = [build(grid) for build in builders]
-    gsm.shooting_classifier(3, 3.0, 0.0, 1.0, grid)
+    gsm.shooting_classifier(3.0, 0.0, 1.0, grid)
     field_names = {f.name for f in dataclasses.fields(grid)}
     assert set(vars(grid)) - field_names == {"_tables"}
     assert fn.localized_weights(grid, 8) is fn.localized_weights(grid, 8.0)
