@@ -90,7 +90,6 @@ class IntegratorConfig:
 class RunOutcome:
     status: str                 # completed | blowup | inner_solve_failure
     t_stop: float               # horizon, t_star, or failure time
-    h1_at_stop: float
     series: List[fn.DiagnosticsRecord]
     final_state: Optional[fn.RadialField] = None
     blowup_reason: Optional[str] = None
@@ -218,9 +217,9 @@ def evolve_run(
     - ("inner_solve_failure", None): a solve hit a zero pivot or a
       non-finite state.
     In each, final_state is the last accepted state at the loop's time t,
-    h1_at_stop is its H^1 norm, and the final record holds it at t_stop
-    (a record already there is not repeated). t_stop = t except after a
-    threshold crossing, where t_stop falls inside the last step.
+    and the final record holds it at t_stop (a record already there is not
+    repeated). t_stop = t except after a threshold crossing, where t_stop
+    falls inside the last step.
 
     The run steps in the rotating frame v = e^{i lam t} u (the operator
     picks up the shift lam), where stationary profiles are fixed points.
@@ -232,7 +231,8 @@ def evolve_run(
     if not math.isfinite(T):
         raise ValueError("horizon must be finite")
     grid = u0.grid
-    if u0.boundary_deviation() > 1e-6:
+    modulus = np.abs(u0.values)
+    if modulus[-1] > 1e-6 * np.max(modulus):
         raise ValueError(
             "initial datum is not Dirichlet-admissible on this grid "
             "(boundary amplitude above 1e-6 of the field maximum)"
@@ -286,7 +286,6 @@ def evolve_run(
                 frac = math.log(threshold / h1_prev) / math.log(h1_new / h1_prev)
                 status, t_stop, reason = (
                     "blowup", t - step_dt + frac * step_dt, "h1_threshold")
-                h1_prev = h1_new
                 break
             if t >= next_rec - 1e-9 * interval and t < T - eps:
                 emit(t)
@@ -308,7 +307,6 @@ def evolve_run(
     return RunOutcome(
         status=status,
         t_stop=t_stop,
-        h1_at_stop=math.sqrt(h1_prev),
         series=series,
         final_state=fn.RadialField(grid=grid, values=frame(t)),
         blowup_reason=reason,

@@ -306,7 +306,12 @@ def _numtag(x: float) -> str:
 def cmd_groundstate(cfg: ExperimentConfig) -> dict:
     grid = build_grid(cfg.n, cfg.rmax, cfg.points)
     gs = gsmod.solve_ground_state(cfg.p, cfg.lam, grid)
-    ids = gsmod.verify_identities(gs)
+    kappa = gsmod.far_field_rate(cfg.n, cfg.lam)
+    # the far-field log-slope of the profile over [r_max/2, 3 r_max/4]
+    r = grid.nodes
+    lo = int(np.searchsorted(r, grid.r_max / 2.0))
+    hi = int(np.searchsorted(r, 0.75 * grid.r_max))
+    slope = np.polyfit(r[lo:hi], np.log(gs.profile[lo:hi]), 1)[0]
     tag = f"n{cfg.n}_p{_numtag(cfg.p)}_lam{_numtag(cfg.lam)}"
 
     # uniqueness window of the sub-threshold theory
@@ -318,9 +323,9 @@ def cmd_groundstate(cfg: ExperimentConfig) -> dict:
         "lp1": gs.lp1,
         "elam": gs.elam,
         "dlam": gs.dlam,
-        "far_field_rate": gsmod.far_field_rate(cfg.n, cfg.lam),
+        "far_field_rate": kappa,
         "residuals": {k: float(v) for k, v in gs.residuals.items()},
-        "logslope_dev": float(ids["logslope_dev"]),
+        "logslope_dev": float(abs(slope + kappa) / kappa),
         "uniqueness_regime": bool(uniqueness),
         "passed": bool(
             gs.residuals["pohozaev"] < 1e-5
@@ -337,10 +342,6 @@ def cmd_groundstate(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 # dichotomy
 # ---------------------------------------------------------------------------
-
-def _theorem_range(n: int, p: float) -> bool:
-    return (n == 2 and p >= 3) or (n == 3 and 7.0 / 3.0 <= p < 5)
-
 
 def dichotomy_row(gs, alpha: float, dt: float, horizon: float):
     """The forward run of alpha * Q and its report row: (row, RunOutcome)."""
@@ -369,7 +370,7 @@ def dichotomy_row(gs, alpha: float, dt: float, horizon: float):
 
 
 def cmd_dichotomy(cfg: ExperimentConfig) -> dict:
-    if not _theorem_range(cfg.n, cfg.p):
+    if not ((cfg.n == 2 and cfg.p >= 3) or (cfg.n == 3 and 7.0 / 3.0 <= cfg.p < 5)):
         sys.stderr.write(
             f"warning: (n, p) = ({cfg.n}, {cfg.p}) is outside the dichotomy "
             "range (n=2, p>=3 or n=3, 7/3<=p<5); running anyway\n"
@@ -462,8 +463,8 @@ def cmd_virial_check(cfg: ExperimentConfig) -> dict:
 
 def inequality_scan(n: int, p: float, r_max: float) -> dict:
     """The pointwise weight scans, by name in report order: the quartic F on
-    (0, 20], the P_m coefficients at the critical power 1 + 4/n and at p,
-    and W1 on a 1e-4 lattice over [1e-6, r_max] and at r_max."""
+    (0, 20], the P_m coefficient on [1e-4, 20] at the critical power 1 + 4/n
+    and at p, and W1 on a 1e-4 lattice over [1e-6, r_max] and at r_max."""
     if n not in SUPPORTED_DIMENSIONS:
         raise ValueError(f"unsupported dimension n={n}; supported: {SUPPORTED_DIMENSIONS}")
     if not r_max > 0:
@@ -471,12 +472,15 @@ def inequality_scan(n: int, p: float, r_max: float) -> dict:
     r_grid = np.linspace(20.0 / 100000, 20.0, 100000)
     quartic = fn.quartic_values(n, r_grid)
     k = int(np.argmin(quartic))
+    pm_grid = np.linspace(1e-4, 20.0, 100001)
+    pm_crit, pm_p = (float(np.min(fn.pm_coefficient_values(n, q, pm_grid)))
+                     for q in (1.0 + 4.0 / n, p))
     w1_vals = w1_weight(np.linspace(1e-6, r_max, round(r_max / 1e-4) + 1))
     return {
         "quartic_min": float(quartic[k]),
         "quartic_argmin": float(r_grid[k]),
-        "pm_min_at_critical_p": fn.pm_coefficient_positivity(n, 1.0 + 4.0 / n),
-        "pm_min_at_p": fn.pm_coefficient_positivity(n, p),
+        "pm_min_at_critical_p": pm_crit,
+        "pm_min_at_p": pm_p,
         "w1_max": float(np.max(w1_vals)),
         "w1_tail": float(w1_weight(np.array([r_max]))[0]),
     }

@@ -7,7 +7,7 @@ functional G, the second moment and the localized virial at
 LOC_VIRIAL_RADIUS. The module also holds the localized virial with weight
 h_R = R^2 phi(r/R) at any R, sign/trapping detectors read off a series of
 records, and the two closed-form radial inequalities the virial analysis
-rests on (quartic_values, and the scan pm_coefficient_positivity).
+rests on (quartic_values and pm_coefficient_values).
 
 Conventions. For u radial on H^n:
 
@@ -59,13 +59,6 @@ class RadialField:
             raise ValueError("values length does not match grid")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
-
-    def boundary_deviation(self) -> float:
-        """|u| at the last node relative to max |u| (Dirichlet diagnostic)."""
-        amax = float(np.max(np.abs(self.values)))
-        if amax == 0.0:
-            return 0.0
-        return float(np.abs(self.values[-1])) / amax
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +127,13 @@ def localized_weights(grid: RadialGrid, R: float):
     r = grid.nodes
     s = r / R
 
-    w = cached_weights(grid)
+    w1, w2 = cached_weights(grid)
     inside = s <= 1.0
     bridge = (s > 1.0) & (s < 2.0)
 
     # Lap r^2 = 2 w2 and Lap^2 r^2 = 2(n-1)^2 - 2(n-1)(n-3) W1
-    lap_h = np.where(inside, 2.0 * w.w2, 0.0)
-    bilap_h = np.where(inside, 2.0 * (n - 1) ** 2 - 2.0 * (n - 1) * (n - 3) * w.w1, 0.0)
+    lap_h = np.where(inside, 2.0 * w2, 0.0)
+    bilap_h = np.where(inside, 2.0 * (n - 1) ** 2 - 2.0 * (n - 1) * (n - 3) * w1, 0.0)
     if np.any(bridge):
         rb = np.where(bridge, r, 2.0 * R)
         sb = rb / R
@@ -244,11 +237,11 @@ def compute_diagnostics(
     lp1 = float(quadrature(up1, grid))
     h_sq = grad - spectrum_bottom(n) * m
     hl = grad - lam * m
-    w = cached_weights(grid)
+    w1, w2 = cached_weights(grid)
     g = 8.0 * h_sq
     if n != 3:
-        g += 2.0 * (n - 1) * (n - 3) * float(quadrature(usq * w.w1, grid))
-    g -= (4.0 * (p - 1.0) / (p + 1.0)) * float(quadrature(up1 * w.w2, grid))
+        g += 2.0 * (n - 1) * (n - 3) * float(quadrature(usq * w1, grid))
+    g -= (4.0 * (p - 1.0) / (p + 1.0)) * float(quadrature(up1 * w2, grid))
     return DiagnosticsRecord(
         t=t,
         mass=m,
@@ -354,8 +347,8 @@ def quartic_values(n: int, r_grid) -> np.ndarray:
     ).astype(float)
 
 
-def pm_coefficient_positivity(n: int, p: float, r_grid=None) -> float:
-    """Minimum of the nonlinear-term coefficient of the weighted virial bound.
+def pm_coefficient_values(n: int, p: float, r) -> np.ndarray:
+    """The nonlinear-term coefficient of the weighted virial bound at r.
 
     coefficient(r) = (n-1) (r/sinh r)^2 ((p-1)(n-1) cosh^2 r + 2)
                      + 2 (n-1)(p-4) r coth r + p - 5
@@ -363,14 +356,13 @@ def pm_coefficient_positivity(n: int, p: float, r_grid=None) -> float:
     Nonnegative exactly when p >= 1 + 4/n. Its value at the origin is
     n (n (p-1) - 4), so at the border the minimum is an O(r^4) zero there.
     At n = 3 the float 1 + 4/3 rounds to 7/3 - 2.96e-16, where that value
-    is -2.66e-15: the scan's -2.6e-15 at r = 1e-4 is the true coefficient of
-    the rounded exponent (to about 1e-18), not cancellation error, and no
-    series branch can make it nonnegative. Callers absorb the rounded
+    is -2.66e-15: the -2.6e-15 at r = 1e-4, the minimum on the lattice of
+    expcli.inequality_scan, is the true coefficient of the rounded exponent
+    (to about 1e-18), not cancellation error, and no series branch can make
+    it nonnegative. Callers absorb the rounded
     exponent with a -1e-12 floor.
     """
-    if r_grid is None:
-        r_grid = np.linspace(1e-4, 20.0, 100001)
-    r = np.asarray(r_grid, dtype=np.longdouble)
+    r = np.asarray(r, dtype=np.longdouble)
     sh = np.sinh(r)
     ch = np.cosh(r)
     ratio = np.where(r > 0, r / np.where(sh == 0, 1.0, sh), 1.0)
@@ -380,4 +372,4 @@ def pm_coefficient_positivity(n: int, p: float, r_grid=None) -> float:
         + p
         - 5.0
     )
-    return float(np.min(vals.astype(float)))
+    return vals.astype(float)

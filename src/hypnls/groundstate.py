@@ -24,7 +24,7 @@ Newton solve with a mass row (see mass_constrained_minimize).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -265,7 +265,7 @@ class GroundState:
     lp1: float
     elam: float
     dlam: float
-    residuals: dict = field(default_factory=dict)
+    residuals: dict
 
     def field_on_grid(self) -> fn.RadialField:
         return fn.RadialField(grid=self.grid, values=self.profile.astype(complex))
@@ -329,48 +329,27 @@ def solve_ground_state(p: float, lam: float, grid: RadialGrid) -> GroundState:
     if deep.size:
         profile = _far_field_extension(profile, int(deep[0]), lam, grid)
 
-    u = fn.RadialField(grid=grid, values=profile)
-    hlam_sq, lp1, elam, residuals = _certificates(u, p, lam)
+    rec = fn.compute_diagnostics(0.0, fn.RadialField(grid=grid, values=profile), p, lam)
+    ratio = (p - 1.0) / (2.0 * (p + 1.0))
     return GroundState(
         p=p,
         lam=lam,
         grid=grid,
         profile=profile,
         q0=q0,
-        hlam_sq=hlam_sq,
-        lp1=lp1,
-        elam=elam,
-        dlam=(lp1 ** (1.0 / (p + 1.0))) ** (1.0 - p),
-        residuals=residuals,
+        hlam_sq=rec.hlam_sq,
+        lp1=rec.lp1,
+        elam=rec.energy_lambda,
+        dlam=(rec.lp1 ** (1.0 / (p + 1.0))) ** (1.0 - p),
+        # the certificates: the Pohozaev gap, the energy-ratio gap and the
+        # virial value, each relative
+        residuals={
+            "pohozaev": abs(rec.hlam_sq - rec.lp1) / rec.hlam_sq,
+            "energy_ratio": abs(rec.energy_lambda - ratio * rec.hlam_sq)
+            / abs(rec.energy_lambda),
+            "g_value": abs(rec.G_value) / rec.hlam_sq,
+        },
     )
-
-
-def _certificates(u: fn.RadialField, p: float, lam: float):
-    """(hlam_sq, lp1, elam, residuals) with the Pohozaev gap, the
-    energy-ratio gap, and the virial value, each relative."""
-    rec = fn.compute_diagnostics(0.0, u, p, lam)
-    ratio = (p - 1.0) / (2.0 * (p + 1.0))
-    residuals = {
-        "pohozaev": abs(rec.hlam_sq - rec.lp1) / rec.hlam_sq,
-        "energy_ratio": abs(rec.energy_lambda - ratio * rec.hlam_sq)
-        / abs(rec.energy_lambda),
-        "g_value": abs(rec.G_value) / rec.hlam_sq,
-    }
-    return rec.hlam_sq, rec.lp1, rec.energy_lambda, residuals
-
-
-def verify_identities(gs: GroundState) -> dict:
-    """The stored certificates gs.residuals (the Pohozaev gap, the
-    energy-ratio gap and the virial value) plus `logslope_dev`, the
-    far-field log-slope deviation from rho + sqrt(rho^2 - lambda).
-    """
-    r = gs.grid.nodes
-    lo = int(np.searchsorted(r, gs.grid.r_max / 2.0))
-    hi = int(np.searchsorted(r, 0.75 * gs.grid.r_max))
-    logq = np.log(gs.profile[lo:hi])
-    slope = np.polyfit(r[lo:hi], logq, 1)[0]
-    kappa = far_field_rate(gs.grid.n, gs.lam)
-    return {**gs.residuals, "logslope_dev": abs(slope + kappa) / kappa}
 
 
 # ---------------------------------------------------------------------------

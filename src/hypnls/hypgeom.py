@@ -166,25 +166,16 @@ def coth(r):
     return np.where(small, _even_series(r, _RCOTH_SERIES) / np.where(small, r, 1.0), direct)
 
 
-@dataclass(eq=False)
-class WeightTable:
-    """Per-node values of the closed-form weights of the virial identities.
-
-    w1 = W1 = (r cosh r - sinh r) / sinh^3 r, and w2 = 1 + (n-1) r coth r,
-    the weight multiplying |u|^{p+1} in the virial functional. The
-    Laplacian of r^2 is 2 w2 and its bi-Laplacian 2(n-1)^2 - 2(n-1)(n-3) W1.
-    """
-
-    w1: np.ndarray
-    w2: np.ndarray
-
-
 @per_grid
-def cached_weights(grid: RadialGrid) -> WeightTable:
-    """The grid's weight table (hot path of diagnostics)."""
-    return WeightTable(
-        w1=w1_weight(grid.nodes), w2=1.0 + (grid.n - 1) * r_coth_r(grid.nodes)
-    )
+def cached_weights(grid: RadialGrid):
+    """(w1, w2) at the nodes, the closed-form weights of the virial
+    identities (hot path of diagnostics): w1 = W1 = (r cosh r - sinh r) /
+    sinh^3 r, and w2 = 1 + (n-1) r coth r, the weight multiplying
+    |u|^{p+1} in the virial functional. The Laplacian of r^2 is 2 w2 and
+    its bi-Laplacian 2(n-1)^2 - 2(n-1)(n-3) W1. Memoized per grid; the
+    returned arrays are read-only.
+    """
+    return w1_weight(grid.nodes), 1.0 + (grid.n - 1) * r_coth_r(grid.nodes)
 
 
 # ---------------------------------------------------------------------------

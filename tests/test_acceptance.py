@@ -290,7 +290,10 @@ def test_criterion_8_spectral(grid3):
 # 9. refinement orders between the tiers
 # ---------------------------------------------------------------------------
 
-Q0_REF = 3.77351213237  # dense-grid extrapolated amplitude, n=3, p=3, lam=0.5
+# the amplitude's limit at n=3, p=3, lam=0.5 on r_max 20: q0 converges at
+# fourth order, so the limit is q16 + (q16 - q8) / 15 from the 8000-point
+# (q8) and 16000-point (q16) solves
+Q0_REF = 3.773512132382405
 
 
 def test_criterion_9_convergence_orders(gs3_half, gs_half_prod, gs3_zero):

@@ -51,6 +51,19 @@ def test_run_guards(grid3, grid2, gs3_zero):
     flat = fn.RadialField(grid=grid3, values=np.ones(grid3.num_points, dtype=complex))
     with pytest.raises(ValueError):
         ev.evolve_run(flat, 1.0, cfg, 3.0, 0.0, None)
+    # a datum is Dirichlet-admissible while its last node is at most 1e-6
+    # of its maximum, and the zero datum is admissible too
+    zero = fn.RadialField(grid=grid3, values=np.zeros(grid3.num_points, dtype=complex))
+    assert ev.evolve_run(zero, 2e-3, cfg, 3.0, 0.0, None).status == "completed"
+    for edge, admissible in ((1e-7, True), (1e-5, False)):
+        values = u.values.copy()
+        values[-1] = edge * np.max(np.abs(values))
+        datum = fn.RadialField(grid=grid3, values=values)
+        if admissible:
+            assert ev.evolve_run(datum, 2e-3, cfg, 3.0, 0.0, None).status == "completed"
+        else:
+            with pytest.raises(ValueError):
+                ev.evolve_run(datum, 2e-3, cfg, 3.0, 0.0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +344,7 @@ def test_supercritical_amplitude_blows_up(gs3_zero):
     assert out.blowup_reason == "h1_threshold"
     assert out.t_star == out.t_stop
     assert 0.0 < out.t_star < 0.2
-    assert out.h1_at_stop >= 10.0 * h1_0
+    assert math.sqrt(out.series[-1].h1_sq) >= 10.0 * h1_0
     # the final record carries the declared stop time
     assert abs(out.series[-1].t - out.t_stop) < 1e-9
     # focusing along the unstable direction keeps delta_lambda positive
@@ -363,7 +376,7 @@ def test_strained_steps_halve_dt_to_the_floor(grid3, monkeypatch):
     assert len(out.series) == 2
     assert out.series[-1].t == out.t_stop
     final = fn.compute_diagnostics(out.t_stop, out.final_state, 3.0, 0.0)
-    assert out.h1_at_stop == math.sqrt(final.h1_sq)
+    assert math.sqrt(out.series[-1].h1_sq) == math.sqrt(final.h1_sq)
 
 
 def test_zero_datum_runs_to_the_horizon(grid3):
@@ -372,7 +385,7 @@ def test_zero_datum_runs_to_the_horizon(grid3):
     out = ev.evolve_run(zero, 0.3, ev.IntegratorConfig(dt=2e-3), 3.0, 0.0, None)
     assert out.status == "completed"
     assert out.t_star is None
-    assert out.h1_at_stop == 0.0
+    assert math.sqrt(out.series[-1].h1_sq) == 0.0
     assert len(out.series) == 4
 
 
@@ -396,9 +409,9 @@ def test_non_finite_solve_stops_the_run(grid3, monkeypatch):
     ("inner_solve_failure", 0.0),
 ])
 def test_stop_bookkeeping(gs3_zero, monkeypatch, kind, lam):
-    # every stop kind: the last record carries t_stop, h1_at_stop is the H^1
-    # of that record's state, and final_state is the state at the loop's t
-    # in the original frame
+    # every stop kind: the last record carries t_stop and the H^1 norm of
+    # the stop state, and final_state is the state at the loop's t in the
+    # original frame
     grid = gs3_zero.grid
     datum = small_gaussian(grid, amp=0.5)
     if kind == "h1_threshold":
@@ -448,9 +461,10 @@ def test_stop_bookkeeping(gs3_zero, monkeypatch, kind, lam):
     assert np.array_equal(records[-1][1], original_frame(out.t_stop))
     assert np.array_equal(out.final_state.values, original_frame(t))
     # at lam = 0 the record's state is the loop's, to the bit
-    h1_record = math.sqrt(out.series[-1].h1_sq)
-    expected = h1_record if lam == 0.0 else pytest.approx(h1_record, rel=1e-12)
-    assert out.h1_at_stop == expected
+    final = fn.compute_diagnostics(out.t_stop, out.final_state, 3.0, lam)
+    h1_final = math.sqrt(final.h1_sq)
+    expected = h1_final if lam == 0.0 else pytest.approx(h1_final, rel=1e-12)
+    assert math.sqrt(out.series[-1].h1_sq) == expected
 
 
 def test_overflowing_solve_is_fatal(grid3):

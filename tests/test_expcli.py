@@ -59,6 +59,7 @@ def test_groundstate_outputs(tmp_path):
     assert payload["params"]["tier"] == "quick"
     assert abs(payload["q0"] - 3.7735) < 1e-2
     assert payload["residuals"]["pohozaev"] < 1e-5
+    assert payload["logslope_dev"] < 1e-3
     # lambda = 0.5 sits above the uniqueness window 2(p+1)/(p+3)^2 = 2/9
     assert payload["uniqueness_regime"] is False
     digest, header, rows = cli.read_csv(

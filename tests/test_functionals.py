@@ -16,6 +16,7 @@ import pytest
 
 import hypnls.functionals as fn
 import hypnls.hypgeom as hg
+from hypnls.expcli import inequality_scan
 
 # mpmath, u = e^{-r^2} on H^3
 GAUSS3 = {
@@ -50,6 +51,8 @@ PM_TABLE = {
     (3, 2.0): {0.25: -3.0805801520816656068225, 1.0: -3.71178899626416669782538,
                3.0: 9.598157135994089296921367},
 }
+# the lattice on which inequality_scan takes the coefficient's minimum
+PM_LATTICE = np.linspace(1e-4, 20.0, 100001)
 # interior minimum of the p = 2, n = 3 coefficient (strictly negative case)
 PM_32_MIN_RADIUS = 1.0886594924826533763
 PM_32_MIN_VALUE = -3.727265010949519204609654
@@ -64,8 +67,10 @@ def gaussian(grid):
 # ---------------------------------------------------------------------------
 
 def test_radial_field_basics(grid3):
-    u = fn.RadialField(grid=grid3, values=np.exp(-grid3.nodes).astype(complex))
-    assert u.boundary_deviation() < 1e-8
+    u = fn.RadialField(grid=grid3, values=list(np.exp(-grid3.nodes)))
+    assert isinstance(u.values, np.ndarray)
+    with pytest.raises(ValueError):
+        fn.RadialField(grid=grid3, values=np.ones(grid3.num_points - 1))
 
 
 def test_radial_field_rejects_nonfinite(grid3):
@@ -269,21 +274,21 @@ def test_quartic_scan_nonnegative():
 def test_pm_coefficient_pointwise():
     for (n, p), table in PM_TABLE.items():
         for r0, expected in table.items():
-            got = fn.pm_coefficient_positivity(n, p, r_grid=np.array([r0]))
+            got = fn.pm_coefficient_values(n, p, np.array([r0]))[0]
             assert abs(got - expected) < 1e-12 * max(1.0, abs(expected))
 
 
 def test_pm_coefficient_critical_exponent():
     # p = 1 + 4/n is the positivity border: nonnegative there, up to the
     # floor that absorbs the rounded exponent 1 + 4/3 ...
-    assert fn.pm_coefficient_positivity(3, 1.0 + 4.0 / 3.0) >= -1e-12
-    assert fn.pm_coefficient_positivity(2, 3.0) >= -1e-12
+    assert np.min(fn.pm_coefficient_values(3, 1.0 + 4.0 / 3.0, PM_LATTICE)) >= -1e-12
+    assert np.min(fn.pm_coefficient_values(2, 3.0, PM_LATTICE)) >= -1e-12
     # ... and genuinely negative below it
-    assert fn.pm_coefficient_positivity(3, 2.0) < -3.7
-    got = fn.pm_coefficient_positivity(3, 2.0, r_grid=np.array([PM_32_MIN_RADIUS]))
+    assert np.min(fn.pm_coefficient_values(3, 2.0, PM_LATTICE)) < -3.7
+    got = fn.pm_coefficient_values(3, 2.0, np.array([PM_32_MIN_RADIUS]))[0]
     assert abs(got - PM_32_MIN_VALUE) < 1e-12
-    # supercritical p on the default grid stays positive
-    assert fn.pm_coefficient_positivity(3, 3.0) > 0.0
+    # supercritical p on the scan lattice stays positive
+    assert np.min(fn.pm_coefficient_values(3, 3.0, PM_LATTICE)) > 0.0
 
 
 def test_pm_coefficient_border_is_the_rounded_exponent():
@@ -293,6 +298,9 @@ def test_pm_coefficient_border_is_the_rounded_exponent():
     n, p, r0 = 3, 1.0 + 4.0 / 3.0, 1e-4
     taylor = n * (n * (p - 1.0) - 4.0)
     assert taylor < 0.0
-    got = fn.pm_coefficient_positivity(n, p, r_grid=np.array([r0]))
+    got = fn.pm_coefficient_values(n, p, np.array([r0]))[0]
     assert abs(got - (taylor + 104.0 / 135.0 * r0**4)) < 1e-17
-    assert fn.pm_coefficient_positivity(n, p) == got
+    # the scan reports the minimum on its lattice, which is that value
+    assert np.min(fn.pm_coefficient_values(n, p, PM_LATTICE)) == got
+    scan = inequality_scan(n, p, 20.0)
+    assert scan["pm_min_at_p"] == scan["pm_min_at_critical_p"] == got

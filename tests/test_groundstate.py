@@ -117,14 +117,6 @@ def test_ground_state_sits_on_its_own_shell(gs3_half):
     assert abs(rec.delta_lambda) < 1e-9 * gs3_half.hlam_sq
 
 
-def test_verify_identities_matches_stored(gs3_half):
-    report = gsm.verify_identities(gs3_half)
-    assert set(report) == {"pohozaev", "energy_ratio", "g_value", "logslope_dev"}
-    for key in ("pohozaev", "energy_ratio", "g_value"):
-        assert report[key] == gs3_half.residuals[key]
-    assert report["logslope_dev"] < 1e-3
-
-
 def test_shooting_classifier_bracket(grid3):
     # q0 for lambda = 0.5 is ~3.77: smaller amplitudes decay, larger cross
     assert gsm.shooting_classifier(3.0, 0.5, 2.0, grid3) == 1

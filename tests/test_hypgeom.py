@@ -353,11 +353,12 @@ def test_coth_series_seam():
 
 
 def test_cached_weights_memoized(grid3):
-    t1 = hg.cached_weights(grid3)
-    t2 = hg.cached_weights(grid3)
-    assert t1 is t2
+    weights = hg.cached_weights(grid3)
+    assert weights is hg.cached_weights(grid3)
+    w1, w2 = weights
     r = grid3.nodes
-    assert np.allclose(t1.w2, 1.0 + 2.0 * hg.r_coth_r(r), rtol=1e-14)
+    assert np.allclose(w1, hg.w1_weight(r), rtol=1e-14)
+    assert np.allclose(w2, 1.0 + 2.0 * hg.r_coth_r(r), rtol=1e-14)
     bands = hg.laplacian_bands(grid3)
     assert bands is hg.laplacian_bands(grid3)
     loc = fn.localized_weights(grid3, 8.0)
@@ -367,7 +368,7 @@ def test_cached_weights_memoized(grid3):
     inside = r <= 8.0
     assert np.allclose(loc[0][inside], 2.0 + 4.0 * hg.r_coth_r(r[inside]), rtol=1e-14)
     assert np.allclose(loc[1][inside], 8.0, rtol=0, atol=1e-12)
-    for arr in bands + loc:
+    for arr in bands + loc + weights:
         with pytest.raises(ValueError):
             arr[0] = 1.0
     # every table built from a fresh grid lives in the grid's one memo dict
@@ -391,7 +392,7 @@ def test_cached_weights_memoized(grid3):
         assert build(grid) is table
         assert build(twin) is not table
     # every ndarray of every shared table is read-only: the bands (3), the
-    # weight table (2), two localized tables (3 each) and the transform (6)
+    # weights (2), two localized tables (3 each) and the transform (6)
     arrays = [
         part
         for table in tables

@@ -1,14 +1,17 @@
 """The invocation list of scripts/output_matrix.py stays valid CLI input
 (the parser may refuse only a usage-error entry), and its committed
-manifest covers the same entries."""
+manifest covers the same entries. So do the command lines of the
+benchmark's workloads (perfbench/workloads.py)."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import hypnls.expcli as cli
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "output_matrix.py"
 MANIFEST = SCRIPT.with_name("output_manifest.txt")
+WORKLOADS = SCRIPT.parent.parent / "perfbench" / "workloads.py"
 
 
 def _matrix():
@@ -35,6 +38,22 @@ def test_output_matrix_entries_parse():
             assert args.input.split("/")[1] in names[:k]
         else:
             cli.resolve_config(args)
+
+
+def test_benchmark_operations_parse(monkeypatch):
+    # a flag cut that would make a benchmark run exit 2 fails here first
+    monkeypatch.syspath_prepend(str(WORKLOADS.parent))  # for its `import checks`
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    operations = [op for name in workloads.WORKLOADS for seed in range(3)
+                  for op in workloads.build(name, seed)]
+    assert len(operations) == 33
+    parser = cli.build_parser()
+    for op in operations:
+        cli.resolve_config(parser.parse_args([*op.argv, "--out", "unused"]))
 
 
 def test_manifest_covers_the_matrix():
