@@ -20,9 +20,10 @@ points, a Gaussian datum 0.5 e^{-r^2} and dt = 2e-3:
   along the ground-state branch, its bordered Newton solves and energy
   records) at p = 2 and alpha = 12.86 (criterion 7's first minimizer),
   with Q_0 already solved and memoized on the grid;
-- undershoot_shot_us: one shot of the shooting bisection
-  (`groundstate.shooting_classifier`) at (1 - 1e-6) times the amplitude
-  q0 of the p = 3, lambda = 0.5 ground state, a shot that does not cross;
+- undershoot_shot_us, overshoot_shot_us: one shot of the shooting
+  bisection (`groundstate.shooting_classifier`) at (1 - 1e-6) and
+  (1 + 1e-6) times the amplitude q0 of the p = 3, lambda = 0.5 ground
+  state, a shot that does not cross and one that does;
 - newton_polish_us: one Newton polish of the ground-state equation at
   fixed lambda (`groundstate._newton_polish`, run to its stop rule) from
   1.001 times the p = 3, lambda = 0.5 ground state;
@@ -104,7 +105,8 @@ def measure(num_points):
     mass_args = (MASS_ALPHA, 2.0, grid)
     gs = groundstate.solve_ground_state(3.0, POLISH_LAMBDA, grid)
     polish_args = (1.001 * gs.profile, POLISH_LAMBDA, grid, 3.0)
-    shot_args = (3.0, POLISH_LAMBDA, (1.0 - 1e-6) * gs.q0, grid)
+    undershoot_args = (3.0, POLISH_LAMBDA, (1.0 - 1e-6) * gs.q0, grid)
+    overshoot_args = (3.0, POLISH_LAMBDA, (1.0 + 1e-6) * gs.q0, grid)
     bump = functionals.RadialField(grid=grid, values=np.exp(-(grid.nodes - 2.0) ** 2))
 
     solve = _time_calls(
@@ -114,7 +116,8 @@ def measure(num_points):
     h1 = _time_calls(h1_monitor)
     record = _time_calls(lambda: functionals.compute_diagnostics(0.0, field, 3.0, 0.0))
     mass_point = _time_calls(lambda: groundstate.mass_constrained_minimize(*mass_args))
-    shot = _time_calls(lambda: groundstate.shooting_classifier(*shot_args))
+    undershoot = _time_calls(lambda: groundstate.shooting_classifier(*undershoot_args))
+    overshoot = _time_calls(lambda: groundstate.shooting_classifier(*overshoot_args))
     polish = _time_calls(lambda: groundstate._newton_polish(*polish_args))
     setup = _time_calls(lambda: spectral.SpectralTransform(grid))
     recon = _time_calls(lambda: spectral.FieldSpectrum(bump).reconstruction_residual())
@@ -125,7 +128,8 @@ def measure(num_points):
         "h1_monitor_us": _quartiles(h1),
         "diagnostics_record_us": _quartiles(record),
         "mass_point_us": _quartiles(mass_point),
-        "undershoot_shot_us": _quartiles(shot),
+        "undershoot_shot_us": _quartiles(undershoot),
+        "overshoot_shot_us": _quartiles(overshoot),
         "newton_polish_us": _quartiles(polish),
         "transform_setup_us": _quartiles(setup),
         "field_spectrum_us": _quartiles(recon),

@@ -8,12 +8,17 @@ The profile is found by shooting on the radial ODE
 
 bisecting the initial amplitude between trajectories that cross zero
 (amplitude too large) and trajectories that fail to decay to zero (too
-small). Each shot ends at one of four events: 'crossed' (Q hit zero),
-'turned' (Q rose), 'rising' (a certificate that Q can no longer cross:
-w = sinh^{(n-1)/2}(r) Q is rising and convex, see _integrate) or 'none'
-(r_max reached); only 'crossed' means too large. The bisection's shots
-stop at 'rising'; the one recorded shot at the bisected amplitude runs on
-to its crossing, turn or r_max. The sampled trajectory is then polished by
+small). Each shot ends at one of five events: 'crossed' (Q hit zero),
+'turned' (Q rose), 'falling' or 'rising' (certificates that Q will or
+cannot cross before r_max) or 'none' (r_max reached); 'crossed' and
+'falling' mean too large. The certificates are two bounds on
+w = sinh^k(r) Q, k = (n-1)/2, at the last node, from the state at the
+current one: with c = sqrt(k^2 - lambda) and z = w' + c w, z' <= c z while
+w > 0, and z' >= c z - M w(r) while w and Q fall, M fixed by the state at
+r; integrating twice bounds w at the last node from above and from below
+by the state at r alone (see _integrate). The bisection's shots stop at a
+certificate; the one recorded shot at the bisected amplitude runs on to
+its crossing, turn or r_max. The sampled trajectory is then polished by
 Newton iteration on the *discrete* stationary system L Q + lambda Q + Q^p = 0
 built from the divergence-form Laplacian, so the integral identities used as
 certificates hold at solver tolerance rather than discretization tolerance.
@@ -92,25 +97,62 @@ def _integrate(p, lam, a, grid: RadialGrid, record=False):
 
     Returns (event, stop_index, profile). The event is one of
     'crossed' (Q hit zero), 'turned' (Q' > 0 with Q > 0, or Q above twice
-    max(a, 1)), 'rising' (a shot that can no longer cross, see below) or
-    'none' (reached r_max still positive and decreasing). profile is only
-    filled when record=True.
+    max(a, 1)), 'falling' (a shot certain to cross before the last node),
+    'rising' (a shot that cannot cross before it turns or reaches r_max) or
+    'none' (reached r_max still positive and decreasing). Only a shot with
+    record=False stops at 'falling' or 'rising'; the recorded shot runs on
+    to its crossing, turn or r_max, and only it fills the profile.
 
-    With k = (n-1)/2, w = sinh^k(r) Q solves w'' = (V - lambda - Q^{p-1}) w,
-    V(r) = k^2 + k(k-1)/sinh^2 r, which is constant for n = 3 and rises to
-    1/4 for n = 2. Once Q > 0, w' = sinh^k (Q' + k coth(r) Q) >= 0 and
-    Q^{p-1} < V - lambda, w is convex and increasing for as long as Q does
-    not rise, so the trajectory can only turn or reach r_max. A shot with
-    record=False stops there as 'rising'; the recorded shot runs on.
+    The two verdicts bound w = sinh^k(r) Q, k = (n-1)/2, at the last node
+    r_last from the state at the node r a step ends on. w solves
+    w'' = (V - lambda - Q^{p-1}) w with V = k^2 + k(k-1)/sinh^2 r, which is
+    constant for n = 3 and rises to 1/4 for n = 2, so V - lambda <= c^2 with
+    c = sqrt(k^2 - lambda). z = w' + c w then solves
+    z' = c z - (k^2 - V + Q^{p-1}) w. Write y = Q' + (k coth r + c) Q, which
+    is z / sinh^k(r), and E(t) = expm1(2c (t - r)).
+
+    - While w > 0, z' <= c z. Integrating z and then w from r to t gives
+      2c e^{c(t-r)} w(t) <= sinh^k(r) (2c Q + y E(t)). So once
+      2c Q + y E(r_last) < 0, w reaches zero before r_last: 'falling'.
+    - While w and Q fall, z' >= c z - M w(r), with M = Q^{p-1} + k^2 - V(r)
+      at r, and in the same way
+      2c e^{c(t-r)} w(t) >= sinh^k(r) (2c Q + (y - M Q / c) E(t)). The bound
+      is linear in E(t), which rises from 0, so when it is positive at
+      r_last it is positive on all of [r, r_last]. If also
+      Q^{p-1} < V - lambda, that stays so while Q falls, so w is convex
+      and rises once it stops falling. Q then cannot cross before it turns
+      or reaches r_max: 'rising'. Where w' >= 0 (y >= c Q) the bound holds
+      by itself, because c^2 - M = V - lambda - Q^{p-1} > 0.
+
+    The verdicts read the exact trajectory through the node's state, which
+    the RK4 trajectory follows to its local error. On the grids tested
+    with c dr below 0.09 they classify every bisection shot as the full
+    RK4 shot does, so q0 and the profile do not change. For n = 3 with
+    c dr near 0.1 or more (lambda <= -100 at dr = 0.01), the local error
+    in z can exceed z next to the separatrix, and q0 can move by a few
+    1e-11 of itself, far inside its discretization error there.
+    Only a shot with y < 0 can be 'falling', and only one with
+    Q^{p-1} < c^2 'rising', so the bounds are formed only past those two
+    cheap tests.
     """
     n = grid.n
     h = grid.dr
     n_pts = grid.num_points
     damping = _damping_lattice(grid)
+    potential = _potential_lattice(grid)
     q, dq = _series_start(n, p, lam, a, 0.5 * h)
     prof = np.empty(n_pts) if record else None
     if record:
         prof[0] = q
+
+    kk = spectrum_bottom(n)  # k^2
+    c = math.sqrt(kk - lam)
+    two_c = 2.0 * c
+    two_c_h = two_c * h
+    pm1 = p - 1.0
+    # Q^{p-1} < c^2 below q_tail = c^{2/(p-1)}, capped short of overflow
+    q_tail = math.exp(min(2.0 * math.log(c) / pm1, 709.0))
+    expm1 = math.expm1
 
     # the right-hand side (Q', -((n-1) coth(r) Q' + lambda Q + |Q|^{p-1} Q))
     # is written out per stage, with the coefficients (n-1) coth(r) read off
@@ -151,19 +193,32 @@ def _integrate(p, lam, a, grid: RadialGrid, record=False):
             return "crossed", j + 1, prof
         if dq > 0.0 or q > cap:
             return "turned", j + 1, prof
-        # 2 dq + c_end q = 2 (Q' + k coth(r) Q) at the node the step ends on
-        if (2.0 * dq + c_end * q >= 0.0 and not record
-                and q ** (p - 1.0) < _potential(n, (j + 1.5) * h) - lam):
-            return "rising", j + 1, prof
+        if record:
+            continue
+        # c_end = 2k coth(r) at the node the step ends on
+        y = dq + (0.5 * c_end + c) * q
+        if y >= 0.0 and q >= q_tail:
+            continue
+        x = two_c_h * (n_pts - 2 - j)  # 2c (r_last - r)
+        # expm1 overflows past 709.78; an infinite E keeps both signs
+        e = expm1(x) if x < 709.0 else math.inf
+        if y < 0.0 and two_c * q + y * e < 0.0:
+            return "falling", j + 1, prof
+        if q < q_tail:
+            qp = q ** pm1
+            v = potential[j + 1]
+            if qp < v - lam and two_c * q + (y - (qp + kk - v) * q / c) * e > 0.0:
+                return "rising", j + 1, prof
     return "none", n_pts - 1, prof
 
 
-def _potential(n, r):
-    """V(r) = k^2 + k(k-1)/sinh^2 r with k = (n-1)/2, written through
-    e^{-2r} so that no r overflows."""
-    k = 0.5 * (n - 1)
-    x = math.exp(-2.0 * r)
-    return k * k + 4.0 * k * (k - 1.0) * x / (1.0 - x) ** 2
+@per_grid
+def _potential_lattice(grid: RadialGrid):
+    # V = k^2 + k(k-1)/sinh^2 r, k = (n-1)/2, at the nodes, written through
+    # e^{-2r} so that no r overflows; a shared tuple of floats
+    k = 0.5 * (grid.n - 1)
+    x = np.exp(-2.0 * grid.nodes)
+    return tuple((k * k + 4.0 * k * (k - 1.0) * x / (1.0 - x) ** 2).tolist())
 
 
 @per_grid
@@ -175,10 +230,12 @@ def _damping_lattice(grid: RadialGrid):
 
 
 def shooting_classifier(p, lam, a, grid) -> int:
-    """-1 when the trajectory crosses zero (amplitude too large), +1 when it
-    turns, is certified 'rising' or reaches r_max (amplitude too small)."""
+    """-1 when the trajectory crosses zero or is certified 'falling'
+    (amplitude too large), +1 when it turns, is certified 'rising' or
+    reaches r_max (amplitude too small). lambda lies below the spectral
+    bottom."""
     event = _integrate(p, lam, a, grid)[0]
-    return -1 if event == "crossed" else +1
+    return -1 if event in ("crossed", "falling") else +1
 
 
 # ---------------------------------------------------------------------------

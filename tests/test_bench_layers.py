@@ -19,7 +19,8 @@ def test_bench_layers_measure(monkeypatch):
     assert layers["solves_per_step"] == 2
     timed = {"tridiag_solve_us", "cn_step_us", "h1_monitor_us",
              "diagnostics_record_us", "mass_point_us", "undershoot_shot_us",
-             "newton_polish_us", "transform_setup_us", "field_spectrum_us"}
+             "overshoot_shot_us", "newton_polish_us", "transform_setup_us",
+             "field_spectrum_us"}
     assert set(layers) == timed | {"solves_per_step"}
     for key in timed:
         q = layers[key]

@@ -294,40 +294,83 @@ def test_integrate_bit_identical_to_reference_rk4(
     assert got[:2] == ref[:2]
     stop = ref[1]
     assert got[2][: stop + 1].tobytes() == ref[2][: stop + 1].tobytes()
-    # where the full shot runs to r_max, the unrecorded one stops no later
-    # as 'rising', which classifies the same
+    # the unrecorded shot classifies the same and stops no later: at a
+    # 'falling' or 'rising' verdict, or where the full shot stops
     got, stop = gsm._integrate(3.0, lam, amp, grid)[:2]
-    if event == "none":
-        assert got == "rising" and stop <= ref[1]
-    else:
-        assert (got, stop) == ref[:2]
+    assert (got in ("crossed", "falling")) == (event == "crossed")
+    assert stop <= ref[1]
 
 
 def _full_length(p, lam, a, grid, record=False):
     return _reference_integrate(p, lam, a, grid)[:3]
 
 
-# criterion 1's ground states, and the shots of UNMATCHED_SHOTS
+# (n, p, lambda, r_max, points): criterion 1's ground states, the shots of
+# UNMATCHED_SHOTS and the p = 2 mass-curve branch start Q_0
 FULL_LENGTH_CASES = (
-    (3, 0.0, 20.0, 4000),
-    (3, 0.5, 20.0, 4000),
-    (3, 0.9, 40.0, 8000),
-    (2, 0.0, 20.0, 4000),
-    (2, 0.2, 40.0, 8000),
-    *((n, lam, r_max, points) for n, lam, r_max, points, _ in UNMATCHED_SHOTS),
+    (3, 3.0, 0.0, 20.0, 4000),
+    (3, 3.0, 0.5, 20.0, 4000),
+    (3, 3.0, 0.9, 40.0, 8000),
+    (2, 3.0, 0.0, 20.0, 4000),
+    (2, 3.0, 0.2, 40.0, 8000),
+    *((n, 3.0, lam, r_max, points) for n, lam, r_max, points, _ in UNMATCHED_SHOTS),
+    (3, 2.0, 0.0, 20.0, 2000),
 )
 
 
-@pytest.mark.parametrize("n, lam, r_max, points", FULL_LENGTH_CASES)
-def test_rising_verdict_keeps_every_ground_state(n, lam, r_max, points, monkeypatch):
+def _case_id(case):
+    # p = 3 unless the id names it
+    n, p, *rest = case
+    return "-".join(map(str, (n, *rest))) + ("" if p == 3.0 else f"-p{p}")
+
+
+@pytest.mark.parametrize("n, p, lam, r_max, points", FULL_LENGTH_CASES,
+                         ids=map(_case_id, FULL_LENGTH_CASES))
+def test_rising_verdict_keeps_every_ground_state(n, p, lam, r_max, points, monkeypatch):
     # every shot run to its crossing, turn or r_max gives the same bisection,
-    # so the same q0 and the same profile to the last bit
+    # so the same q0 and the same profile to the last bit; and no shot of
+    # the bisection runs to r_max undecided
     grid = hg.build_grid(n, r_max, points)
-    gs = gsm.solve_ground_state(3.0, lam, grid)
+    events = []
+    integrate = gsm._integrate
+
+    def recording(*args, **kwargs):
+        out = integrate(*args, **kwargs)
+        if not kwargs.get("record"):
+            events.append(out[0])
+        return out
+
+    monkeypatch.setattr(gsm, "_integrate", recording)
+    gs = gsm.solve_ground_state(p, lam, grid)
+    assert events and "none" not in events
     monkeypatch.setattr(gsm, "_integrate", _full_length)
-    full = gsm.solve_ground_state(3.0, lam, grid)
+    full = gsm.solve_ground_state(p, lam, grid)
     assert full.q0 == gs.q0
     assert full.profile.tobytes() == gs.profile.tobytes()
+
+
+# beside the cases above: the n = 2, p = 2.5 mass-curve branch start, and
+# a lambda so negative that 2c (r_last - r) passes expm1's range near the
+# origin
+VERDICT_CASES = (
+    *FULL_LENGTH_CASES,
+    (2, 2.5, 0.0, 20.0, 2000),
+    (2, 3.0, -400.0, 20.0, 2000),
+)
+
+
+@pytest.mark.parametrize("n, p, lam, r_max, points", VERDICT_CASES,
+                         ids=map(_case_id, VERDICT_CASES))
+def test_early_verdicts_classify_like_full_shots(n, p, lam, r_max, points):
+    # shots at q0 (1 +- 10^-k) follow the separatrix ever longer as k
+    # grows; each 'falling' or 'rising' verdict must agree with whether the
+    # shot run in full crosses
+    grid = hg.build_grid(n, r_max, points)
+    q0 = gsm.solve_ground_state(p, lam, grid).q0
+    for k in (1, 4, 7, 10, 13):
+        for amp in (q0 * (1.0 - 10.0**-k), q0 * (1.0 + 10.0**-k)):
+            crosses = _reference_integrate(p, lam, amp, grid)[0] == "crossed"
+            assert gsm.shooting_classifier(p, lam, amp, grid) == (-1 if crosses else 1)
 
 
 # ---------------------------------------------------------------------------

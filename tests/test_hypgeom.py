@@ -380,6 +380,7 @@ def test_cached_weights_memoized(grid3):
         lambda g: fn.localized_weights(g, 8.0),
         sp.get_transform,
         gsm._damping_lattice,
+        gsm._potential_lattice,
     )
     tables = [build(grid) for build in builders]
     gsm.shooting_classifier(3.0, 0.0, 1.0, grid)
