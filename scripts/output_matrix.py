@@ -69,6 +69,7 @@ MATRIX = (
     ("inequalities", ("inequalities",)),
     ("spectral", ("spectral-check",)),
     ("spectral_csv", ("spectral-check", "--format", "csv")),
+    ("spectral_production", ("spectral-check", "--tier", "production")),
     ("virial_csv", ("virial-check", "--horizon", "0.05", "--format", "csv")),
     ("inequalities_csv", ("inequalities", "--format", "csv")),
     ("mass_curve_csv", ("mass-curve", "--p", "2", "--alpha", "13", "--format", "csv")),
@@ -84,6 +85,7 @@ MATRIX = (
     ("err_mass_curve_p4", ("mass-curve", "--p", "4")),
     ("err_spectral_n2", ("spectral-check", "--n", "2")),
     ("err_mass_curve_n2_p2.9", ("mass-curve", "--n", "2", "--p", "2.9")),
+    ("err_inequalities_rmax800", ("inequalities", "--rmax", "800")),
 )
 
 

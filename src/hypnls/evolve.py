@@ -329,20 +329,17 @@ def virial_consistency(outcome: RunOutcome) -> float:
         raise ValueError("need at least 5 records for the virial comparison")
     t = np.array([r.t for r in recs])
     sm = np.array([r.second_moment for r in recs])
-    g = np.array([r.G_value for r in recs])
+    g = np.array([r.G_value for r in recs[1:-1]])
     floor = 1e-6 * recs[0].h1_sq
-    worst = 0.0
-    for i in range(1, len(recs) - 1):
-        dt0 = t[i] - t[i - 1]
-        dt1 = t[i + 1] - t[i]
-        dd = 2.0 * (
-            sm[i - 1] / (dt0 * (dt0 + dt1))
-            - sm[i] / (dt0 * dt1)
-            + sm[i + 1] / (dt1 * (dt0 + dt1))
-        )
-        if abs(g[i]) > floor:
-            worst = max(worst, abs(dd - g[i]) / abs(g[i]))
-    return worst
+    dt0 = t[1:-1] - t[:-2]
+    dt1 = t[2:] - t[1:-1]
+    dd = 2.0 * (
+        sm[:-2] / (dt0 * (dt0 + dt1))
+        - sm[1:-1] / (dt0 * dt1)
+        + sm[2:] / (dt1 * (dt0 + dt1))
+    )
+    kept = np.abs(g) > floor
+    return float(np.max(np.abs(dd[kept] - g[kept]) / np.abs(g[kept]), initial=0.0))
 
 
 def scattering_proxy(outcome: RunOutcome) -> str:

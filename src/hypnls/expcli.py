@@ -43,9 +43,6 @@ TIERS = {
 COMMAND_DEFAULTS = {
     # a unit of time resolves the comparison already
     "virial-check": {"horizon": 1.0},
-    # the bump family's spectral quantities are grid-converged at 2000
-    # points, well below production size, so both tiers use 2000
-    "spectral-check": {"points": 2000},
     "dichotomy": {"alpha": [0.5, 0.9, 1.1, 1.5]},
     "mass-curve": {"alpha": list(np.geomspace(0.1, 20.0, 13))},
 }
@@ -322,7 +319,7 @@ def cmd_groundstate(cfg: ExperimentConfig) -> dict:
         "hlam_sq": gs.hlam_sq,
         "lp1": gs.lp1,
         "elam": gs.elam,
-        "dlam": gs.dlam,
+        "dlam": (gs.lp1 ** (1.0 / (gs.p + 1.0))) ** (1.0 - gs.p),
         "far_field_rate": kappa,
         "residuals": {k: float(v) for k, v in gs.residuals.items()},
         "logslope_dev": float(abs(slope + kappa) / kappa),
@@ -469,20 +466,26 @@ def inequality_scan(n: int, p: float, r_max: float) -> dict:
         raise ValueError(f"unsupported dimension n={n}; supported: {SUPPORTED_DIMENSIONS}")
     if not r_max > 0:
         raise ValueError(f"r_max must be positive, got {r_max}")
+    # sinh^3 r overflows above r ~ 237, where W1 reads 0, and r cosh r above
+    # r ~ 703.92, where it reads NaN: that r_max is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        w1_tail = float(w1_weight(r_max))
+        if not math.isfinite(w1_tail):
+            raise ValueError(f"r_max={r_max} overflows r cosh r in the weight W1")
+        w1_vals = w1_weight(np.linspace(1e-6, r_max, round(r_max / 1e-4) + 1))
     r_grid = np.linspace(20.0 / 100000, 20.0, 100000)
     quartic = fn.quartic_values(n, r_grid)
     k = int(np.argmin(quartic))
     pm_grid = np.linspace(1e-4, 20.0, 100001)
     pm_crit, pm_p = (float(np.min(fn.pm_coefficient_values(n, q, pm_grid)))
                      for q in (1.0 + 4.0 / n, p))
-    w1_vals = w1_weight(np.linspace(1e-6, r_max, round(r_max / 1e-4) + 1))
     return {
         "quartic_min": float(quartic[k]),
         "quartic_argmin": float(r_grid[k]),
         "pm_min_at_critical_p": pm_crit,
         "pm_min_at_p": pm_p,
         "w1_max": float(np.max(w1_vals)),
-        "w1_tail": float(w1_weight(np.array([r_max]))[0]),
+        "w1_tail": w1_tail,
     }
 
 
@@ -538,32 +541,34 @@ def cmd_mass_curve(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 def spectral_family(grid) -> dict:
-    """Every spectral-check quantity of the bump family on grid: the maxima
-    of the Parseval and reconstruction residuals, the lemma constants
-    {s: {m: C}} and the refined Sobolev ratios {s: {min, max, spread}}."""
+    """Every spectral-check quantity of the bump family on grid, keyed as
+    the report writes them: the maxima of the Parseval and reconstruction
+    residuals, the lemma constants {s: {m: C}} and the refined Sobolev
+    ratios {s: {min, max, spread}}."""
     # the lemma's scales m = 1, 2, 4, 8, 16 are every fourth of M_SAMPLES
     lemma_rows = slice(0, 17, 4)
     m_arr = sp.M_SAMPLES[lemma_rows]
-    lemma = {s: {m: 0.0 for m in m_arr} for s in (0.5, 1.0)}
-    parseval, recon, ratios = [], [], {0.5: [], 1.0: []}
+    lemma = {s: np.zeros(len(m_arr)) for s in (0.5, 1.0)}
+    parseval, recon, ratios = [], [], {s: [] for s in lemma}
     for u in sp.bump_family(grid):
         spec = sp.FieldSpectrum(u)
         parseval.append(spec.parseval_residual())
         recon.append(spec.reconstruction_residual())
-        sups = spec.sups[lemma_rows]
-        for s in (0.5, 1.0):
+        for s in lemma:
             bounds = (1.0 / m_arr**2 + m_arr ** (1.5 - s)) * np.exp(
                 -(sp.RHO**2) / m_arr**2
             ) * spec.hs_norm(s)
-            for m, ratio in zip(m_arr, sups / bounds):
-                lemma[s][m] = max(lemma[s][m], float(ratio))
+            lemma[s] = np.maximum(lemma[s], spec.sups[lemma_rows] / bounds)
             ratios[s].append(spec.refined_sobolev_ratio(s))
     return {
         "parseval_max": max(parseval),
         "reconstruction_max": max(recon),
-        "lemma_constants": lemma,
+        "lemma_constants": {
+            _numtag(s): dict(zip(map(_numtag, m_arr), consts.tolist()))
+            for s, consts in lemma.items()
+        },
         "refined_ratio": {
-            s: {"min": min(vals), "max": max(vals), "spread": max(vals) / min(vals)}
+            _numtag(s): {"min": min(vals), "max": max(vals), "spread": max(vals) / min(vals)}
             for s, vals in ratios.items()
         },
     }
@@ -572,8 +577,6 @@ def spectral_family(grid) -> dict:
 def cmd_spectral_check(cfg: ExperimentConfig) -> dict:
     grid = build_grid(cfg.n, cfg.rmax, cfg.points)
     family = spectral_family(grid)
-    lemma = family["lemma_constants"]
-    refined = family["refined_ratio"]
 
     tr = sp.get_transform(grid)
     vhat = tr.forward(np.exp(-grid.nodes**2))
@@ -582,16 +585,12 @@ def cmd_spectral_check(cfg: ExperimentConfig) -> dict:
 
     payload = {
         **family,
-        "lemma_constants": {
-            _numtag(s): {_numtag(m): c for m, c in per.items()}
-            for s, per in lemma.items()
-        },
-        "refined_ratio": {_numtag(s): r for s, r in refined.items()},
         "passed": (
             family["parseval_max"] < 1e-4
             and family["reconstruction_max"] < 1e-3
-            and all(np.isfinite(v) for per in lemma.values() for v in per.values())
-            and all(r["spread"] < 10.0 for r in refined.values())
+            and all(np.isfinite(v) for per in family["lemma_constants"].values()
+                    for v in per.values())
+            and all(r["spread"] < 10.0 for r in family["refined_ratio"].values())
         ),
     }
     _write_report(cfg, "spectral_report", payload)

@@ -264,7 +264,7 @@ def compute_diagnostics(
 
 @dataclass
 class TrappingVerdict:
-    kind: str  # constant_negative | constant_positive | violation
+    kind: str  # constant_negative | constant_positive | neutral | violation
     t: Optional[float] = None
 
 
@@ -273,7 +273,8 @@ def trapping_sign_check(series: Sequence[DiagnosticsRecord]) -> TrappingVerdict:
 
     Records with |delta_lambda| below a noise band (1e-8 of the initial
     hlam_sq scale) are treated as sign-neutral so that runs started exactly
-    on the ground-state shell do not trip the detector on roundoff.
+    on the ground-state shell do not trip the detector on roundoff; a run
+    with every record in the band is neutral.
     """
     if not series:
         raise ValueError("empty diagnostics series")
@@ -289,9 +290,8 @@ def trapping_sign_check(series: Sequence[DiagnosticsRecord]) -> TrappingVerdict:
             sign = s
         elif s != sign:
             return TrappingVerdict(kind="violation", t=rec.t)
-    if sign > 0:
-        return TrappingVerdict(kind="constant_positive")
-    return TrappingVerdict(kind="constant_negative")
+    kinds = {1: "constant_positive", -1: "constant_negative", 0: "neutral"}
+    return TrappingVerdict(kind=kinds[sign])
 
 
 def variational_bound_check(u: RadialField, gs) -> Optional[float]:

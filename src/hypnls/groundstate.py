@@ -321,7 +321,6 @@ class GroundState:
     hlam_sq: float
     lp1: float
     elam: float
-    dlam: float
     residuals: dict
 
     def field_on_grid(self) -> fn.RadialField:
@@ -397,7 +396,6 @@ def solve_ground_state(p: float, lam: float, grid: RadialGrid) -> GroundState:
         hlam_sq=rec.hlam_sq,
         lp1=rec.lp1,
         elam=rec.energy_lambda,
-        dlam=(rec.lp1 ** (1.0 / (p + 1.0))) ** (1.0 - p),
         # the certificates: the Pohozaev gap, the energy-ratio gap and the
         # virial value, each relative
         residuals={

@@ -17,10 +17,10 @@ the discrete pair is an exact inverse pair and discrete Parseval holds to
 roundoff.
 
 Real fields are transformed as real arrays. Every transform goes through
-the grid's memoized SpectralTransform (get_transform), which also holds one
-read-only table: the symbols of the frequency projectors P_m,
-((lambda^2+rho^2)/m^2) e^{-(lambda^2+rho^2)/m^2}, at every scale of
-M_SAMPLES.
+the grid's memoized SpectralTransform (get_transform), which also holds two
+read-only tables: the symbol x = lambda^2 + rho^2 on the frequency nodes,
+and the symbols of the frequency projectors P_m, (x/m^2) e^{-x/m^2}, at
+every scale of M_SAMPLES.
 
 FieldSpectrum(u) transforms u once and forms its mass and the P_m u fields
 over M_SAMPLES once, keeping sups = sup_r |P_m u| and their log-scale sum;
@@ -98,9 +98,10 @@ class SpectralTransform:
         # numpy divides a complex array by a real one as a product with the
         # reciprocal; multiplying by it here rounds real spectra the same way
         self._inv_sinh = 1.0 / self.sinh_r
-        # the P_m symbols over M_SAMPLES, one row per scale
-        x = self.x_symbol()
-        self.pm_symbols = np.stack([pm_symbol(x, m) for m in M_SAMPLES])
+        # lambda^2 + rho^2 on the frequency nodes, and the P_m symbols over
+        # M_SAMPLES, one row per scale
+        self.x_symbol = self.lambda_nodes**2 + RHO**2
+        self.pm_symbols = np.stack([pm_symbol(self.x_symbol, m) for m in M_SAMPLES])
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         return self._fwd_scale * dst(self.sinh_r * values, type=4)
@@ -109,10 +110,6 @@ class SpectralTransform:
         """Inverse transform of one spectrum, or row-wise of a (k, N) stack."""
         out = dst(self.lambda_nodes * vhat, type=4, axis=-1)
         return self._inv_scale * out * self._inv_sinh
-
-    def x_symbol(self) -> np.ndarray:
-        """lambda^2 + rho^2 on the frequency nodes."""
-        return self.lambda_nodes**2 + RHO**2
 
 
 @per_grid
@@ -147,7 +144,7 @@ class FieldSpectrum:
     def hs_norm(self, s: float) -> float:
         """Spectral Sobolev norm: (int (lambda^2+rho^2)^s |uhat|^2 density)^(1/2)."""
         tr = self.transform
-        val = np.sum(tr.x_symbol() ** s * self.power * tr.density) * tr.dlam
+        val = np.sum(tr.x_symbol ** s * self.power * tr.density) * tr.dlam
         return math.sqrt(float(val))
 
     def besov_norm(self, s: float) -> float:
@@ -163,7 +160,7 @@ class FieldSpectrum:
         closed-form remainder of the log-scale rule, so the residual measures
         the rows and the rule, whose error is O(h^4), h = ln 2 / 4."""
         tr, u = self.transform, self.field
-        target = u.values - tr.inverse(_heat_and_remainder(tr.x_symbol()) * self.vhat)
+        target = u.values - tr.inverse(_heat_and_remainder(tr.x_symbol) * self.vhat)
         num = float(quadrature(np.abs(self.pm_integral - target) ** 2, u.grid))
         return math.sqrt(num / self.mass)
 

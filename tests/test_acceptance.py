@@ -271,19 +271,19 @@ def test_criterion_8_spectral(grid3):
         and recon_max < 1e-3
         and math.isfinite(fitted_c)
         and 0.0 < fitted_c < 10.0
-        and spreads[0.5] < 10.0
-        and spreads[1.0] < 10.0
+        and spreads["0.5"] < 10.0
+        and spreads["1"] < 10.0
     )
     _line(
         8, "spectral toolkit", ok,
         f"parseval {parseval_max:.1e}, recon {recon_max:.1e}, "
-        f"lemma C {fitted_c:.3f}, spreads {spreads[0.5]:.2f}/{spreads[1.0]:.2f}",
+        f"lemma C {fitted_c:.3f}, spreads {spreads['0.5']:.2f}/{spreads['1']:.2f}",
     )
     assert parseval_max < 1e-4
     assert recon_max < 1e-3
     assert math.isfinite(fitted_c) and 0.0 < fitted_c < 10.0
-    assert spreads[0.5] < 10.0
-    assert spreads[1.0] < 10.0
+    assert spreads["0.5"] < 10.0
+    assert spreads["1"] < 10.0
 
 
 # ---------------------------------------------------------------------------

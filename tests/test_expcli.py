@@ -250,9 +250,9 @@ def test_config_digest_is_pinned(tmp_path):
     for argv, report, text, golden in (
         (["spectral-check", "--format", "csv", "--tier", "production"],
          "spectral_report.csv",
-         "command=spectral-check\nformat=csv\nn=3\npoints=2000\nrmax=20.0\n"
+         "command=spectral-check\nformat=csv\nn=3\npoints=8000\nrmax=20.0\n"
          "tier=production",
-         "6dab3bfa7029e3967ff4d52e1b852457a4105adb8484eeadf5e9e31e48458e7b"),
+         "0081cb638d4457afc9312c401aaad9b4430358e0ee3ae33f6e49b90a39b1fb7c"),
         (["virial-check", "--n", "2", "--format", "csv"],
          "virial_report.csv",
          "command=virial-check\ndt=0.002\nformat=csv\nhorizon=1.0\nlambda=0.0\n"
@@ -264,9 +264,7 @@ def test_config_digest_is_pinned(tmp_path):
         assert cli.main(argv + ["--out", str(out)]) == 0
         assert cli.read_csv(str(out / report))[0] == golden
     # the subcommand defaults sit above the tier
-    out = tmp_path / "spectral-json"
-    assert cli.main(["spectral-check", "--tier", "production", "--out", str(out)]) == 0
-    assert read_json(out / "spectral_report.json")["params"]["points"] == 2000
+    assert resolve(["virial-check", "--tier", "production"]).horizon == 1.0
 
 
 def test_default_alphas_hash_like_the_same_alphas_given():
@@ -327,11 +325,13 @@ DEFAULT_CONFIGS = {
             ("production", 8000,
              "61e8999203bf7c3343ef62b0256317e174bb953dba4dba41da80f26d9271f6fb"))},
     **{("spectral-check", tier): (
-        '{"command": "spectral-check", "format": "json", "n": 3, "points": 2000, '
-        f'"rmax": 20.0, "tier": "{tier}"}}', digest) for tier, digest in (
-            ("quick", "fb8f1e8d95173134b2ac4c305ea8c4508a8d1760d89c7aa554bf9695da47cba3"),
-            ("production",
-             "2b471c425dd48d2856ccde5d38f9a043cc8fefa04fa7fbe1a77de57b72fd12d4"))},
+        '{"command": "spectral-check", "format": "json", "n": 3, '
+        f'"points": {points}, "rmax": 20.0, "tier": "{tier}"}}', digest)
+        for tier, points, digest in (
+            ("quick", 2000,
+             "fb8f1e8d95173134b2ac4c305ea8c4508a8d1760d89c7aa554bf9695da47cba3"),
+            ("production", 8000,
+             "acf041455eaecd577db763a2a46ad45313930cc9c2ccaeb58df0c11c54d4ef40"))},
 }
 
 
@@ -435,11 +435,19 @@ def test_inequalities_unsupported_dimension_is_usage_error(tmp_path, capsys, n):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("rmax", ["0", "-1"])
-def test_inequalities_nonpositive_rmax_is_usage_error(tmp_path, capsys, rmax):
+@pytest.mark.parametrize("rmax, error", (
+    ("0", "r_max must be positive"),
+    ("-1", "r_max must be positive"),
+    # r cosh r overflows above r ~ 703.92; 1e9 is refused before its lattice
+    ("704", "r_max=704.0 overflows r cosh r in the weight W1"),
+    ("1e9", "r_max=1000000000.0 overflows r cosh r in the weight W1"),
+), ids=("0", "-1", "704", "1e9"))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_inequalities_out_of_range_rmax_is_usage_error(tmp_path, capsys, rmax, error):
     argv = ["inequalities", "--rmax", rmax, "--out", str(tmp_path)]
     assert cli.main(argv) == 2
-    assert "r_max must be positive" in stderr_payload(capsys)["error"]
+    assert error in stderr_payload(capsys)["error"]
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("argv, error", (

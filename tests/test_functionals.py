@@ -218,6 +218,9 @@ def test_trapping_sign_check_verdicts():
     # noise band: sub-threshold wiggles around zero are sign-neutral
     noisy = [_rec(0.0, -0.5), _rec(0.1, 1e-12), _rec(0.2, -1e-12), _rec(0.3, -0.4)]
     assert fn.trapping_sign_check(noisy).kind == "constant_negative"
+    # a run that never leaves the band (Q itself) keeps no sign at all
+    shell = [_rec(t, d) for t, d in ((0.0, 0.0), (0.1, 1.9e-12), (0.2, -5.2e-12))]
+    assert fn.trapping_sign_check(shell).kind == "neutral"
     with pytest.raises(ValueError):
         fn.trapping_sign_check([])
 

@@ -393,14 +393,14 @@ def test_cached_weights_memoized(grid3):
         assert build(grid) is table
         assert build(twin) is not table
     # every ndarray of every shared table is read-only: the bands (3), the
-    # weights (2), two localized tables (3 each) and the transform (6)
+    # weights (2), two localized tables (3 each) and the transform (7)
     arrays = [
         part
         for table in tables
         for part in (table if isinstance(table, tuple) else vars(table).values())
         if isinstance(part, np.ndarray)
     ]
-    assert len(arrays) == 17
+    assert len(arrays) == 18
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 1.0

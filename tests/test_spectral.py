@@ -51,10 +51,10 @@ def test_frequency_nodes_and_symbols(grid3):
     n_pts = grid3.num_points
     assert tr.dlam == math.pi / grid3.r_max
     assert np.array_equal(tr.lambda_nodes, (np.arange(n_pts) + 0.5) * tr.dlam)
-    assert np.array_equal(tr.x_symbol(), tr.lambda_nodes**2 + 1.0)
+    assert np.array_equal(tr.x_symbol, tr.lambda_nodes**2 + 1.0)
     assert np.allclose(tr.density, tr.lambda_nodes**2 / (2 * math.pi**2), rtol=1e-15)
     for row, m in zip(tr.pm_symbols, sp.M_SAMPLES):
-        assert np.array_equal(row, sp.pm_symbol(tr.x_symbol(), m))
+        assert np.array_equal(row, sp.pm_symbol(tr.x_symbol, m))
     assert not tr.pm_symbols.flags.writeable
 
 
@@ -79,7 +79,7 @@ def test_heat_kernel_mass_three_ways(grid3):
 def test_semigroup_reproduces_explicit_kernel(grid3):
     tr = sp.get_transform(grid3)
     vhat = tr.forward(heat_kernel(grid3, 0.25).astype(complex))
-    prop = tr.inverse(np.exp(-0.25 * tr.x_symbol()) * vhat)
+    prop = tr.inverse(np.exp(-0.25 * tr.x_symbol) * vhat)
     target = heat_kernel(grid3, 0.5)
     assert np.max(np.abs(prop.real - target)) / target.max() < 1e-12
 
@@ -109,7 +109,7 @@ def test_projector_scales(grid3):
     u = offcenter_bump(grid3)
     tr = sp.get_transform(grid3)
     vhat = tr.forward(u.values)
-    x = tr.x_symbol()
+    x = tr.x_symbol
 
     def sup_pm(m):  # unbatched oracle: one inverse transform per scale
         return np.max(np.abs(tr.inverse(sp.pm_symbol(x, m) * vhat)))
@@ -148,7 +148,7 @@ def test_reconstruction_reads_the_pm_rows(grid3, monkeypatch, m, wrong_m):
     # a P_m row tabulated at the wrong scale fails the family's 1e-3 gate
     tr = sp.get_transform(grid3)
     bad = tr.pm_symbols.copy()
-    bad[list(sp.M_SAMPLES).index(m)] = sp.pm_symbol(tr.x_symbol(), wrong_m)
+    bad[list(sp.M_SAMPLES).index(m)] = sp.pm_symbol(tr.x_symbol, wrong_m)
     monkeypatch.setattr(tr, "pm_symbols", bad)
     family = sp.bump_family(grid3)
     assert max(sp.FieldSpectrum(u).reconstruction_residual() for u in family) > 1e-3
@@ -188,7 +188,7 @@ def test_real_fields_transform_as_the_real_part_of_complex(grid3):
     u = offcenter_bump(grid3).values.real
     vhat = tr.forward(u)
     assert np.array_equal(vhat, tr.forward(u + 0j).real)
-    stack = np.stack([vhat, sp.pm_symbol(tr.x_symbol(), 2.0) * vhat])
+    stack = np.stack([vhat, sp.pm_symbol(tr.x_symbol, 2.0) * vhat])
     assert np.array_equal(tr.inverse(stack), tr.inverse(stack + 0j).real)
 
 
