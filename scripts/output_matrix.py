@@ -75,6 +75,9 @@ MATRIX = (
     ("mass_curve_csv", ("mass-curve", "--p", "2", "--alpha", "13", "--format", "csv")),
     # a failed gate: exit 1, and the report records passed false
     ("gs_fail_lam-20", ("groundstate", "--lambda", "-20")),
+    # another failed gate, whose profile underflows to 0 inside the log-slope window
+    ("gs_lam-400_rmax60", ("groundstate", "--lambda", "-400", "--rmax", "60",
+                           "--points", "6000")),
     # plotdata, one entry per layout, on files of the entries above
     ("plot_profile", ("plotdata", "{outdir}/gs_n3_lam0/groundstate_n3_p3_lam0.csv")),
     ("plot_diagnostics", ("plotdata", "{outdir}/virial_n3/virial_diag.csv")),

@@ -205,8 +205,9 @@ def evolve_run(
     grid uniform for finite differencing), and at the stop time t_stop. dt
     halves (never re-raises) when a step is not certified within
     FIXEDPOINT_MAXITER solves (the step is then retried), takes more than
-    STRAIN_ITERS solves, or grows the H^1 norm more than 10%. monitor(t,
-    field), when given, is called at every record emission.
+    STRAIN_ITERS solves, or grows the H^1 norm more than 10%. monitor(record,
+    field), when given, is called at every record emission with the record
+    just appended to the series (it carries t) and a copy of its field.
 
     The four stop kinds, as (status, blowup_reason):
     - ("completed", None): t_stop = T.
@@ -261,7 +262,7 @@ def evolve_run(
         field = fn.RadialField(grid=grid, values=values)
         series.append(fn.compute_diagnostics(t_now, field, p, lam, gs=gs))
         if monitor is not None:
-            monitor(t_now, fn.RadialField(grid=grid, values=values.copy()))
+            monitor(series[-1], fn.RadialField(grid=grid, values=values.copy()))
 
     emit(0.0)
     eps = 1e-12 * max(T, 1.0)

@@ -304,11 +304,14 @@ def cmd_groundstate(cfg: ExperimentConfig) -> dict:
     grid = build_grid(cfg.n, cfg.rmax, cfg.points)
     gs = gsmod.solve_ground_state(cfg.p, cfg.lam, grid)
     kappa = gsmod.far_field_rate(cfg.n, cfg.lam)
-    # the far-field log-slope of the profile over [r_max/2, 3 r_max/4]
+    # the far-field log-slope of the profile over [r_max/2, 3 r_max/4], fit where
+    # it has not underflowed to 0; None with fewer than two such nodes
     r = grid.nodes
-    lo = int(np.searchsorted(r, grid.r_max / 2.0))
-    hi = int(np.searchsorted(r, 0.75 * grid.r_max))
-    slope = np.polyfit(r[lo:hi], np.log(gs.profile[lo:hi]), 1)[0]
+    fit = (r >= grid.r_max / 2.0) & (r < 0.75 * grid.r_max) & (gs.profile > 0)
+    logslope_dev = None
+    if np.count_nonzero(fit) >= 2:
+        slope = np.polyfit(r[fit], np.log(gs.profile[fit]), 1)[0]
+        logslope_dev = float(abs(slope + kappa) / kappa)
     tag = f"n{cfg.n}_p{_numtag(cfg.p)}_lam{_numtag(cfg.lam)}"
 
     # uniqueness window of the sub-threshold theory
@@ -322,7 +325,7 @@ def cmd_groundstate(cfg: ExperimentConfig) -> dict:
         "dlam": (gs.lp1 ** (1.0 / (gs.p + 1.0))) ** (1.0 - gs.p),
         "far_field_rate": kappa,
         "residuals": {k: float(v) for k, v in gs.residuals.items()},
-        "logslope_dev": float(abs(slope + kappa) / kappa),
+        "logslope_dev": logslope_dev,
         "uniqueness_regime": bool(uniqueness),
         "passed": bool(
             gs.residuals["pohozaev"] < 1e-5
@@ -408,27 +411,20 @@ def virial_sweep(grid, p: float, lam: float, dt: float, horizon: float):
     )
     icfg = IntegratorConfig(dt=dt, diag_stride=100.0)
 
-    sweep_radii = (4.0, fn.LOC_VIRIAL_RADIUS, 16.0)
-    # each record's loc_virial is the localized virial at LOC_VIRIAL_RADIUS
-    # of the same field, so the monitor forms the other radii only
-    localized = []  # per record, {radius: localized virial}
+    gaps = {radius: 0.0 for radius in (4.0, fn.LOC_VIRIAL_RADIUS, 16.0)}
 
-    def monitor(t, field):
-        localized.append({
-            radius: fn.localized_virial_rhs(field, radius, p=p)
-            for radius in sweep_radii if radius != fn.LOC_VIRIAL_RADIUS
-        })
+    def monitor(rec, field):
+        # the record's loc_virial is the localized virial at LOC_VIRIAL_RADIUS
+        # of the same field, so the monitor forms the other radii only
+        scale = max(abs(rec.G_value), 1e-12)
+        for radius in gaps:
+            value = (rec.loc_virial if radius == fn.LOC_VIRIAL_RADIUS
+                     else fn.localized_virial_rhs(field, radius, p=p))
+            gaps[radius] = max(gaps[radius], abs(value - rec.G_value) / scale)
 
     out = evolve_run(u0, horizon, icfg, p, lam, None, monitor=monitor)
     if out.status != "completed":
         return out, None, None
-
-    gaps = {radius: 0.0 for radius in sweep_radii}
-    for rec, values in zip(out.series, localized):
-        values[fn.LOC_VIRIAL_RADIUS] = rec.loc_virial
-        scale = max(abs(rec.G_value), 1e-12)
-        for radius in sweep_radii:
-            gaps[radius] = max(gaps[radius], abs(values[radius] - rec.G_value) / scale)
     return out, virial_consistency(out), gaps
 
 

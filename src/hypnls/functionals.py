@@ -30,6 +30,7 @@ from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .hypgeom import (
     RadialGrid,
@@ -90,25 +91,18 @@ def cutoff_derivative(s, order: int):
     the plateau 41/18 above 2: C^4 at both seams, phi'' <= 2 everywhere.
     """
     s = np.asarray(s, dtype=float)
-    below = s < 1.0
-    if order == 0:
-        out = np.where(below, s * s, _PLATEAU)
-    elif order == 1:
-        out = np.where(below, 2.0 * s, 0.0)
-    elif order == 2:
-        out = np.where(below, 2.0, 0.0)
-    else:
-        out = np.zeros_like(s)
+    out = np.where(s < 1.0, _derivative((0.0, 0.0, 1.0), order)(s),
+                   _PLATEAU if order == 0 else 0.0)
     mid = (s >= 1.0) & (s < 2.0)
     if np.any(mid):
-        out = np.where(mid, _bridge(order)(np.where(mid, s, 1.5)), out)
+        out = np.where(mid, _derivative(_BRIDGE_COEFFS, order)(np.where(mid, s, 1.5)), out)
     return out
 
 
 @functools.cache
-def _bridge(order: int):
-    # built on first use, not at import
-    return np.polynomial.Polynomial(_BRIDGE_COEFFS).deriv(order)
+def _derivative(coeffs, order: int):
+    # order-th derivative of the polynomial of ascending coeffs, built on first use
+    return np.polynomial.Polynomial(coeffs).deriv(order)
 
 
 @per_grid
@@ -219,13 +213,15 @@ def compute_diagnostics(
 
     |u|^2, |u|^{p+1} and the Dirichlet form are computed once and shared by
     every column. The shift of h_sq and of G is the spectral bottom whatever
-    lam is. delta_lambda is hlam_sq - gs.hlam_sq, NaN without gs; a gs on
-    another grid or of another p or lam raises ParameterMismatch.
+    lam is. delta_lambda is hlam_sq - gs.hlam_sq, NaN without gs; a gs on a
+    grid of another (n, num_points, r_max) or of another p or lam raises
+    ParameterMismatch.
     loc_virial is localized_virial_rhs at R = LOC_VIRIAL_RADIUS, with the
     weights of localized_weights built once per grid and radius.
     """
     grid = u.grid
-    if gs is not None and not grid.same_as(gs.grid):
+    params = (grid.n, grid.num_points, grid.r_max)
+    if gs is not None and params != (gs.grid.n, gs.grid.num_points, gs.grid.r_max):
         raise ParameterMismatch("field grid does not match")
     if gs is not None and (gs.p, gs.lam) != (p, lam):
         raise ParameterMismatch("ground state is for another p or lambda")
@@ -323,7 +319,7 @@ def _quartic_series(n: int, r: np.ndarray) -> np.ndarray:
     c8 = 2.0 * (8 * n - 7) / 315.0
     c10 = 2.0 * (10 * n - 9) / 4725.0
     c12 = 8.0 * (12 * n - 11) / 467775.0
-    return r2**3 * (c6 + r2 * (c8 + r2 * (c10 + r2 * c12)))
+    return r2**3 * polyval(r2, (c6, c8, c10, c12))
 
 
 def quartic_values(n: int, r_grid) -> np.ndarray:

@@ -15,6 +15,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 SUPPORTED_DIMENSIONS = (2, 3)
 
@@ -22,11 +23,6 @@ SUPPORTED_DIMENSIONS = (2, 3)
 # all significant digits as r -> 0; below this radius the Taylor expansions
 # are used instead.
 SERIES_CUTOFF = 1.0e-3
-
-
-def sphere_area(n: int) -> float:
-    """Area of the unit sphere S^{n-1}: 2*pi for n = 2, 4*pi for n = 3."""
-    return 2.0 * np.pi if n == 2 else 4.0 * np.pi
 
 
 def spectrum_bottom(n: int) -> float:
@@ -49,17 +45,10 @@ class RadialGrid:
     dr: float
     nodes: np.ndarray
     edges: np.ndarray
-    sphere_area: float
+    sphere_area: float        # of S^{n-1}: 2 pi for n = 2, 4 pi for n = 3
     node_density: np.ndarray  # sinh^{n-1} at nodes
     edge_density: np.ndarray  # sinh^{n-1} at edges (edge_density[0] = 0)
     vol_weights: np.ndarray   # sphere_area * node_density * dr
-
-    def same_as(self, other: "RadialGrid") -> bool:
-        return (
-            self.n == other.n
-            and self.num_points == other.num_points
-            and self.r_max == other.r_max
-        )
 
 
 def per_grid(build):
@@ -97,7 +86,7 @@ def build_grid(n: int, r_max: float, num_points: int) -> RadialGrid:
     dr = r_max / num_points
     nodes = (np.arange(num_points) + 0.5) * dr
     edges = np.arange(num_points + 1) * dr
-    area = sphere_area(n)
+    area = 2.0 * np.pi if n == 2 else 4.0 * np.pi
     with np.errstate(over="ignore"):  # an overflow is refused below
         node_density = np.sinh(nodes) ** (n - 1)
         edge_density = np.sinh(edges) ** (n - 1)
@@ -131,21 +120,13 @@ _W1_SERIES = (1.0 / 3.0, -2.0 / 15.0, 2.0 / 63.0, -4.0 / 675.0, 2.0 / 2079.0)
 _RCOTH_SERIES = (1.0, 1.0 / 3.0, -1.0 / 45.0, 2.0 / 945.0, -1.0 / 4725.0)
 
 
-def _even_series(r, coeffs):
-    r2 = r * r
-    out = np.zeros_like(r) + coeffs[-1]
-    for c in coeffs[-2::-1]:
-        out = out * r2 + c
-    return out
-
-
 def w1_weight(r):
     """(r cosh r - sinh r) / sinh^3 r, positive, sup 1/3 at r -> 0+."""
     r = np.asarray(r, dtype=float)
     small = r < SERIES_CUTOFF
     rs = np.where(small, 1.0, r)
     direct = (rs * np.cosh(rs) - np.sinh(rs)) / np.sinh(rs) ** 3
-    return np.where(small, _even_series(r, _W1_SERIES), direct)
+    return np.where(small, polyval(r * r, _W1_SERIES), direct)
 
 
 def r_coth_r(r):
@@ -154,7 +135,7 @@ def r_coth_r(r):
     small = r < SERIES_CUTOFF
     rs = np.where(small, 1.0, r)
     direct = rs * np.cosh(rs) / np.sinh(rs)
-    return np.where(small, _even_series(r, _RCOTH_SERIES), direct)
+    return np.where(small, polyval(r * r, _RCOTH_SERIES), direct)
 
 
 def coth(r):
@@ -163,7 +144,7 @@ def coth(r):
     small = r < SERIES_CUTOFF
     rs = np.where(small, 1.0, r)
     direct = np.cosh(rs) / np.sinh(rs)
-    return np.where(small, _even_series(r, _RCOTH_SERIES) / np.where(small, r, 1.0), direct)
+    return np.where(small, polyval(r * r, _RCOTH_SERIES) / np.where(small, r, 1.0), direct)
 
 
 @per_grid

@@ -91,7 +91,7 @@ def test_criterion_2_stationary_evolution(gs_half_prod):
     qmax = gs.q0
     dev = 0.0
 
-    def monitor(t, field):
+    def monitor(rec, field):
         nonlocal dev
         dev = max(dev, float(np.max(np.abs(np.abs(field.values) - gs.profile))) / qmax)
 

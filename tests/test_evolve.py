@@ -99,11 +99,11 @@ def test_monitor_sees_every_record(grid3):
     seen = []
     out = ev.evolve_run(
         small_gaussian(grid3), 0.3, ev.IntegratorConfig(dt=2e-3), 3.0, 0.0, None,
-        monitor=lambda t, field: seen.append((t, field.values.copy())),
+        monitor=lambda rec, field: seen.append((rec, field.values.copy())),
     )
     assert len(seen) == len(out.series)
-    for (t_mon, _), rec in zip(seen, out.series):
-        assert t_mon == rec.t
+    for (rec_mon, _), rec in zip(seen, out.series):
+        assert rec_mon is rec
 
 
 def test_step_holds_ground_state(gs3_zero):
@@ -433,7 +433,7 @@ def test_stop_bookkeeping(gs3_zero, monkeypatch, kind, lam):
     records = []
     cfg = ev.IntegratorConfig(dt=2e-3, blowup_h1_factor=10.0)
     out = ev.evolve_run(datum, 0.3, cfg, 3.0, lam, None,
-                        monitor=lambda t, field: records.append((t, field.values)))
+                        monitor=lambda rec, field: records.append((rec.t, field.values)))
     assert (out.status, out.blowup_reason) == {
         "completed": ("completed", None),
         "h1_threshold": ("blowup", "h1_threshold"),

@@ -80,6 +80,24 @@ def test_groundstate_records_its_verdict(tmp_path):
         assert (payload["residuals"]["g_value"] < 1e-4) is passed
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, name, dev", (
+    # Q is exactly 0 from r = 35.525: 552 of the window's 1500 nodes are positive
+    (["--n", "3", "--rmax", "60", "--points", "6000"], "n3_p3_lam-400", 1e-4),
+    # Q is 0 on the whole window [50, 75]: no log-slope
+    (["--n", "2", "--rmax", "100", "--points", "10000"], "n2_p3_lam-400", None),
+))
+def test_groundstate_logslope_skips_underflow(tmp_path, argv, name, dev):
+    # both miss the G gate, so the exit code is 1
+    assert cli.main(["groundstate", "--lambda", "-400", *argv, "--out", str(tmp_path)]) == 1
+    text = (tmp_path / f"groundstate_{name}.json").read_text()
+    payload = json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in the report"))
+    if dev is None:
+        assert payload["logslope_dev"] is None
+    else:
+        assert payload["logslope_dev"] < dev
+
+
 def test_groundstate_reruns_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -131,8 +131,13 @@ def test_delta_lambda_scaling_and_mismatch(gs3_zero, grid2):
         delta = fn.compute_diagnostics(0.0, scaled, 3.0, 0.0, gs=gs3_zero).delta_lambda
         assert abs(delta - expected) < 1e-9 * abs(expected)
     assert delta > 0.0
-    with pytest.raises(fn.ParameterMismatch):
-        fn.compute_diagnostics(0.0, gaussian(grid2), 3.0, 0.0, gs=gs3_zero)
+    # a grid built apart with the same (n, num_points, r_max) is the same grid
+    twin = fn.RadialField(grid=hg.build_grid(3, 20.0, 2000), values=q.values)
+    assert fn.compute_diagnostics(0.0, twin, 3.0, 0.0, gs=gs3_zero).delta_lambda == 0.0
+    # a grid of another n or point count is not
+    for other in (grid2, hg.build_grid(3, 20.0, 1000)):
+        with pytest.raises(fn.ParameterMismatch):
+            fn.compute_diagnostics(0.0, gaussian(other), 3.0, 0.0, gs=gs3_zero)
     # a ground state of another p or lambda on the same grid
     for p, lam in ((3.0, 0.5), (2.0, 0.0)):
         with pytest.raises(fn.ParameterMismatch):
