@@ -6,13 +6,14 @@ Times, on the H^3 quick-tier grid (r_max = 20) with N = 2000 and 8000
 points, a Gaussian datum 0.5 e^{-r^2} and dt = 2e-3:
 
 - tridiag_solve_us: one Cayley solve as `_CNStepper.step` makes it (the
-  matrix operands for the step's phi from `hypgeom.shifted_bands`, then
-  `hypgeom.solve_banded`), at a fixed dt, on the right-hand side the step
-  forms for the Cayley system times 2i/dt;
+  stepper's bands of L + shift with phi + 2i/dt added to the diagonal,
+  then `hypgeom.solve_banded`), at a fixed dt, on the right-hand side the
+  step forms for the Cayley system times 2i/dt;
 - cn_step_us: one full step (`_CNStepper.step`) as `evolve_run` drives
-  it, with the |u| and mass its H^1 check formed; its solve count is
-  reported as solves_per_step;
-- h1_monitor_us: the H^1 check `evolve_run` makes on every accepted state;
+  it, with the state (|u|, mass, (L + shift) u) its H^1 check formed; its
+  solve count is reported as solves_per_step;
+- h1_monitor_us: the H^1 check `evolve_run` makes on every accepted state,
+  from the (L + shift) u the step returned;
 - diagnostics_record_us: one diagnostics record
   (`functionals.compute_diagnostics`), as `evolve_run` emits it;
 - mass_point_us: one point of the mass curve
@@ -94,13 +95,13 @@ def measure(num_points):
     stepper = evolve._CNStepper(grid, 3.0)
     h1_and_norms = evolve._h1_sq_and_norms
     # steady state: the step after one step, with its relaxation predictor
-    u, phi_half, _ = stepper.step(u, DT, None, h1_and_norms(u, grid)[1])
+    state = h1_and_norms(u, grid, hypgeom.apply_laplacian(u, grid), 0.0)[1]
+    u, phi_half, _, lap = stepper.step(u, DT, None, state)
     phi = 2.0 * np.abs(u) ** 2 - phi_half
     # the step's right-hand side for its Cayley system times 2i/dt
-    lin = (2j / DT) * u - hypgeom.apply_laplacian(u, grid)
-    rhs = lin - phi * u
-    step_args = (u, DT, phi_half, h1_and_norms(u, grid)[1])
-    h1_monitor = functools.partial(h1_and_norms, u, grid)
+    rhs = (2j / DT) * u - lap - phi * u
+    step_args = (u, DT, phi_half, h1_and_norms(u, grid, lap, 0.0)[1])
+    h1_monitor = functools.partial(h1_and_norms, u, grid, lap, 0.0)
     field = functionals.RadialField(grid=grid, values=u)
     mass_args = (MASS_ALPHA, 2.0, grid)
     gs = groundstate.solve_ground_state(3.0, POLISH_LAMBDA, grid)
@@ -109,8 +110,8 @@ def measure(num_points):
     overshoot_args = (3.0, POLISH_LAMBDA, (1.0 + 1e-6) * gs.q0, grid)
     bump = functionals.RadialField(grid=grid, values=np.exp(-(grid.nodes - 2.0) ** 2))
 
-    solve = _time_calls(
-        lambda: hypgeom.solve_banded(*hypgeom.shifted_bands(grid, phi + 2j / DT), rhs))
+    solve = _time_calls(lambda: hypgeom.solve_banded(
+        stepper.lower, stepper.diag_shift + (phi + 2j / DT), stepper.upper, rhs))
     solves = stepper.step(*step_args)[2]
     step = _time_calls(lambda: stepper.step(*step_args))
     h1 = _time_calls(h1_monitor)

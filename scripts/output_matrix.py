@@ -72,6 +72,8 @@ MATRIX = (
     ("spectral_production", ("spectral-check", "--tier", "production")),
     ("virial_csv", ("virial-check", "--horizon", "0.05", "--format", "csv")),
     ("inequalities_csv", ("inequalities", "--format", "csv")),
+    # the largest W1 lattice an r_max below the overflow refusal gives
+    ("inequalities_rmax700", ("inequalities", "--rmax", "700")),
     ("mass_curve_csv", ("mass-curve", "--p", "2", "--alpha", "13", "--format", "csv")),
     # a failed gate: exit 1, and the report records passed false
     ("gs_fail_lam-20", ("groundstate", "--lambda", "-20")),

@@ -32,9 +32,13 @@ Each solve is the Cayley system times 2i/dt,
 so dt enters the diagonal only and the off-diagonals are the grid's own
 Laplacian bands (hypgeom.shifted_bands).
 
-evolve_run forms |u| and the volume-weighted mass once per accepted state;
-its H^1 monitor, the next step's acceptance scale and its predictor
-|u|^{p-1} all share them.
+Each accepted state carries |u|, its volume-weighted mass and the vector
+(L + shift) u. The accepted solve gives that vector from its own operands,
+(L + shift) u_new = rhs - (phi + 2i/dt) u_new, so a step makes no band
+product: the next step's right-hand side and the H^1 monitor read it, and
+the monitor takes the Dirichlet form as shift * mass - Re<(L + shift) u, u>
+by summation by parts (hypgeom.dirichlet_energy). evolve_run applies L
+only to the datum.
 
 A Strang splitting path (n = 3 only) cross-validates the default: the
 substitution g = u sinh r turns the radial H^3 Laplacian into (g'' - g)/
@@ -49,9 +53,8 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
-from scipy.fft import dst, idst
 
-from .hypgeom import apply_laplacian, dirichlet_energy, shifted_bands, solve_banded
+from .hypgeom import apply_laplacian, shifted_bands, solve_banded
 from . import functionals as fn
 
 STRAIN_ITERS = 12  # Cayley solves in one step counted as "straining" -> halve dt
@@ -105,42 +108,45 @@ class RunOutcome:
 
 class _CNStepper:
     def __init__(self, grid, p, shift=0.0):
-        self.grid = grid
         self.p = p
-        # gauge shift: integrate i v_t = -(L + shift) v - |v|^{p-1} v
-        self.shift = shift
         self.vol = grid.vol_weights
+        # gauge shift: integrate i v_t = -(L + shift) v - |v|^{p-1} v. Each
+        # solve adds phi + 2i/dt to diag(L) + shift, which rounds as
+        # shifted_bands(grid, phi + 2i/dt, shift) does
+        self.lower, self.diag_shift, self.upper = shifted_bands(grid, shift=shift)
 
-    def step(self, u, dt, phi_half_prev, modulus_mass):
-        """One CN step; returns (u_new, phi_half, cayley_solves).
+    def step(self, u, dt, phi_half_prev, state):
+        """One CN step; returns (u_new, phi_half, cayley_solves, lap_new).
 
-        modulus_mass is (|u|, vol-weighted mass of u), as evolve_run forms
-        them once per accepted state. phi_half is the field u_new was
-        solved with. A solve is accepted when
+        state is (|u|, vol-weighted mass of u, (L + shift) u), as evolve_run
+        carries them per accepted state. phi_half is the field u_new was
+        solved with, and lap_new = (L + shift) u_new comes from that solve's
+        own operands. A solve is accepted when
         (dt/2) |(phi' - phi) |u + u_new|| < FIXEDPOINT_TOL |u|, the
         certified bound on the move the solve with phi' would make. A
         non-finite solve, or a non-finite bound, is a fatal failure.
         """
         pm1 = self.p - 1.0
-        modulus, mass = modulus_mass
+        modulus, mass, lap = state
         mod = modulus**pm1
         if mass == 0.0:
-            return u.copy(), mod, 0
+            return u.copy(), mod, 0, lap.copy()
         phi = 2.0 * mod - phi_half_prev if phi_half_prev is not None else mod
-        lin = (2j / dt) * u - apply_laplacian(u, self.grid, shift=self.shift)
+        lin = (2j / dt) * u - lap
         bound = FIXEDPOINT_TOL * math.sqrt(mass)
         for solves in range(1, FIXEDPOINT_MAXITER + 1):
+            extra = phi + 2j / dt
+            rhs = lin - phi * u
             try:
-                u_new = solve_banded(
-                    *shifted_bands(self.grid, phi + 2j / dt, self.shift), lin - phi * u)
+                u_new = solve_banded(self.lower, self.diag_shift + extra, self.upper, rhs)
             except ValueError as exc:  # LinAlgError: a zero pivot or non-finite solution
                 raise InnerSolveFailure(f"inner solve: {exc}", fatal=True) from exc
-            half_mod = np.abs(0.5 * (u + u_new))
+            half_mod = 0.5 * np.abs(u + u_new)
             phi_next = half_mod**pm1
             # (dt/2) |(phi' - phi) |u + u_new|| = dt |(phi' - phi) |u + u_new|/2|
             move = dt * math.sqrt(float(np.dot(((phi_next - phi) * half_mod) ** 2, self.vol)))
             if move < bound:
-                return u_new, phi, solves
+                return u_new, phi, solves, rhs - extra * u_new
             if not math.isfinite(move):
                 raise InnerSolveFailure("non-finite state in inner solve", fatal=True)
             phi = phi_next
@@ -158,19 +164,24 @@ class _StrangStepper:
             )
         self.grid = grid
         self.p = p
+        self.shift = shift
         self.sinh_r = np.sinh(grid.nodes)
         k = np.arange(1, grid.num_points + 1)
         eta = -4.0 / grid.dr**2 * np.sin(k * np.pi / (2.0 * grid.num_points)) ** 2
         self.symbol = eta - 1.0 + shift
 
     def _kinetic_half_step(self, u, dt):
+        # scipy.fft is loaded by the reference stepper's first step only
+        from scipy.fft import dst, idst
+
         g = dst(u * self.sinh_r, type=2) * np.exp(0.5j * dt * self.symbol)
         return idst(g, type=2) / self.sinh_r
 
-    def step(self, u, dt, phi_half_prev, modulus_mass):
+    def step(self, u, dt, phi_half_prev, state):
         u = self._kinetic_half_step(u, dt)
         u = u * np.exp(1j * dt * np.abs(u) ** (self.p - 1.0))
-        return self._kinetic_half_step(u, dt), None, 0
+        u = self._kinetic_half_step(u, dt)
+        return u, None, 0, apply_laplacian(u, self.grid, shift=self.shift)
 
 
 # IntegratorConfig.scheme -> stepper class
@@ -181,12 +192,14 @@ STEPPERS = {"crank_nicolson_relaxation": _CNStepper, "strang_splitting": _Strang
 # runs
 # ---------------------------------------------------------------------------
 
-def _h1_sq_and_norms(values, grid):
-    """Squared H^1 norm of one state, with its (|u|, vol-weighted mass
-    int |u|^2) for the next step."""
+def _h1_sq_and_norms(values, grid, lap, shift):
+    """Squared H^1 norm of one state from lap = (L + shift) values, with
+    the state (|u|, vol-weighted mass int |u|^2, lap) for the next step.
+    The Dirichlet form is -Re<L u, u>_vol = shift * mass - Re<lap, u>_vol."""
     modulus = np.abs(values)
     mass = float(np.dot(modulus**2, grid.vol_weights))
-    return dirichlet_energy(values, grid) + mass, (modulus, mass)
+    pairing = float(np.vdot(lap, values * grid.vol_weights).real)
+    return shift * mass - pairing + mass, (modulus, mass, lap)
 
 
 def evolve_run(
@@ -247,8 +260,9 @@ def evolve_run(
     next_rec = interval
     phi_half = None
 
-    # squared H^1 norm of the current state, with its (|u|, mass) for the next step
-    h1_prev, norms = _h1_sq_and_norms(u, grid)
+    # squared H^1 norm of the current state, with its (|u|, mass, (L + lam) u)
+    # for the next step; later states take (L + lam) u from their step
+    h1_prev, state = _h1_sq_and_norms(u, grid, apply_laplacian(u, grid, shift=lam), lam)
     threshold = cfg.blowup_h1_factor**2 * h1_prev
 
     series: List[fn.DiagnosticsRecord] = []
@@ -271,14 +285,14 @@ def evolve_run(
         # shorten the step to land exactly on record times and the horizon
         step_dt = min(dt, T - t, next_rec - t)
         try:
-            u_new, phi_half, solves = stepper.step(u, step_dt, phi_half, norms)
+            u_new, phi_half, solves, lap = stepper.step(u, step_dt, phi_half, state)
         except InnerSolveFailure as exc:
             if exc.fatal:
                 status, t_stop, reason = "inner_solve_failure", t, None
                 break
             phi_half, halve = None, True
         else:
-            h1_new, norms = _h1_sq_and_norms(u_new, grid)
+            h1_new, state = _h1_sq_and_norms(u_new, grid, lap, lam)
             t += step_dt
             u = u_new
             # strict, so that the zero solution (threshold 0) runs to T

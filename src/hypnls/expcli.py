@@ -468,7 +468,16 @@ def inequality_scan(n: int, p: float, r_max: float) -> dict:
         w1_tail = float(w1_weight(r_max))
         if not math.isfinite(w1_tail):
             raise ValueError(f"r_max={r_max} overflows r cosh r in the weight W1")
-        w1_vals = w1_weight(np.linspace(1e-6, r_max, round(r_max / 1e-4) + 1))
+        # the nodes of np.linspace(1e-6, r_max, num), k * step + 1e-6 with
+        # the last one r_max exactly, 2^16 at a time so memory stays flat
+        num, chunk = round(r_max / 1e-4) + 1, 1 << 16
+        step = (r_max - 1e-6) / max(num - 1, 1)
+        w1_max = -np.inf
+        for start in range(0, num, chunk):
+            nodes = np.arange(start, min(start + chunk, num), dtype=float) * step + 1e-6
+            if start + chunk >= num > 1:
+                nodes[-1] = r_max
+            w1_max = np.maximum(w1_max, np.max(w1_weight(nodes)))
     r_grid = np.linspace(20.0 / 100000, 20.0, 100000)
     quartic = fn.quartic_values(n, r_grid)
     k = int(np.argmin(quartic))
@@ -480,7 +489,7 @@ def inequality_scan(n: int, p: float, r_max: float) -> dict:
         "quartic_argmin": float(r_grid[k]),
         "pm_min_at_critical_p": pm_crit,
         "pm_min_at_p": pm_p,
-        "w1_max": float(np.max(w1_vals)),
+        "w1_max": float(w1_max),
         "w1_tail": w1_tail,
     }
 

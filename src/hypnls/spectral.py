@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import numpy as np
-from scipy.fft import dst
 
 from .hypgeom import RadialGrid, per_grid, quadrature
 from .functionals import RadialField
@@ -103,11 +102,17 @@ class SpectralTransform:
         self.x_symbol = self.lambda_nodes**2 + RHO**2
         self.pm_symbols = np.stack([pm_symbol(self.x_symbol, m) for m in M_SAMPLES])
 
+    # scipy.fft is about half of the command line's import time, and only
+    # the spectral subcommands transform: the first transform loads it
     def forward(self, values: np.ndarray) -> np.ndarray:
+        from scipy.fft import dst
+
         return self._fwd_scale * dst(self.sinh_r * values, type=4)
 
     def inverse(self, vhat: np.ndarray) -> np.ndarray:
         """Inverse transform of one spectrum, or row-wise of a (k, N) stack."""
+        from scipy.fft import dst
+
         out = dst(self.lambda_nodes * vhat, type=4, axis=-1)
         return self._inv_scale * out * self._inv_sinh
 

@@ -20,6 +20,11 @@ def small_gaussian(grid, amp=0.01):
     return fn.RadialField(grid=grid, values=(amp * np.exp(-grid.nodes**2)).astype(complex))
 
 
+def datum_state(u, grid, shift=0.0):
+    # the state evolve_run forms for its datum: (|u|, mass, (L + shift) u)
+    return ev._h1_sq_and_norms(u, grid, hg.apply_laplacian(u, grid, shift=shift), shift)[1]
+
+
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -111,7 +116,7 @@ def test_step_holds_ground_state(gs3_zero):
     u = gs3_zero.field_on_grid().values
     stepper = ev._CNStepper(gs3_zero.grid, 3.0)
     for _ in range(100):
-        u = stepper.step(u, 1e-3, None, ev._h1_sq_and_norms(u, gs3_zero.grid)[1])[0]
+        u = stepper.step(u, 1e-3, None, datum_state(u, gs3_zero.grid))[0]
     dev = np.max(np.abs(np.abs(u) - gs3_zero.profile)) / gs3_zero.q0
     assert dev < 1e-4
 
@@ -176,46 +181,99 @@ def test_gaussian_two_solves_per_step(grid3, monkeypatch):
     assert len(calls) == 500
 
 
-def plain_cn_step(grid, shift, u, dt, phi_half_prev):
-    # the step written out with the hypgeom owners: apply_laplacian for the
-    # band product, shifted_bands for the Cayley matrix times 2i/dt,
-    # solve_banded, and the bound as a complex product
+def plain_cn_step(grid, shift, u, dt, phi_half_prev, lap):
+    # the step written out with the hypgeom owners: shifted_bands for the
+    # Cayley matrix times 2i/dt, solve_banded, and the bound as a complex
+    # product; lap = (L + shift) u comes in, and (L + shift) u_new goes out
+    # from the accepted solve's operands
     mod = np.abs(u) ** 2
     phi = 2.0 * mod - phi_half_prev if phi_half_prev is not None else mod
-    lin = (2j / dt) * u - hg.apply_laplacian(u, grid, shift=shift)
+    lin = (2j / dt) * u - lap
     scale = vol_norm(u, grid)
     for solves in range(1, ev.FIXEDPOINT_MAXITER + 1):
         bands = hg.shifted_bands(grid, phi + 2j / dt, shift)
-        u_new = hg.solve_banded(*bands, lin - phi * u)
+        rhs = lin - phi * u
+        u_new = hg.solve_banded(*bands, rhs)
         u_sum = u + u_new
         phi_next = np.abs(0.5 * u_sum) ** 2
         if 0.5 * dt * vol_norm((phi_next - phi) * u_sum, grid) < ev.FIXEDPOINT_TOL * scale:
-            return u_new, phi, solves
+            return u_new, phi, solves, rhs - (phi + 2j / dt) * u_new
         phi = phi_next
     raise AssertionError("plain step not certified")
 
 
+# the dt ladder of the step tests: a shortened record-landing step and a
+# dt halving
+DT_LADDER = [2e-3] * 15 + [7e-4] + [1e-3] * 24
+
+
 @pytest.mark.parametrize("n, shift", [(3, 0.5), (2, 0.0)])
 def test_step_matches_plain_step(grid3, grid2, n, shift):
-    # 40 steps through a shortened record-landing step and a dt halving,
-    # with |u| and the mass shared the way evolve_run shares them
+    # 40 steps over DT_LADDER, with |u|, the mass and (L + shift) u carried
+    # the way evolve_run carries them
     grid = grid3 if n == 3 else grid2
     stepper = ev._CNStepper(grid, 3.0, shift=shift)
     u = small_gaussian(grid, amp=1.0).values
+    state = datum_state(u, grid, shift)
     phi_half = None
     previous = None
-    for dt in [2e-3] * 15 + [7e-4] + [1e-3] * 24:
-        expected = plain_cn_step(grid, shift, u, dt, phi_half)
-        got = stepper.step(u, dt, phi_half, ev._h1_sq_and_norms(u, grid)[1])
+    for dt in DT_LADDER:
+        expected = plain_cn_step(grid, shift, u, dt, phi_half, state[2])
+        got = stepper.step(u, dt, phi_half, state)
         assert np.array_equal(got[0], expected[0])
         assert np.array_equal(got[1], expected[1])
         assert got[2] == expected[2]
+        assert np.array_equal(got[3], expected[3])
         if previous is not None:
             # the arrays a step returns are not reused by the next step
             for kept, copy in previous:
                 assert np.array_equal(kept, copy)
-        previous = [(arr, arr.copy()) for arr in got[:2]]
+        previous = [(arr, arr.copy()) for arr in (got[0], got[1], got[3])]
         u, phi_half = got[0], got[1]
+        state = ev._h1_sq_and_norms(u, grid, got[3], shift)[1]
+
+
+@pytest.mark.parametrize("n, shift", [(3, 0.5), (2, 0.0)])
+def test_carried_laplacian_tracks_band_product(grid3, grid2, n, shift):
+    # the carried (L + shift) u_new differs from the band product by the
+    # accepted solve's residual: below eps (4/dr^2 + 2/dt) |u|_vol (about
+    # 0.3 of it here), with no growth over DT_LADDER
+    grid = grid3 if n == 3 else grid2
+    stepper = ev._CNStepper(grid, 3.0, shift=shift)
+    u = small_gaussian(grid, amp=1.0).values
+    state = datum_state(u, grid, shift)
+    phi_half = None
+    ratios = []
+    for dt in DT_LADDER:
+        u, phi_half, _, lap = stepper.step(u, dt, phi_half, state)
+        gap = vol_norm(lap - hg.apply_laplacian(u, grid, shift=shift), grid)
+        scale = np.finfo(float).eps * (4.0 / grid.dr**2 + 2.0 / dt) * vol_norm(u, grid)
+        ratios.append(gap / scale)
+        state = ev._h1_sq_and_norms(u, grid, lap, shift)[1]
+    assert max(ratios) < 1.0
+    assert max(ratios[-10:]) < 2.0 * max(ratios[:10])
+
+
+@pytest.mark.parametrize("n, lam", [(3, 0.5), (2, 0.0)])
+def test_run_h1_matches_dirichlet_energy(grid3, grid2, n, lam, monkeypatch):
+    # the H^1 monitor's Dirichlet form, read off the carried (L + lam) u,
+    # is the edge-based Dirichlet energy to 1e-12 relative on every state
+    grid = grid3 if n == 3 else grid2
+    h1_sq_and_norms = ev._h1_sq_and_norms
+    seen = []
+
+    def recording(values, grid, lap, shift):
+        h1, state = h1_sq_and_norms(values, grid, lap, shift)
+        seen.append((h1, hg.dirichlet_energy(values, grid) + state[1]))
+        return h1, state
+
+    monkeypatch.setattr(ev, "_h1_sq_and_norms", recording)
+    out = ev.evolve_run(small_gaussian(grid, amp=1.0), 0.3, ev.IntegratorConfig(dt=2e-3),
+                        3.0, lam, None)
+    assert out.status == "completed"
+    assert len(seen) == 151
+    for h1, reference in seen:
+        assert h1 == pytest.approx(reference, rel=1e-12)
 
 
 @pytest.mark.parametrize("n, lam", [(3, 0.5), (2, 0.0)])
@@ -229,8 +287,8 @@ def test_shared_modulus_and_mass_change_no_record(grid3, grid2, n, lam, monkeypa
 
     step = ev._CNStepper.step
 
-    def recomputing(self, u, dt, phi_half_prev, modulus_mass):
-        fresh = (np.abs(u), float(np.dot(np.abs(u) ** 2, grid.vol_weights)))
+    def recomputing(self, u, dt, phi_half_prev, state):
+        fresh = (np.abs(u), float(np.dot(np.abs(u) ** 2, grid.vol_weights)), state[2])
         return step(self, u, dt, phi_half_prev, fresh)
 
     monkeypatch.setattr(ev._CNStepper, "step", recomputing)
@@ -424,8 +482,8 @@ def test_stop_bookkeeping(gs3_zero, monkeypatch, kind, lam):
     taken = []  # (dt, u_new) of every step the run accepted
     step = ev._CNStepper.step
 
-    def recording(self, u, dt, phi_half_prev, modulus_mass):
-        result = step(self, u, dt, phi_half_prev, modulus_mass)
+    def recording(self, u, dt, phi_half_prev, state):
+        result = step(self, u, dt, phi_half_prev, state)
         taken.append((dt, result[0]))
         return result
 
@@ -472,7 +530,7 @@ def test_overflowing_solve_is_fatal(grid3):
     stepper = ev._CNStepper(grid3, 3.0)
     with np.errstate(all="ignore"), pytest.raises(ev.InnerSolveFailure) as info:
         u = small_gaussian(grid3, amp=1e200).values
-        stepper.step(u, 2e-3, None, ev._h1_sq_and_norms(u, grid3)[1])
+        stepper.step(u, 2e-3, None, datum_state(u, grid3))
     assert info.value.fatal
 
 

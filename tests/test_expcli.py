@@ -434,6 +434,35 @@ def test_inequalities_pass_and_injected_failure(tmp_path, monkeypatch):
     assert read_json(tmp_path / "inequalities_report.json")["passed"] is False
 
 
+@pytest.mark.parametrize("r_max", (20.0, 6.5536, 13.1073, 700.0))
+def test_w1_scan_chunks_the_linspace_lattice(monkeypatch, r_max):
+    # the scan evaluates W1 2^16 nodes at a time on exactly the nodes of
+    # np.linspace(1e-6, r_max, num), and its maximum is the full lattice's;
+    # 6.5536 and 13.1073 give num = 2^16 + 1 and 2^17 + 2, so their last
+    # chunk holds 1 and 2 nodes
+    lattice = np.linspace(1e-6, r_max, round(r_max / 1e-4) + 1)
+    assert lattice[-1] == r_max
+    w1_weight = cli.w1_weight
+    scanned = [0]  # lattice nodes seen so far
+
+    def checking(r):
+        if np.ndim(r):
+            start = scanned[0]
+            assert len(r) <= 1 << 16
+            assert np.array_equal(r, lattice[start:start + len(r)])
+            scanned[0] += len(r)
+        return w1_weight(r)
+
+    monkeypatch.setattr(cli, "w1_weight", checking)
+    w1_max = cli.inequality_scan(3, 3.0, r_max)["w1_max"]
+    assert scanned[0] == len(lattice)
+    # W1 is elementwise, so slices of the full lattice give its maximum
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = max(np.max(w1_weight(part)) for part in np.split(
+            lattice, range(1000000, len(lattice), 1000000)))
+    assert w1_max == expected
+
+
 def test_inequalities_csv_format(tmp_path):
     out = str(tmp_path)
     assert cli.main(["inequalities", "--format", "csv", "--out", out]) == 0

@@ -290,6 +290,20 @@ def test_lapack_loads_on_first_solve():
     assert out.split() == ["False", "True"]
 
 
+def test_fft_loads_on_first_transform():
+    # importing the command line loads no scipy module at all; the first
+    # radial transform loads scipy.fft
+    out = _fresh_python(
+        "import sys; import numpy as np; import hypnls.expcli; "
+        "import hypnls.hypgeom as hg; import hypnls.spectral as sp; "
+        "print(any(m.partition('.')[0] == 'scipy' for m in sys.modules)); "
+        "grid = hg.build_grid(3, 20.0, 64); "
+        "sp.SpectralTransform(grid).forward(np.exp(-grid.nodes ** 2)); "
+        "print('scipy.fft' in sys.modules)"
+    )
+    assert out.split() == ["False", "True"]
+
+
 def test_submodule_imports_alone():
     # the package re-exports nothing, so one submodule loads neither its
     # siblings nor scipy
