@@ -1,6 +1,6 @@
 """Time integration of i u_t + (Laplacian) u + |u|^{p-1} u = 0 on H^n.
 
-Default scheme: Crank-Nicolson with a relaxation-style treatment of the
+The integrator is Crank-Nicolson with a relaxation-style treatment of the
 nonlinearity. Each step solves the Cayley system
 
     A(phi) u_new = (1 + i dt/2 (L + phi)) u,   A(phi) = 1 - i dt/2 (L + phi)
@@ -39,11 +39,6 @@ product: the next step's right-hand side and the H^1 monitor read it, and
 the monitor takes the Dirichlet form as shift * mass - Re<(L + shift) u, u>
 by summation by parts (hypgeom.dirichlet_energy). evolve_run applies L
 only to the datum.
-
-A Strang splitting path (n = 3 only) cross-validates the default: the
-substitution g = u sinh r turns the radial H^3 Laplacian into (g'' - g)/
-sinh r, diagonal in a discrete sine basis, so the kinetic half steps are
-exact in that basis and the nonlinear step is an exact phase rotation.
 """
 
 from __future__ import annotations
@@ -74,15 +69,12 @@ class InnerSolveFailure(RuntimeError):
 @dataclass
 class IntegratorConfig:
     dt: float = 5e-4
-    scheme: str = "crank_nicolson_relaxation"
     blowup_h1_factor: float = 50.0
     diag_stride: float = 10.0  # records per unit time
 
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite")
-        if self.scheme not in STEPPERS:
-            raise ValueError(f"unknown scheme {self.scheme!r}; options: {list(STEPPERS)}")
         if not 1 < self.blowup_h1_factor < math.inf:
             raise ValueError("blowup_h1_factor must be finite and exceed 1")
         if not 0 < self.diag_stride < math.inf:
@@ -103,7 +95,7 @@ class RunOutcome:
 
 
 # ---------------------------------------------------------------------------
-# steppers
+# the step
 # ---------------------------------------------------------------------------
 
 class _CNStepper:
@@ -153,39 +145,6 @@ class _CNStepper:
         raise InnerSolveFailure(
             f"fixed point not certified after {FIXEDPOINT_MAXITER} solves"
         )
-
-
-class _StrangStepper:
-    def __init__(self, grid, p, shift=0.0):
-        if grid.n != 3:
-            raise ValueError(
-                "strang_splitting uses the sine-diagonal form of the H^3 "
-                "Laplacian and is implemented for n = 3 only"
-            )
-        self.grid = grid
-        self.p = p
-        self.shift = shift
-        self.sinh_r = np.sinh(grid.nodes)
-        k = np.arange(1, grid.num_points + 1)
-        eta = -4.0 / grid.dr**2 * np.sin(k * np.pi / (2.0 * grid.num_points)) ** 2
-        self.symbol = eta - 1.0 + shift
-
-    def _kinetic_half_step(self, u, dt):
-        # scipy.fft is loaded by the reference stepper's first step only
-        from scipy.fft import dst, idst
-
-        g = dst(u * self.sinh_r, type=2) * np.exp(0.5j * dt * self.symbol)
-        return idst(g, type=2) / self.sinh_r
-
-    def step(self, u, dt, phi_half_prev, state):
-        u = self._kinetic_half_step(u, dt)
-        u = u * np.exp(1j * dt * np.abs(u) ** (self.p - 1.0))
-        u = self._kinetic_half_step(u, dt)
-        return u, None, 0, apply_laplacian(u, self.grid, shift=self.shift)
-
-
-# IntegratorConfig.scheme -> stepper class
-STEPPERS = {"crank_nicolson_relaxation": _CNStepper, "strang_splitting": _StrangStepper}
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +211,7 @@ def evolve_run(
             "(boundary amplitude above 1e-6 of the field maximum)"
         )
 
-    stepper = STEPPERS[cfg.scheme](grid, p, shift=lam)
+    stepper = _CNStepper(grid, p, shift=lam)
     u = np.asarray(u0.values, dtype=complex).copy()
     t = 0.0
     dt = cfg.dt

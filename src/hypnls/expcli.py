@@ -2,8 +2,8 @@
 
 Subcommands: plotdata, and the rows of COMMANDS, which run on a resolved
 configuration: the PARAMS whose keys the row lists, its only flags, each
-resolved in order: flag > config file (key=value lines) > subcommand
-default (COMMAND_DEFAULTS) > resolution tier (TIERS) > built-in default.
+resolved in order: flag > subcommand default (COMMAND_DEFAULTS) >
+resolution tier (TIERS) > built-in default.
 Every output embeds these parameters but `out` and their sha256 digest
 (_write_table, _write_payload). Outputs are deterministic for a fixed
 config: floats are serialized with repr (shortest round trip), JSON keys
@@ -73,8 +73,8 @@ def finite_float(text: str) -> float:
 
 
 class Param(NamedTuple):
-    """One parameter: the flag --key and the config-file key `key` set the
-    ExperimentConfig field `attr`, both through `cast`."""
+    """One parameter: the flag --key sets the ExperimentConfig field `attr`
+    through `cast`."""
 
     attr: str
     key: str
@@ -82,7 +82,7 @@ class Param(NamedTuple):
     default: Any  # built-in default, below the tier's and the subcommand's
     help: str
     choices: Optional[Tuple[str, ...]] = None
-    many: bool = False  # repeatable flag; comma-separated in a config file
+    many: bool = False  # repeatable flag
 
 
 PARAMS = (
@@ -92,8 +92,7 @@ PARAMS = (
     Param("p", "p", finite_float, 3.0, "nonlinearity power"),
     Param("lam", "lambda", finite_float, 0.0, "frequency shift"),
     Param("alphas", "alpha", finite_float, None,
-          "datum amplitude or mass (repeatable; comma-separated in a config file)",
-          many=True),
+          "datum amplitude or mass (repeatable)", many=True),
     Param("rmax", "rmax", finite_float, 20.0, "domain radius"),
     Param("points", "points", int, None, "grid points"),
     Param("dt", "dt", finite_float, None, "base time step"),
@@ -123,46 +122,11 @@ class ExperimentConfig(SimpleNamespace):
         return hashlib.sha256(text.encode()).hexdigest()
 
 
-def parse_config_file(path: str) -> Dict[str, Any]:
-    """The values of a flat key=value file by key, each cast and checked like
-    its flag whatever the subcommand; an empty list (`alpha=`) is None."""
-    params = {param.key: param for param in PARAMS}
-    vals: Dict[str, Any] = {}
-    try:
-        with open(path) as handle:
-            for lineno, raw in enumerate(handle, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{path}:{lineno}: expected key=value")
-                key, text = (part.strip() for part in line.split("=", 1))
-                if key not in params:
-                    raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-                param = params[key]
-                try:
-                    value = ([param.cast(a) for a in text.split(",") if a.strip()] or None
-                             if param.many else param.cast(text))
-                except ValueError as exc:
-                    raise UsageError(f"config key {key!r}: {exc}") from exc
-                if param.choices and value not in param.choices:
-                    raise UsageError(
-                        f"unknown {key} {value!r}; options: {', '.join(param.choices)}"
-                    )
-                vals[key] = value
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from exc
-    return vals
-
-
 def resolve_config(args) -> ExperimentConfig:
-    file_vals = parse_config_file(args.config) if args.config else {}
     defaults = COMMAND_DEFAULTS.get(args.command, {})
     values: Dict[str, Any] = {}
     for param in (p for p in PARAMS if p.key in COMMANDS[args.command][2]):
         value = getattr(args, param.attr)
-        if value is None:
-            value = file_vals.get(param.key)
         if value is None:
             value = defaults.get(param.key, param.default)
         if param.many:
@@ -244,8 +208,8 @@ def _err(code: int, reason: str) -> int:
 
 
 def _outpath(out: Optional[str], name: str) -> str:
-    """Path of an output file in `out` (the --out flag or config key), else
-    in the working directory; the directory is created."""
+    """Path of an output file in `out` (the --out flag), else in the
+    working directory; the directory is created."""
     out_dir = out or "."
     os.makedirs(out_dir, exist_ok=True)
     return os.path.join(out_dir, name)
@@ -672,7 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
                 action="append" if param.many else "store",
                 help=param.help,
             )
-        command.add_argument("--config", help="flat key=value config file")
     plot = sub.add_parser("plotdata", help="reshape an output file for plotting")
     plot.add_argument("input", help="CSV produced by another subcommand")
     plot.add_argument("--out", help="output directory")

@@ -16,9 +16,10 @@ w = sinh^k(r) Q, k = (n-1)/2, at the last node, from the state at the
 current one: with c = sqrt(k^2 - lambda) and z = w' + c w, z' <= c z while
 w > 0, and z' >= c z - M w(r) while w and Q fall, M fixed by the state at
 r; integrating twice bounds w at the last node from above and from below
-by the state at r alone (see _integrate). The bisection's shots stop at a
-certificate; the one recorded shot at the bisected amplitude runs on to
-its crossing, turn or r_max. The sampled trajectory is then polished by
+by the state at r alone (see _integrate). Where c dr < 0.09 the
+bisection's shots stop at a certificate; elsewhere, and for the one
+recorded shot at the bisected amplitude, a shot runs on to its crossing,
+turn or r_max. The sampled trajectory is then polished by
 Newton iteration on the *discrete* stationary system L Q + lambda Q + Q^p = 0
 built from the divergence-form Laplacian, so the integral identities used as
 certificates hold at solver tolerance rather than discretization tolerance.
@@ -100,8 +101,9 @@ def _integrate(p, lam, a, grid: RadialGrid, record=False):
     max(a, 1)), 'falling' (a shot certain to cross before the last node),
     'rising' (a shot that cannot cross before it turns or reaches r_max) or
     'none' (reached r_max still positive and decreasing). Only a shot with
-    record=False stops at 'falling' or 'rising'; the recorded shot runs on
-    to its crossing, turn or r_max, and only it fills the profile.
+    record=False on a grid with c dr < 0.09 stops at 'falling' or 'rising';
+    every other shot runs on to its crossing, turn or r_max, and only the
+    recorded one fills the profile.
 
     The two verdicts bound w = sinh^k(r) Q, k = (n-1)/2, at the last node
     r_last from the state at the node r a step ends on. w solves
@@ -125,15 +127,15 @@ def _integrate(p, lam, a, grid: RadialGrid, record=False):
       by itself, because c^2 - M = V - lambda - Q^{p-1} > 0.
 
     The verdicts read the exact trajectory through the node's state, which
-    the RK4 trajectory follows to its local error. On the grids tested
-    with c dr below 0.09 they classify every bisection shot as the full
-    RK4 shot does, so q0 and the profile do not change. For n = 3 with
-    c dr near 0.1 or more (lambda <= -100 at dr = 0.01), the local error
-    in z can exceed z next to the separatrix, and q0 can move by a few
-    1e-11 of itself, far inside its discretization error there.
-    Only a shot with y < 0 can be 'falling', and only one with
-    Q^{p-1} < c^2 'rising', so the bounds are formed only past those two
-    cheap tests.
+    the RK4 trajectory follows to its local error. With c dr near 0.1 or
+    more (n = 3, lambda <= -100 at dr = 0.01) that error in z can exceed z
+    next to the separatrix, so a verdict can disagree with the full RK4
+    shot and move q0 by a few 1e-11 of itself. The verdicts are therefore
+    taken only while c dr < 0.09, where on every grid tested they classify
+    each bisection shot as the full shot does, so q0 and the profile are
+    those of a bisection on full shots. Only a shot with y < 0 can be
+    'falling', and only one with Q^{p-1} < c^2 'rising', so the bounds are
+    formed only past those two cheap tests.
     """
     n = grid.n
     h = grid.dr
@@ -149,6 +151,8 @@ def _integrate(p, lam, a, grid: RadialGrid, record=False):
     c = math.sqrt(kk - lam)
     two_c = 2.0 * c
     two_c_h = two_c * h
+    # the verdicts certify a shot only while c dr < 0.09
+    early = not record and two_c_h < 0.18
     pm1 = p - 1.0
     # Q^{p-1} < c^2 below q_tail = c^{2/(p-1)}, capped short of overflow
     q_tail = math.exp(min(2.0 * math.log(c) / pm1, 709.0))
@@ -193,7 +197,7 @@ def _integrate(p, lam, a, grid: RadialGrid, record=False):
             return "crossed", j + 1, prof
         if dq > 0.0 or q > cap:
             return "turned", j + 1, prof
-        if record:
+        if not early:
             continue
         # c_end = 2k coth(r) at the node the step ends on
         y = dq + (0.5 * c_end + c) * q

@@ -133,45 +133,13 @@ def test_groundstate_above_bottom_is_usage_error(tmp_path, capsys):
     assert "no ground state" in payload["error"]
 
 
-def test_config_file_and_flag_precedence(tmp_path):
-    conf = tmp_path / "run.conf"
-    conf.write_text("# comment line\n\nlambda=0.25\n")
-    from_file = resolve(["groundstate", "--config", str(conf)])
-    assert from_file.params_dict()["lambda"] == 0.25
-    # explicit flag beats the file
-    from_flag = resolve(["groundstate", "--config", str(conf), "--lambda", "0"])
-    assert from_flag.params_dict()["lambda"] == 0.0
-    # the digest tracks the resolved config
-    assert from_flag.digest() != from_file.digest()
-
-
-def test_config_file_keys_a_subcommand_does_not_read(tmp_path, capsys):
-    # one file serves several subcommands: a key that inequalities does not
-    # read is neither hashed nor reported, and the scan runs as by default
-    conf = tmp_path / "shared.conf"
-    conf.write_text("lambda=0.7\ndt=9\npoints=17\nalpha=0.5, 1.5\n")
-    for argv, out in ((["--config", str(conf)], "shared"), ([], "default")):
-        assert cli.main(["inequalities", *argv, "--out", str(tmp_path / out)]) == 0
-    shared, default = (read_json(tmp_path / out / "inequalities_report.json")
-                       for out in ("shared", "default"))
-    assert shared == default
-    # its values are still checked, whichever subcommand reads the file
-    conf.write_text("dt=abc\n")
-    assert cli.main(["inequalities", "--config", str(conf)]) == 2
-    assert stderr_payload(capsys)["error"] == (
-        "config key 'dt': could not convert string to float: 'abc'"
-    )
-    # an empty list is unset: the subcommand default
-    conf.write_text("alpha=\n")
-    assert resolve(["dichotomy", "--config", str(conf)]).alphas == [0.5, 0.9, 1.1, 1.5]
-
-
 @pytest.mark.parametrize("argv", (
     ["inequalities", "--dt", "0.1"],
     ["groundstate", "--format", "csv"],
     ["spectral-check", "--lambda", "0.2"],
     ["virial-check", "--alpha", "1"],
     ["inequalities", "--tier", "production"],
+    ["groundstate", "--config", "run.conf"],
 ))
 def test_flag_a_subcommand_does_not_read_is_usage_error(tmp_path, capsys, argv):
     assert cli.main([*argv, "--out", str(tmp_path)]) == 2
@@ -183,77 +151,20 @@ def test_flag_a_subcommand_does_not_read_is_usage_error(tmp_path, capsys, argv):
     assert os.listdir(tmp_path) == []
 
 
-def test_config_file_errors(tmp_path, capsys):
-    bad_key = tmp_path / "bad1.conf"
-    bad_key.write_text("banana=1\n")
-    assert cli.main(["inequalities", "--config", str(bad_key)]) == 2
-    assert "unknown key" in stderr_payload(capsys)["error"]
-
-    bad_val = tmp_path / "bad2.conf"
-    bad_val.write_text("points=many\n")
-    assert cli.main(["inequalities", "--config", str(bad_val)]) == 2
-
-    bad_line = tmp_path / "bad3.conf"
-    bad_line.write_text("points 2000\n")
-    assert cli.main(["inequalities", "--config", str(bad_line)]) == 2
-
-    assert cli.main(["inequalities", "--config", str(tmp_path / "absent.conf")]) == 2
-
-    bad_tier = tmp_path / "bad4.conf"
-    bad_tier.write_text("tier=turbo\n")
-    assert cli.main(["inequalities", "--config", str(bad_tier)]) == 2
-    assert "unknown tier" in stderr_payload(capsys)["error"]
-
-    # a bad list entry is a usage error naming the key as written
-    bad_alpha = tmp_path / "bad5.conf"
-    bad_alpha.write_text("alpha=0.5,abc\n")
-    assert cli.main(["dichotomy", "--config", str(bad_alpha)]) == 2
-    assert stderr_payload(capsys) == {
-        "error": "config key 'alpha': could not convert string to float: 'abc'",
-        "code": 2,
-    }
-
-    # so is a value that is not finite
-    bad_horizon = tmp_path / "bad6.conf"
-    bad_horizon.write_text("horizon=nan\n")
-    assert cli.main(["dichotomy", "--config", str(bad_horizon)]) == 2
-    assert stderr_payload(capsys) == {
-        "error": "config key 'horizon': not a finite number: 'nan'",
-        "code": 2,
-    }
-
-
-def test_flags_and_config_file_resolve_alike(tmp_path):
+def test_flags_resolve_every_dichotomy_param(tmp_path):
     settings = {
         "n": "2", "p": "3.5", "lambda": "0.1", "rmax": "18.0", "points": "1500",
         "dt": "0.004", "horizon": "0.5", "tier": "production", "format": "csv",
         "out": str(tmp_path / "runs"),
     }
-    conf = tmp_path / "all.conf"
-    conf.write_text(
-        "".join(f"{k}={v}\n" for k, v in settings.items()) + "alpha=0.7, 1.2\n"
-    )
     flags = [f"--{k}={v}" for k, v in settings.items()]
-    flags += ["--alpha", "0.7", "--alpha", "1.2"]
-    from_file, from_flags = (
-        resolve(["dichotomy"] + argv) for argv in (["--config", str(conf)], flags)
-    )
-    assert from_file.params_dict() == from_flags.params_dict() == {
+    cfg = resolve(["dichotomy", *flags, "--alpha=0.7", "--alpha=1.2"])
+    assert cfg.params_dict() == {
         "command": "dichotomy", "n": 2, "p": 3.5, "lambda": 0.1, "rmax": 18.0,
         "points": 1500, "dt": 0.004, "horizon": 0.5, "tier": "production",
         "alpha": [0.7, 1.2], "format": "csv",
     }
-    assert from_file.digest() == from_flags.digest()
-    for cfg in (from_file, from_flags):
-        assert cfg.out_dir == settings["out"]
-
-
-def test_tier_from_config_file(tmp_path):
-    conf = tmp_path / "prod.conf"
-    conf.write_text("tier=production\n")
-    params = resolve(["groundstate", "--config", str(conf)]).params_dict()
-    assert params["tier"] == "production"
-    assert params["points"] == 8000
+    assert cfg.out_dir == settings["out"]
 
 
 def test_config_digest_is_pinned(tmp_path):
@@ -406,10 +317,14 @@ def test_output_dir_that_is_a_file_is_usage_error(tmp_path, capsys):
 
 
 def test_unknown_format_is_usage_error(tmp_path, capsys):
-    conf = tmp_path / "fmt.conf"
-    conf.write_text("format=yaml\n")
-    assert cli.main(["inequalities", "--config", str(conf)]) == 2
-    assert "unknown format" in stderr_payload(capsys)["error"]
+    # so is an unknown tier: argparse checks the choices of every flag
+    for argv in (["inequalities", "--format", "yaml"], ["groundstate", "--tier", "turbo"]):
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["code"] == 2 and "invalid choice" in payload["error"]
+    assert os.listdir(tmp_path) == []
 
 
 def test_inequalities_pass_and_injected_failure(tmp_path, monkeypatch):

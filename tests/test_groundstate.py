@@ -351,11 +351,12 @@ def test_rising_verdict_keeps_every_ground_state(n, p, lam, r_max, points, monke
 
 # beside the cases above: the n = 2, p = 2.5 mass-curve branch start, and
 # a lambda so negative that 2c (r_last - r) passes expm1's range near the
-# origin
+# origin, at c dr = 0.2, where every shot runs in full, and at c dr = 0.05
 VERDICT_CASES = (
     *FULL_LENGTH_CASES,
     (2, 2.5, 0.0, 20.0, 2000),
     (2, 3.0, -400.0, 20.0, 2000),
+    (2, 3.0, -400.0, 20.0, 8000),
 )
 
 
@@ -371,6 +372,31 @@ def test_early_verdicts_classify_like_full_shots(n, p, lam, r_max, points):
         for amp in (q0 * (1.0 - 10.0**-k), q0 * (1.0 + 10.0**-k)):
             crosses = _reference_integrate(p, lam, amp, grid)[0] == "crossed"
             assert gsm.shooting_classifier(p, lam, amp, grid) == (-1 if crosses else 1)
+
+
+# (n, lambda, points) at r_max 20 and p = 3: c dr from 0.20 down to 0.005
+FULL_SHOT_CASES = (
+    (3, -400.0, 2000), (3, -200.0, 2000), (3, -100.0, 2000), (3, -400.0, 4000),
+    (3, -70.0, 2000), (2, -400.0, 2000), (3, 0.5, 2000),
+)
+
+
+@pytest.mark.parametrize("n, lam, points", FULL_SHOT_CASES)
+def test_bisection_matches_full_shots(n, lam, points, monkeypatch):
+    # a verdict is taken only where it classifies every bisection shot as
+    # the shot run to its crossing, turn or r_max does: at c dr >= 0.1 RK4's
+    # local error can flip one next to the separatrix and move q0
+    grid = hg.build_grid(n, 20.0, points)
+    gs = gsm.solve_ground_state(3.0, lam, grid)
+    integrate = gsm._integrate
+
+    def full_shot(p, lam, a, grid):
+        return -1 if integrate(p, lam, a, grid, record=True)[0] == "crossed" else +1
+
+    monkeypatch.setattr(gsm, "shooting_classifier", full_shot)
+    full = gsm.solve_ground_state(3.0, lam, grid)
+    assert full.q0 == gs.q0
+    assert full.profile.tobytes() == gs.profile.tobytes()
 
 
 # ---------------------------------------------------------------------------
